@@ -12,6 +12,7 @@ from .encoding import (
     EncodedCoherentState,
     EncodedPairState,
     OutcomeDistribution,
+    OutcomeTable,
     coherent_approx_param,
     coherent_outcome_distribution,
     encode_coherent,
@@ -56,6 +57,7 @@ __all__ = [
     "EncodedPairState",
     "EntanglementReport",
     "OutcomeDistribution",
+    "OutcomeTable",
     "SqueezingParams",
     "TmssParams",
     "TruncatedKet",

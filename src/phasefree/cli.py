@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,29 +28,6 @@ _DEFAULT_ETAS = "0.1:0.5:0.1"
 _DEFAULT_BETAS = "1:12:1"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Validated inputs for one sweep run."""
-
-    etas: list[float]
-    betas: list[float]
-    output_csv_path: str
-    output_svg_path: str | None = None
-    epsilon_tail: float = 1e-10
-    epsilon_trunc: float = 1e-12
-    threads: int = 1
-
-    def __post_init__(self):
-        if not self.etas or not self.betas:
-            raise ValueError("eta and beta grids must be non-empty")
-        for name in ("epsilon_tail", "epsilon_trunc"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be a positive integer, got {self.threads!r}")
-
-
 def parse_grid(text: str) -> list[float]:
     """Parse a comma list ("0.1,0.2") or an inclusive range ("1:12:1")."""
     text = text.strip()
@@ -62,6 +38,8 @@ def parse_grid(text: str) -> list[float]:
         if len(fields) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(f) for f in fields)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"range fields must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"range step must be positive, got {step}")
         if stop < start:
@@ -95,27 +73,27 @@ def _sweep_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_sweep(config: SweepConfig) -> int:
+def _cmd_sweep(args) -> int:
     try:
-        reports = entanglement_sweep(
-            config.etas, config.betas, config.epsilon_tail, max_workers=config.threads
-        )
+        etas = parse_grid(args.etas)
+        betas = parse_grid(args.betas)
+        reports = entanglement_sweep(etas, betas, args.epsilon_tail, max_workers=args.threads)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     csv_text = _sweep_csv(reports)
     try:
-        with open(config.output_csv_path, "w", encoding="ascii") as fh:
+        with open(args.csv, "w", encoding="ascii") as fh:
             fh.write(csv_text)
     except OSError as exc:
-        print(f"error: cannot write CSV to {config.output_csv_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write CSV to {args.csv}: {exc}", file=sys.stderr)
         return 1
 
-    if config.output_svg_path is not None:
+    if args.svg is not None:
         series = []
-        for i, eta in enumerate(config.etas):
-            chunk = reports[i * len(config.betas) : (i + 1) * len(config.betas)]
+        for i, eta in enumerate(etas):
+            chunk = reports[i * len(betas) : (i + 1) * len(betas)]
             series.append((f"eta={eta:g}", [r.beta_abs for r in chunk], [r.fraction_lost for r in chunk]))
         svg_text = render_line_chart(
             series,
@@ -124,31 +102,14 @@ def run_sweep(config: SweepConfig) -> int:
             y_label="fraction of entanglement lost",
         )
         try:
-            with open(config.output_svg_path, "w", encoding="ascii") as fh:
+            with open(args.svg, "w", encoding="ascii") as fh:
                 fh.write(svg_text)
         except OSError as exc:
-            print(f"error: cannot write SVG to {config.output_svg_path}: {exc}", file=sys.stderr)
+            print(f"error: cannot write SVG to {args.svg}: {exc}", file=sys.stderr)
             return 1
 
-    print(f"wrote {len(reports)} rows to {config.output_csv_path}")
+    print(f"wrote {len(reports)} rows to {args.csv}")
     return 0
-
-
-def _cmd_sweep(args) -> int:
-    try:
-        config = SweepConfig(
-            etas=parse_grid(args.etas),
-            betas=parse_grid(args.betas),
-            output_csv_path=args.csv,
-            output_svg_path=args.svg,
-            epsilon_tail=args.epsilon_tail,
-            epsilon_trunc=args.epsilon_trunc,
-            threads=args.threads,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run_sweep(config)
 
 
 def _oracle_comparison(eta: float, beta: float, cutoff: int) -> tuple[int, float, float, float]:
@@ -234,12 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--csv", required=True, help="output CSV path")
     sweep.add_argument("--svg", default=None, help="optional output SVG path")
     sweep.add_argument("--epsilon-tail", type=float, default=1e-10, help="outcome-window tail budget (default %(default)s)")
-    sweep.add_argument(
-        "--epsilon-trunc",
-        type=float,
-        default=1e-12,
-        help="Fock truncation budget for auxiliary state construction (default %(default)s)",
-    )
     sweep.add_argument("--threads", type=int, default=1, help="worker threads; output is identical for any value")
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -254,14 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name in ("epsilon_tail", "epsilon_trunc"):
-        value = getattr(args, name, None)
-        if value is not None and not 0.0 < value < 1.0:
-            parser.error(f"--{name.replace('_', '-')} must lie in (0, 1), got {value}")
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be a positive integer")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -31,8 +31,10 @@ tail mass is reported, never ignored.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -83,6 +85,53 @@ class EncodedPairState:
     norm_log: float
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class OutcomeTable(Mapping):
+    """Read-only map from an outcome to its probability over the enumerated
+    window, backed by one frozen dense array.
+
+    A 1-D table maps an int M to probabilities[M]; a 2-D table maps an
+    (int K, int L) pair to probabilities[K, L].  Keys outside the window,
+    negative ones included, raise KeyError.
+    """
+
+    __slots__ = ("probabilities",)
+
+    def __init__(self, probabilities: np.ndarray):
+        self.probabilities = _frozen(probabilities)
+
+    def _index(self, key) -> tuple[int, ...]:
+        shape = self.probabilities.shape
+        try:
+            if len(shape) == 1:
+                index = (operator.index(key),)
+            else:
+                k, l = key
+                index = (operator.index(k), operator.index(l))
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        # checked here because numpy would wrap a negative index
+        if not (0 <= index[0] < shape[0] and 0 <= index[-1] < shape[-1]):
+            raise KeyError(key)
+        return index
+
+    def __getitem__(self, key):
+        return self.probabilities.item(self._index(key))
+
+    def __iter__(self):
+        shape = self.probabilities.shape
+        if len(shape) == 1:
+            return iter(range(shape[0]))
+        return itertools.product(*map(range, shape))
+
+    def __len__(self):
+        return self.probabilities.size
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probability table over measurement outcomes with explicit tail mass.
@@ -91,16 +140,11 @@ class OutcomeDistribution:
     probability; residual is the mass of every outcome left unenumerated.
     """
 
-    support: dict
+    support: OutcomeTable
     residual: float
 
     def total(self) -> float:
-        return math.fsum(self.support.values())
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+        return math.fsum(self.support.probabilities.ravel().tolist())
 
 
 def _require_outcome(value, name: str) -> int:
@@ -110,8 +154,18 @@ def _require_outcome(value, name: str) -> int:
     return value
 
 
+def _require_amplitude(value, name: str) -> complex:
+    """value as a complex amplitude whose mean photon number |value|^2 is a
+    finite float."""
+    value = complex(value)
+    magnitude = math.hypot(value.real, value.imag)
+    if not math.isfinite(magnitude * magnitude):
+        raise ValueError(f"{name} must be finite with a finite |{name}|^2, got {value!r}")
+    return value
+
+
 def _require_ancilla(beta) -> complex:
-    beta = complex(beta)
+    beta = _require_amplitude(beta, "beta")
     if beta == 0:
         raise ValueError("beta must be nonzero: a vacuum ancilla makes the encoding degenerate")
     return beta
@@ -131,27 +185,33 @@ def _require_tail(epsilon_tail: float) -> float:
     return epsilon_tail
 
 
+def _series_state(quot: complex, log_denominator: np.ndarray) -> tuple[np.ndarray, float]:
+    """Normalized coefficients c_n proportional to quot^n / sqrt(exp(log_denominator[n])),
+    built as log-magnitude plus phase, and the log of their normalizer
+    sum_n |quot|^(2n) / exp(log_denominator[n])."""
+    coeffs = np.zeros(log_denominator.size, dtype=complex)
+    if quot == 0:
+        coeffs[0] = 1.0
+        return _frozen(coeffs), float(-log_denominator[0])
+
+    n = np.arange(log_denominator.size)
+    log_mag = n * math.log(abs(quot)) - 0.5 * log_denominator
+    norm_log = log_sum_exp(2.0 * log_mag)
+    mags = np.exp(log_mag - 0.5 * norm_log)
+    mags /= math.sqrt(math.fsum((mags * mags).tolist()))
+    return _frozen(mags * np.exp(1j * cmath.phase(quot) * n)), float(norm_log)
+
+
 def encode_coherent(alpha, beta, M: int) -> EncodedCoherentState:
     """Logical state after measuring total photon number M on a coherent
     signal alpha paired with a coherent ancilla beta."""
     beta = _require_ancilla(beta)
-    alpha = complex(alpha)
+    alpha = _require_amplitude(alpha, "alpha")
     M = _require_outcome(M, "M")
 
     lf = log_factorial_table(M)
-    ratio = alpha / beta
-    coeffs = np.zeros(M + 1, dtype=complex)
-    if ratio == 0:
-        coeffs[0] = 1.0
-        return EncodedCoherentState(M, _frozen(coeffs), float(-lf[M]))
-
-    n = np.arange(M + 1)
-    log_mag = n * math.log(abs(ratio)) - 0.5 * (lf + lf[::-1])
-    norm_log = log_sum_exp(2.0 * log_mag)
-    mags = np.exp(log_mag - 0.5 * norm_log)
-    mags /= math.sqrt(math.fsum((mags * mags).tolist()))
-    coeffs = mags * np.exp(1j * cmath.phase(ratio) * n)
-    return EncodedCoherentState(M, _frozen(coeffs), float(norm_log))
+    coeffs, norm_log = _series_state(alpha / beta, lf + lf[::-1])
+    return EncodedCoherentState(M, coeffs, norm_log)
 
 
 def coherent_approx_param(alpha, beta, M: int) -> complex:
@@ -174,19 +234,8 @@ def encode_pair(eta: float, beta, K: int, L: int) -> EncodedPairState:
     lf = log_factorial_table(max(K, L))
     lf_k = lf[K::-1][: n_top + 1]  # ln((K-n)!) for n = 0..n_top
     lf_l = lf[L::-1][: n_top + 1]
-    coeffs = np.zeros(n_top + 1, dtype=complex)
-    if eta == 0.0:
-        coeffs[0] = 1.0
-        return EncodedPairState(K, L, _frozen(coeffs), float(-(lf[K] + lf[L])))
-
-    quot = eta / (beta * beta)
-    n = np.arange(n_top + 1)
-    log_mag = n * math.log(abs(quot)) - 0.5 * (lf_k + lf_l)
-    norm_log = log_sum_exp(2.0 * log_mag)
-    mags = np.exp(log_mag - 0.5 * norm_log)
-    mags /= math.sqrt(math.fsum((mags * mags).tolist()))
-    coeffs = mags * np.exp(1j * cmath.phase(quot) * n)
-    return EncodedPairState(K, L, _frozen(coeffs), float(norm_log))
+    coeffs, norm_log = _series_state(eta / (beta * beta), lf_k + lf_l)
+    return EncodedPairState(K, L, coeffs, norm_log)
 
 
 def pair_approx_param(eta: float, beta, K: int, L: int) -> float:
@@ -221,8 +270,8 @@ def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     ancilla beta; equals Poisson(|alpha|^2 + |beta|^2) by additivity, but is
     evaluated by the defining convolution so that identity stays testable."""
     epsilon_tail = _require_tail(epsilon_tail)
-    mean_a = abs(complex(alpha)) ** 2
-    mean_b = abs(complex(beta)) ** 2
+    mean_a = abs(_require_amplitude(alpha, "alpha")) ** 2
+    mean_b = abs(_require_amplitude(beta, "beta")) ** 2
     mu = mean_a + mean_b
 
     w = 8.0
@@ -231,8 +280,7 @@ def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPS
         probs = _coherent_outcome_vector(mean_a, mean_b, m_max)
         residual = max(0.0, 1.0 - math.fsum(probs.tolist()))
         if residual <= epsilon_tail:
-            support = {m: float(p) for m, p in enumerate(probs)}
-            return OutcomeDistribution(support, residual)
+            return OutcomeDistribution(OutcomeTable(probs), residual)
         if w >= _MAX_WINDOW_GROWTH:
             raise RuntimeError(
                 f"outcome window failed to reach tail {epsilon_tail} (mean={mu})"
@@ -294,13 +342,10 @@ def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EP
     symmetric under K <-> L by construction."""
     eta = _require_eta(eta)
     epsilon_tail = _require_tail(epsilon_tail)
-    mean_b = abs(complex(beta)) ** 2
+    mean_b = abs(_require_amplitude(beta, "beta")) ** 2
 
-    a_grid, _, residual, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=False)
-    size = k_max + 1
-    flat = a_grid.ravel()
-    support = {(idx // size, idx % size): float(p) for idx, p in enumerate(flat)}
-    return OutcomeDistribution(support, residual)
+    a_grid, _, residual, _ = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=False)
+    return OutcomeDistribution(OutcomeTable(a_grid), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +361,11 @@ def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     underestimates by at most the window residual.
     """
     beta = _require_ancilla(beta)
-    alpha = complex(alpha)
+    alpha = _require_amplitude(alpha, "alpha")
     dist = coherent_outcome_distribution(alpha, beta, epsilon_tail)
 
     weighted = 0.0
-    for m, prob in dist.support.items():
+    for m, prob in enumerate(dist.support.probabilities.tolist()):
         if prob == 0.0:
             continue
         exact = encode_coherent(alpha, beta, m).coeffs

@@ -26,7 +26,6 @@ equality with the encode/entropy composition is pinned by tests.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -36,6 +35,7 @@ import numpy as np
 from .encoding import (
     DEFAULT_EPSILON_TAIL,
     EncodedPairState,
+    OutcomeTable,
     _pair_window_grid,
     _require_ancilla,
     _require_eta,
@@ -56,41 +56,23 @@ class SqueezingParams:
 
     @classmethod
     def from_eta(cls, eta: float) -> "SqueezingParams":
-        if not 0.0 <= eta < 1.0:
-            raise ValueError(f"eta must lie in [0, 1), got {eta!r}")
-        return cls(math.atanh(eta))
+        return cls(math.atanh(_require_eta(eta)))
 
 
-class ContributionTable(Mapping):
+class ContributionTable(OutcomeTable):
     """Read-only map (K, L) -> (probability, ebits) over the enumerated
     outcome window, stored as dense grids to keep large sweeps cheap."""
 
-    __slots__ = ("probabilities", "entropies")
+    __slots__ = ("entropies",)
 
     def __init__(self, probabilities: np.ndarray, entropies: np.ndarray):
-        probabilities.setflags(write=False)
+        super().__init__(probabilities)
         entropies.setflags(write=False)
-        self.probabilities = probabilities
         self.entropies = entropies
 
     def __getitem__(self, key):
-        try:
-            k, l = key
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        size_k, size_l = self.probabilities.shape
-        if not (0 <= k < size_k and 0 <= l < size_l):
-            raise KeyError(key)
-        return float(self.probabilities[k, l]), float(self.entropies[k, l])
-
-    def __iter__(self):
-        size_k, size_l = self.probabilities.shape
-        for k in range(size_k):
-            for l in range(size_l):
-                yield (k, l)
-
-    def __len__(self):
-        return self.probabilities.size
+        index = self._index(key)
+        return self.probabilities.item(index), self.entropies.item(index)
 
     def top(self, count: int = 10) -> list[tuple[tuple[int, int], float, float]]:
         """The count most probable outcomes as ((K, L), probability, ebits),
@@ -199,11 +181,13 @@ def entanglement_sweep(
 ) -> list[EntanglementReport]:
     """One report per (eta, beta) grid point, eta-major order.  Points are
     independent; max_workers > 1 computes them concurrently with output
-    order (and content) unchanged."""
+    order (and content) unchanged; None means serial."""
     etas = list(etas)
     betas = list(betas)
     if not etas or not betas:
         raise ValueError("eta and beta grids must be non-empty")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be a positive number of worker threads, got {max_workers!r}")
     points = [(eta, beta) for eta in etas for beta in betas]
     if max_workers is None or max_workers <= 1:
         return [average_entanglement(eta, beta, epsilon_tail) for eta, beta in points]

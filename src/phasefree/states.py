@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoding import _require_eta
 from .numerics import log_poisson_weight
 
 DEFAULT_EPSILON = 1e-12
@@ -51,8 +52,7 @@ class TmssParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError(f"eta must lie in [0, 1), got {self.eta!r}")
+        _require_eta(self.eta)
 
 
 @dataclass(frozen=True)

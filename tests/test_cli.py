@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from phasefree.cli import CSV_HEADER, SweepConfig, main, parse_grid, run_sweep
+from phasefree.cli import CSV_HEADER, main, parse_grid
 from phasefree.entanglement import average_entanglement
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -31,27 +31,10 @@ class TestParseGrid:
     def test_single_value(self):
         assert parse_grid("2.5") == [2.5]
 
-    @pytest.mark.parametrize("bad", ["", "1:2", "1:2:0", "2:1:1", "1:2:3:4"])
+    @pytest.mark.parametrize("bad", ["", "1:2", "1:2:0", "2:1:1", "1:2:3:4", "1:inf:1"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_grid(bad)
-
-
-class TestSweepConfig:
-    def test_validates_on_construction(self, tmp_path):
-        path = str(tmp_path / "x.csv")
-        with pytest.raises(ValueError):
-            SweepConfig(etas=[], betas=[1.0], output_csv_path=path)
-        with pytest.raises(ValueError):
-            SweepConfig(etas=[0.1], betas=[1.0], output_csv_path=path, epsilon_tail=1.0)
-        with pytest.raises(ValueError):
-            SweepConfig(etas=[0.1], betas=[1.0], output_csv_path=path, threads=0)
-
-    def test_usable_directly(self, tmp_path):
-        path = tmp_path / "direct.csv"
-        config = SweepConfig(etas=[0.2], betas=[1.0, 2.0], output_csv_path=str(path))
-        assert run_sweep(config) == 0
-        assert path.read_text().splitlines()[0] == CSV_HEADER
 
 
 class TestSweepCommand:
@@ -120,11 +103,19 @@ class TestSweepCommand:
         assert code == 2
         assert "eta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("--epsilon-tail", "0"), ("--epsilon-tail", "1"), ("--threads", "0")])
-    def test_rejects_bad_flags(self, tmp_path, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--etas", "0.1", "--betas", "1", "--csv", str(tmp_path / "x.csv"), flag, value])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize(
+        "flag,value,quantity",
+        [("--epsilon-tail", "0", "epsilon_tail"), ("--epsilon-tail", "1", "epsilon_tail"), ("--threads", "0", "threads")],
+        ids=["--epsilon-tail-0", "--epsilon-tail-1", "--threads-0"],
+    )
+    def test_rejects_bad_flags(self, tmp_path, capsys, flag, value, quantity):
+        target = tmp_path / "x.csv"
+        code = main(["sweep", "--etas", "0.1", "--betas", "1", "--csv", str(target), flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert quantity in err
+        assert not target.exists()
 
 
 class TestPointCommand:
@@ -154,6 +145,13 @@ class TestPointCommand:
         code = main(["point", "--eta", "1.0", "--beta", "2"])
         assert code == 2
         assert "eta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "1e200"])
+    def test_unrepresentable_beta_fails_cleanly(self, capsys, beta):
+        code = main(["point", "--eta", "0.5", f"--beta={beta}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta ") and err.count("\n") == 1
 
 
 def test_module_entry_point_runs():

@@ -16,6 +16,7 @@ from phasefree.encoding import (
     pair_approx_param,
     pair_outcome_distribution,
 )
+from phasefree.entanglement import average_entanglement
 from phasefree.numerics import log_poisson_weight
 from phasefree.oracle import (
     PAIR_GROUP_K,
@@ -65,6 +66,11 @@ class TestEncodeCoherent:
     def test_rejects_negative_outcome(self):
         with pytest.raises(ValueError):
             encode_coherent(1.0, 1.0, -1)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, complex(0.0, math.inf)])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            encode_coherent(alpha, 1.0, 2)
 
 
 class TestCoherentApproxParam:
@@ -197,6 +203,8 @@ class TestPairOutcomeDistribution:
         dist = pair_outcome_distribution(0.5, 1.5)
         for (k, l), p in dist.support.items():
             assert dist.support[(l, k)] == p
+        grid = dist.support.probabilities
+        assert np.array_equal(grid, grid.T)
 
     @pytest.mark.parametrize("eta,beta", [(0.5, 1e-3), (0.3, 1.0), (0.5, 4.0)])
     def test_sum_rule_and_tail_budget(self, eta, beta):
@@ -238,6 +246,58 @@ class TestPairOutcomeDistribution:
         poisson = np.exp([log_poisson_weight(mu, k) for k in range(k_max + 1)])
         tv = 0.5 * float(np.abs(marginal - poisson).sum())
         assert tv <= dist.residual + 1e-6
+
+
+class TestOutcomeTable:
+    """The support of every distribution is a read-only Mapping over one
+    frozen dense array."""
+
+    def test_pair_table_is_dense_and_read_only(self):
+        dist = pair_outcome_distribution(0.4, 1.5)
+        report = average_entanglement(0.4, 1.5)
+        assert dist.support.probabilities.shape == (report.window_K, report.window_L)
+        assert len(dist.support) == report.window_K * report.window_L
+        with pytest.raises(ValueError):
+            dist.support.probabilities[0, 0] = 1.0
+
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (1,), (1, 1, 1), 1, "ab", (0.5, 0), "window"])
+    def test_pair_keys_outside_the_window_raise(self, key):
+        support = pair_outcome_distribution(0.3, 1.0).support
+        if key == "window":
+            key = (support.probabilities.shape[0], 0)
+        with pytest.raises(KeyError):
+            support[key]
+        assert key not in support
+        assert support.get(key) is None
+
+    @pytest.mark.parametrize("key", [-1, (0,), (0, 0), 0.5, "window"])
+    def test_coherent_keys_outside_the_window_raise(self, key):
+        support = coherent_outcome_distribution(1.0, 2.0).support
+        if key == "window":
+            key = support.probabilities.size
+        with pytest.raises(KeyError):
+            support[key]
+        assert key not in support
+        assert support.get(key) is None
+
+
+@pytest.mark.parametrize("beta", [math.inf, math.nan, complex(1.0, math.inf), 1e200])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda beta: encode_coherent(1.0, beta, 2),
+        lambda beta: encode_pair(0.5, beta, 1, 1),
+        lambda beta: coherent_outcome_distribution(1.0, beta),
+        lambda beta: pair_outcome_distribution(0.5, beta),
+        lambda beta: mean_pair_approx_fidelity(0.5, beta),
+    ],
+    ids=["encode_coherent", "encode_pair", "coherent_outcome_distribution", "pair_outcome_distribution", "mean_pair_approx_fidelity"],
+)
+def test_rejects_unrepresentable_beta(call, beta):
+    """A non-finite beta, or one whose |beta|^2 overflows, is rejected
+    before any window is sized."""
+    with pytest.raises(ValueError, match="beta"):
+        call(beta)
 
 
 class TestApproxFidelities:

@@ -197,6 +197,11 @@ class TestEntanglementSweep:
                 b.residual,
             )
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_non_positive_workers(self, workers):
+        with pytest.raises(ValueError, match="max_workers"):
+            entanglement_sweep([0.1], [1.0], max_workers=workers)
+
     def test_rejects_empty_grids(self):
         with pytest.raises(ValueError):
             entanglement_sweep([], [1.0])
