@@ -27,6 +27,9 @@ CSV_HEADER = "eta,beta,E_exact,E_avg,fraction_lost,residual,window_K,window_L"
 _DEFAULT_ETAS = "0.1:0.5:0.1"
 _DEFAULT_BETAS = "1:12:1"
 
+# A range is expanded into a list, so its length is capped before expansion.
+MAX_GRID_POINTS = 10_000
+
 
 def parse_grid(text: str) -> list[float]:
     """Parse a comma list ("0.1,0.2") or an inclusive range ("1:12:1")."""
@@ -44,7 +47,10 @@ def parse_grid(text: str) -> list[float]:
             raise ValueError(f"range step must be positive, got {step}")
         if stop < start:
             raise ValueError(f"range stop must be >= start, got {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step
+        count = math.floor(steps + 1e-9) + 1 if math.isfinite(steps) else math.inf
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"range {text!r} has {count} points, more than the limit of {MAX_GRID_POINTS}")
         return [start + i * step for i in range(count)]
     return [float(f) for f in text.split(",")]
 

@@ -25,7 +25,10 @@ Outcome statistics follow from the same amplitudes:
     P(K, L) = sum_n (1-eta^2) eta^(2n) Pois(|beta|^2, K-n) Pois(|beta|^2, L-n)
 
 enumerated over an adaptive window [0, mu + w sqrt(mu)] whose unenumerated
-tail mass is reported, never ignored.
+tail mass is reported, never ignored.  The n-th summand of P(K, L) vanishes
+for K < n or L < n and underflows to exactly 0.0 far from the Poisson peak,
+so each slice n is computed only on one square live block of the window;
+the sums, and every bit of the result, are those of the full window.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ DEFAULT_EPSILON_TAIL = 1e-10
 # exp() of anything below this is exactly 0.0 in binary64 (subnormals end
 # near -744.4); slices that are all-zero can be skipped without error.
 _UNDERFLOW_LOG = -760.0
+
+# exp() of anything below ln(2^-1075) ~ -745.13 rounds to exactly 0.0, so
+# outcome-grid cells whose log lies below this are never computed.
+_EXP_ZERO_LOG = -746.0
 
 # Window growth factor limit; reaching it means epsilon_tail is below what
 # float64 summation can resolve.
@@ -288,12 +295,22 @@ def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPS
         w *= 2.0
 
 
-def _pair_log_slices(eta: float, mean_b: float, k_max: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, log_term) with log_term[K, L] the log of the n-th summand of
-    P(K, L); the iteration stops once every remaining summand underflows."""
+def _pair_log_slices(
+    eta: float, mean_b: float, k_max: int, floor: float
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (n, lo, log_block) with log_block[i, j] the log of the n-th
+    summand of P(lo + i, lo + j); the iteration stops once every remaining
+    summand underflows.
+
+    The block [lo, lo + m)^2 is the slice's live square: every summand
+    outside it has a log below floor, being exactly zero for K < n or
+    L < n and cut where even its row's largest cell lies below floor.
+    log_block is a view of one scratch buffer that the next slice reuses.
+    """
     lp = log_poisson_table(mean_b, k_max)
     lp_max = float(lp.max())
     lw0 = math.log1p(-eta * eta)
+    scratch = np.empty((k_max + 1) ** 2)
     for n in range(k_max + 1):
         if n > 0 and eta == 0.0:
             return
@@ -302,9 +319,13 @@ def _pair_log_slices(eta: float, mean_b: float, k_max: int) -> Iterator[tuple[in
             return
         # splitting the weight over both factors keeps the grid exactly
         # symmetric under K <-> L (float addition is commutative)
-        shifted = np.full(k_max + 1, LOG_ZERO)
-        shifted[n:] = 0.5 * lw + lp[: k_max + 1 - n]
-        yield n, shifted[:, None] + shifted[None, :]
+        shifted = 0.5 * lw + lp[: k_max + 1 - n]  # index K - n
+        live = np.flatnonzero(shifted + shifted.max() >= floor)
+        start, stop = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+        row = shifted[start:stop]
+        m = stop - start
+        log_block = np.add(row[:, None], row[None, :], out=scratch[: m * m].reshape(m, m))
+        yield n, n + start, log_block
 
 
 def _pair_window_grid(
@@ -322,11 +343,15 @@ def _pair_window_grid(
         k_max = int(math.ceil(mu + w * math.sqrt(mu))) if mu > 0 else 0
         a_grid = np.zeros((k_max + 1, k_max + 1))
         b_grid = np.zeros_like(a_grid) if with_entropy else None
-        for _, log_term in _pair_log_slices(eta, mean_b, k_max):
-            term = np.exp(log_term)
-            a_grid += term
+        scratch = np.empty(a_grid.size)
+        for _, lo, log_block in _pair_log_slices(eta, mean_b, k_max, _EXP_ZERO_LOG):
+            hi = lo + len(log_block)
+            # log_block is finite, so a term that underflows adds -0.0 to B
+            term = np.exp(log_block, out=scratch[: log_block.size].reshape(log_block.shape))
+            a_grid[lo:hi, lo:hi] += term
             if with_entropy:
-                b_grid += term * np.where(term > 0.0, log_term, 0.0)
+                term *= log_block
+                b_grid[lo:hi, lo:hi] += term
         residual = max(0.0, 1.0 - float(a_grid.sum()))
         if residual <= epsilon_tail:
             return a_grid, b_grid, residual, k_max
@@ -379,8 +404,9 @@ def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPS
             mag = abs(approx_amp)
             log_mag = -0.5 * mag * mag + n * math.log(mag) - 0.5 * lf
             approx = np.exp(log_mag) * np.exp(1j * cmath.phase(approx_amp) * n)
-        weighted += prob * abs(np.vdot(approx, exact)) ** 2
-    return weighted
+        # by Cauchy-Schwarz only float noise can push a fidelity above 1
+        weighted += prob * min(abs(np.vdot(approx, exact)) ** 2, 1.0)
+    return min(float(weighted), 1.0)
 
 
 def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> float:
@@ -402,19 +428,22 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
     k = np.arange(k_max + 1, dtype=float)
     eta_prime = eta * np.sqrt(np.outer(k, k)) / mean_b
     valid = eta_prime < 1.0
-    with np.errstate(divide="ignore"):
-        log_eta_prime = np.where(eta_prime > 0.0, np.log(np.where(eta_prime > 0.0, eta_prime, 1.0)), LOG_ZERO)
+    # invalid cells get eta'^n = 0 so that no power of eta' >= 1 overflows
+    log_eta_prime = np.where(
+        valid & (eta_prime > 0.0), np.log(np.where(eta_prime > 0.0, eta_prime, 1.0)), LOG_ZERO
+    )
 
     # overlap[K, L] = sum_n sqrt(q_n) eta'^n, with q_n the Schmidt weights;
     # sqrt(t_n) = sqrt(q_n P) so one division by P at the end suffices.
+    # sqrt(t_n) underflows to 0 where log t_n < 2 * _EXP_ZERO_LOG.
     overlap = np.zeros((k_max + 1, k_max + 1))
-    for n, log_term in _pair_log_slices(eta, mean_b, k_max):
-        half = np.exp(0.5 * log_term)
-        if n == 0:
-            factor = np.ones_like(eta_prime)
-        else:
-            factor = np.where(eta_prime > 0.0, np.exp(n * log_eta_prime), 0.0)
-        overlap += half * factor
+    for n, lo, log_block in _pair_log_slices(eta, mean_b, k_max, 2.0 * _EXP_ZERO_LOG):
+        hi = lo + len(log_block)
+        log_block *= 0.5
+        half = np.exp(log_block, out=log_block)
+        if n > 0:
+            half *= np.exp(n * log_eta_prime[lo:hi, lo:hi])
+        overlap[lo:hi, lo:hi] += half
 
     positive = a_grid > 0.0
     fid = np.where(
@@ -424,4 +453,6 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
         / np.where(positive, a_grid, 1.0),
         0.0,
     )
-    return float((a_grid * fid).sum())
+    # by Cauchy-Schwarz only float noise can push a fidelity above 1
+    np.clip(fid, 0.0, 1.0, out=fid)
+    return min(float((a_grid * fid).sum()), 1.0)

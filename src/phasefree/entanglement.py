@@ -19,7 +19,9 @@ are q_n = t_n / P, so
 
     P * E = P log2 P - sum_n t_n log2 t_n
 
-and both accumulators vectorize over the whole window.  Per-outcome
+and both accumulators are built slice by slice in n.  Each slice is
+computed only on its live block, the square of outcomes K, L >= n where
+t_n can be nonzero in float64; outside it t_n is exactly 0.0.  Per-outcome
 equality with the encode/entropy composition is pinned by tests.
 """
 

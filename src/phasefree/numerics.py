@@ -34,12 +34,23 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1.0)
 
 
+# ln(k!) for k = 0..len - 1, each value from log_factorial.  Growing it binds
+# a new array, so a concurrent reader sees either the old or the new table.
+_log_factorials = np.array([log_factorial(0)])
+
+
 def log_factorial_table(n_max: int) -> np.ndarray:
-    """ln(k!) for k = 0..n_max, as a float array."""
+    """ln(k!) for k = 0..n_max, as a float array the caller owns."""
+    global _log_factorials
     n_max = operator.index(n_max)
     if n_max < 0:
         raise ValueError(f"log_factorial_table requires n_max >= 0, got {n_max}")
-    return np.array([log_factorial(k) for k in range(n_max + 1)])
+    table = _log_factorials
+    if n_max >= table.size:
+        size = max(n_max + 1, 2 * table.size)
+        table = np.concatenate([table, [log_factorial(k) for k in range(table.size, size)]])
+        _log_factorials = table
+    return table[: n_max + 1].copy()
 
 
 def log_poisson_weight(mean: float, k: int) -> float:

@@ -1,13 +1,16 @@
 """CLI surface: grid parsing, CSV/SVG emission, determinism, drill-down."""
 
+import os
 import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from phasefree.cli import CSV_HEADER, main, parse_grid
+import phasefree
+from phasefree.cli import CSV_HEADER, MAX_GRID_POINTS, main, parse_grid
 from phasefree.entanglement import average_entanglement
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -35,6 +38,17 @@ class TestParseGrid:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_grid(bad)
+
+    def test_range_at_the_point_limit(self):
+        assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize(
+        "text,count",
+        [(f"1:{MAX_GRID_POINTS + 1}:1", str(MAX_GRID_POINTS + 1)), ("0:1e9:1", "1000000001"), ("-1e308:1e308:1", "inf")],
+    )
+    def test_rejects_range_above_the_point_limit(self, text, count):
+        with pytest.raises(ValueError, match=f"has {count} points"):
+            parse_grid(text)
 
 
 class TestSweepCommand:
@@ -118,6 +132,16 @@ class TestSweepCommand:
         assert not target.exists()
 
 
+    def test_huge_range_fails_cleanly(self, tmp_path, capsys):
+        target = tmp_path / "x.csv"
+        code = main(["sweep", "--etas", "0.1", "--betas", "0:1e9:1", "--csv", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1000000001 points" in err
+        assert not target.exists()
+
+
 class TestPointCommand:
     def test_prints_report_fields(self, capsys):
         code = main(["point", "--eta", "0.5", "--beta", "1"])
@@ -155,11 +179,15 @@ class TestPointCommand:
 
 
 def test_module_entry_point_runs():
+    # the child imports the package under test, installed or not
+    src = str(Path(phasefree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "phasefree", "--version"],
         capture_output=True,
         text=True,
         check=False,
+        env=env,
     )
     assert result.returncode == 0
     assert "phasefree" in result.stdout

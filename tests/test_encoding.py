@@ -2,11 +2,14 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from phasefree.encoding import (
+    DEFAULT_EPSILON_TAIL,
+    _pair_window_grid,
     coherent_approx_param,
     coherent_outcome_distribution,
     encode_coherent,
@@ -17,7 +20,7 @@ from phasefree.encoding import (
     pair_outcome_distribution,
 )
 from phasefree.entanglement import average_entanglement
-from phasefree.numerics import log_poisson_weight
+from phasefree.numerics import LOG_ZERO, log_poisson_table, log_poisson_weight
 from phasefree.oracle import (
     PAIR_GROUP_K,
     PAIR_GROUP_L,
@@ -300,7 +303,67 @@ def test_rejects_unrepresentable_beta(call, beta):
         call(beta)
 
 
+def _full_grid_reference(eta, mean_b, epsilon_tail=DEFAULT_EPSILON_TAIL):
+    """The outcome-grid loop over full (k_max+1)^2 slices with the same
+    window growth and summation order as the library kernel."""
+    mu, w = mean_b + eta * eta / (1.0 - eta * eta), 8.0
+    while True:
+        k_max = int(math.ceil(mu + w * math.sqrt(mu))) if mu > 0 else 0
+        lp = log_poisson_table(mean_b, k_max)
+        a_grid, b_grid = np.zeros((k_max + 1, k_max + 1)), np.zeros((k_max + 1, k_max + 1))
+        for n in range(k_max + 1 if eta > 0.0 else 1):
+            lw = math.log1p(-eta * eta) + 2.0 * n * math.log(eta) if n > 0 else math.log1p(-eta * eta)
+            if lw + 2.0 * float(lp.max()) < -760.0:
+                break
+            shifted = np.full(k_max + 1, LOG_ZERO)
+            shifted[n:] = 0.5 * lw + lp[: k_max + 1 - n]
+            log_term = shifted[:, None] + shifted[None, :]
+            term = np.exp(log_term)
+            a_grid += term
+            b_grid += term * np.where(term > 0.0, log_term, 0.0)
+        residual = max(0.0, 1.0 - float(a_grid.sum()))
+        if residual <= epsilon_tail:
+            return a_grid, b_grid, residual, k_max
+        w *= 2.0
+
+
+class TestOutcomeGridKernel:
+    @pytest.mark.parametrize(
+        "eta,beta",
+        [(0.3, 3.0), (0.5, 1e-200), (0.0, 2.0), (0.5, 12.0), (0.93, 9.25), (0.8, 0.05)],
+        ids=["one-doubling-round", "mean-b-zero", "eta-zero", "large-beta", "strong-squeezing", "floor-cut"],
+    )
+    def test_bit_identical_to_full_grid_loop(self, eta, beta):
+        """Skipping the cells whose summands are exactly zero changes no bit.
+        At (0.8, 0.05) the window has grown far past the Poisson peak, so
+        cells whose summands lie just above the floor are in play."""
+        ref_a, ref_b, ref_residual, ref_k_max = _full_grid_reference(eta, beta * beta)
+        a_grid, b_grid, residual, k_max = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, True)
+        assert (k_max, residual) == (ref_k_max, ref_residual)
+        assert a_grid.tobytes() == ref_a.tobytes()
+        assert b_grid.tobytes() == ref_b.tobytes()
+        a_only, b_none, _, _ = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, False)
+        assert b_none is None and a_only.tobytes() == ref_a.tobytes()
+
+
 class TestApproxFidelities:
+    @pytest.mark.parametrize("eta,beta", [(0.95, 0.3), (0.9, 1.0), (0.95, 8.0)])
+    def test_pair_fidelity_is_warning_free_at_strong_squeezing(self, eta, beta):
+        """Outcomes with eta' >= 1 must not overflow eta'^n on the way to
+        being counted as fidelity zero."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fid = mean_pair_approx_fidelity(eta, beta)
+        assert 0.0 <= fid <= 1.0
+
+    @pytest.mark.parametrize("fidelity", [mean_pair_approx_fidelity, mean_coherent_approx_fidelity])
+    def test_exact_approximant_gives_fidelity_at_most_one(self, fidelity):
+        """At eta = 0 (alpha = 0) the approximant is exact, and float noise
+        must not lift the result above 1."""
+        value = fidelity(0.0, 3.0)
+        assert type(value) is float
+        assert 1.0 - 1e-12 <= value <= 1.0
+
     def test_coherent_fidelity_near_one_at_large_beta(self):
         assert mean_coherent_approx_fidelity(0.5, 8.0) > 0.999
 

@@ -5,6 +5,8 @@ so the oracle derivation stays visible next to the frozen literal.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasefree import numerics
 from phasefree.numerics import (
     LOG_ZERO,
     log_factorial,
@@ -78,6 +81,35 @@ class TestLogFactorial:
         assert table.shape == (41,)
         for n in (0, 1, 20, 21, 40):
             assert table[n] == log_factorial(n)
+
+    def test_table_matches_scalar_after_uneven_growth(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_log_factorials", numerics._log_factorials[:1].copy())
+        for n_max in (3, 2, 57, 58, 130, 7, 1000, 999):
+            table = log_factorial_table(n_max)
+            assert table.shape == (n_max + 1,)
+            assert table.tolist() == [log_factorial(k) for k in range(n_max + 1)]
+
+    def test_table_is_consistent_under_concurrent_growth(self, monkeypatch):
+        """Threads that grow the shared table at once each see a complete
+        table of scalar values."""
+        monkeypatch.setattr(numerics, "_log_factorials", numerics._log_factorials[:1].copy())
+        sizes = list(range(1, 1500, 37)) * 4
+        expected = [log_factorial(k) for k in range(max(sizes) + 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                tables = list(pool.map(log_factorial_table, sizes))
+        finally:
+            sys.setswitchinterval(interval)
+        for n_max, table in zip(sizes, tables):
+            assert table.tolist() == expected[: n_max + 1]
+
+    def test_table_is_a_private_copy(self):
+        first = log_factorial_table(30)
+        expected = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(log_factorial_table(30), expected)
 
 
 class TestLogPoissonWeight:
