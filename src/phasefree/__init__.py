@@ -25,7 +25,6 @@ from .encoding import (
 from .entanglement import (
     ContributionTable,
     EntanglementReport,
-    SqueezingParams,
     average_entanglement,
     entanglement_sweep,
     entropy_of_entanglement,
@@ -38,38 +37,24 @@ from .numerics import (
     log_sum_exp,
     shannon_entropy_bits,
 )
-from .states import (
-    CoherentParams,
-    TmssParams,
-    TruncatedKet,
-    coherent_amplitudes,
-    fidelity,
-    tmss_schmidt_amplitudes,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LOG_ZERO",
-    "CoherentParams",
     "ContributionTable",
     "EncodedCoherentState",
     "EncodedPairState",
     "EntanglementReport",
     "OutcomeDistribution",
     "OutcomeTable",
-    "SqueezingParams",
-    "TmssParams",
-    "TruncatedKet",
     "average_entanglement",
-    "coherent_amplitudes",
     "coherent_approx_param",
     "coherent_outcome_distribution",
     "encode_coherent",
     "encode_pair",
     "entanglement_sweep",
     "entropy_of_entanglement",
-    "fidelity",
     "log_factorial",
     "log_poisson_weight",
     "log_sum_exp",
@@ -79,5 +64,4 @@ __all__ = [
     "pair_outcome_distribution",
     "shannon_entropy_bits",
     "tmss_entanglement",
-    "tmss_schmidt_amplitudes",
 ]

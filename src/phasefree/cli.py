@@ -10,8 +10,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .encoding import encode_pair, pair_outcome_distribution
-from .entanglement import average_entanglement, entanglement_sweep, entropy_of_entanglement, tmss_entanglement
+from .encoding import DEFAULT_EPSILON_TAIL, encode_pair, pair_outcome_distribution
+from .entanglement import average_entanglement, entanglement_sweep, entropy_of_entanglement
 from .oracle import (
     PAIR_GROUP_K,
     PAIR_GROUP_L,
@@ -163,7 +163,6 @@ def run_point(args) -> int:
     print(f"residual       {_format(report.residual)}")
     print(f"residual_bound {_format(report.residual_bound)}")
     print(f"window         {report.window_K} x {report.window_L}")
-    print(f"tmss_entanglement(eta) = {_format(tmss_entanglement(args.eta))}")
     print("top contributions (K, L) -> probability, ebits:")
     for (k, l), prob, ebits in report.contributions.top(10):
         print(f"  ({k:4d},{l:4d})  {prob:.12g}  {ebits:.12g}")
@@ -196,18 +195,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="grid sweep over (eta, beta); writes CSV and optional SVG")
-    sweep.add_argument("--etas", default=_DEFAULT_ETAS, help="comma list or start:stop:step (default %(default)s)")
-    sweep.add_argument("--betas", default=_DEFAULT_BETAS, help="comma list or start:stop:step (default %(default)s)")
+    grid_help = "comma list or start:stop:step; write a leading minus with '=', as in --betas=-3:-1:1 (default %(default)s)"
+    sweep.add_argument("--etas", default=_DEFAULT_ETAS, help=grid_help)
+    sweep.add_argument("--betas", default=_DEFAULT_BETAS, help=grid_help)
     sweep.add_argument("--csv", required=True, help="output CSV path")
     sweep.add_argument("--svg", default=None, help="optional output SVG path")
-    sweep.add_argument("--epsilon-tail", type=float, default=1e-10, help="outcome-window tail budget (default %(default)s)")
+    tail_help = "outcome-window tail budget (default %(default)s)"
+    sweep.add_argument("--epsilon-tail", type=float, default=DEFAULT_EPSILON_TAIL, help=tail_help)
     sweep.add_argument("--threads", type=int, default=1, help="worker threads; output is identical for any value")
     sweep.set_defaults(func=_cmd_sweep)
 
     point = sub.add_parser("point", help="single (eta, beta) report with top outcome contributions")
     point.add_argument("--eta", type=float, required=True)
     point.add_argument("--beta", type=float, required=True)
-    point.add_argument("--epsilon-tail", type=float, default=1e-10)
+    point.add_argument("--epsilon-tail", type=float, default=DEFAULT_EPSILON_TAIL, help=tail_help)
     point.add_argument("--oracle", action="store_true", help="append dense-projection cross-check deviations")
     point.add_argument("--cutoff", type=int, default=10, help="per-mode photon cutoff for --oracle (default %(default)s)")
     point.set_defaults(func=run_point)

@@ -260,6 +260,18 @@ def pair_approx_param(eta: float, beta, K: int, L: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _window_sizes(mu: float) -> Iterator[int]:
+    """Outcome-window tops k_max = ceil(mu + w sqrt(mu)) for a distribution
+    of mean mu, with w = 8, 16, 32, ... up to _MAX_WINDOW_GROWTH; the caller
+    takes the first window whose tail fits its budget."""
+    w = 8.0
+    while True:
+        yield math.ceil(mu + w * math.sqrt(mu)) if mu > 0 else 0
+        if w >= _MAX_WINDOW_GROWTH:
+            return
+        w *= 2.0
+
+
 def _coherent_outcome_vector(mean_a: float, mean_b: float, m_max: int) -> np.ndarray:
     """P(M) for M = 0..m_max by direct convolution of the two Poisson laws."""
     lpa = log_poisson_table(mean_a, m_max)
@@ -281,18 +293,12 @@ def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     mean_b = abs(_require_amplitude(beta, "beta")) ** 2
     mu = mean_a + mean_b
 
-    w = 8.0
-    while True:
-        m_max = int(math.ceil(mu + w * math.sqrt(mu))) if mu > 0 else 0
+    for m_max in _window_sizes(mu):
         probs = _coherent_outcome_vector(mean_a, mean_b, m_max)
         residual = max(0.0, 1.0 - math.fsum(probs.tolist()))
         if residual <= epsilon_tail:
             return OutcomeDistribution(OutcomeTable(probs), residual)
-        if w >= _MAX_WINDOW_GROWTH:
-            raise RuntimeError(
-                f"outcome window failed to reach tail {epsilon_tail} (mean={mu})"
-            )
-        w *= 2.0
+    raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (mean={mu})")
 
 
 def _pair_log_slices(
@@ -338,9 +344,7 @@ def _pair_window_grid(
     plus (optionally) the companion accumulator B = sum_n t_n ln(t_n) needed
     for per-outcome Schmidt entropies.  Returns (A, B, residual, k_max)."""
     mu = mean_b + (eta * eta / (1.0 - eta * eta))
-    w = 8.0
-    while True:
-        k_max = int(math.ceil(mu + w * math.sqrt(mu))) if mu > 0 else 0
+    for k_max in _window_sizes(mu):
         a_grid = np.zeros((k_max + 1, k_max + 1))
         b_grid = np.zeros_like(a_grid) if with_entropy else None
         scratch = np.empty(a_grid.size)
@@ -355,11 +359,7 @@ def _pair_window_grid(
         residual = max(0.0, 1.0 - float(a_grid.sum()))
         if residual <= epsilon_tail:
             return a_grid, b_grid, residual, k_max
-        if w >= _MAX_WINDOW_GROWTH:
-            raise RuntimeError(
-                f"outcome window failed to reach tail {epsilon_tail} (eta={eta}, mean={mean_b})"
-            )
-        w *= 2.0
+    raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (eta={eta}, mean={mean_b})")
 
 
 def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:
@@ -426,7 +426,11 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
 
     a_grid, _, _, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=False)
     k = np.arange(k_max + 1, dtype=float)
-    eta_prime = eta * np.sqrt(np.outer(k, k)) / mean_b
+    numer = eta * np.sqrt(np.outer(k, k))
+    # eta' = 0 wherever eta K L = 0, its limit value, also when |beta|^2
+    # underflows to 0.0; eta' is then infinite for K L > 0, an invalid cell
+    with np.errstate(divide="ignore"):
+        eta_prime = np.divide(numer, mean_b, out=np.zeros_like(numer), where=numer > 0.0)
     valid = eta_prime < 1.0
     # invalid cells get eta'^n = 0 so that no power of eta' >= 1 overflows
     log_eta_prime = np.where(

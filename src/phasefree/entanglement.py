@@ -46,21 +46,6 @@ from .encoding import (
 from .numerics import LN2, shannon_entropy_bits
 
 
-@dataclass(frozen=True)
-class SqueezingParams:
-    """Squeezing parameter r >= 0; eta = tanh r."""
-
-    r: float
-
-    def __post_init__(self):
-        if not (self.r >= 0.0 and math.isfinite(self.r)):
-            raise ValueError(f"squeezing parameter r must be finite and >= 0, got {self.r!r}")
-
-    @classmethod
-    def from_eta(cls, eta: float) -> "SqueezingParams":
-        return cls(math.atanh(_require_eta(eta)))
-
-
 class ContributionTable(OutcomeTable):
     """Read-only map (K, L) -> (probability, ebits) over the enumerated
     outcome window, stored as dense grids to keep large sweeps cheap."""
@@ -119,7 +104,7 @@ def tmss_entanglement(eta: float) -> float:
     eta = _require_eta(eta)
     if eta == 0.0:
         return 0.0
-    r = SqueezingParams.from_eta(eta).r
+    r = math.atanh(eta)
     ch2 = math.cosh(r) ** 2
     sh2 = math.sinh(r) ** 2
     return ch2 * math.log2(ch2) - sh2 * math.log2(sh2)

@@ -131,6 +131,14 @@ class TestSweepCommand:
         assert quantity in err
         assert not target.exists()
 
+    def test_negative_range_written_with_equals(self, tmp_path):
+        """A grid value with a leading minus reaches the grid parser when
+        written as --betas=...; the CSV reports |beta|."""
+        csv_path = tmp_path / "out.csv"
+        code = main(["sweep", "--etas", "0.5", "--betas=-3:-1:1", "--csv", str(csv_path)])
+        assert code == 0
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["3", "2", "1"]
 
     def test_huge_range_fails_cleanly(self, tmp_path, capsys):
         target = tmp_path / "x.csv"
@@ -150,6 +158,7 @@ class TestPointCommand:
         for field in ("E_exact", "E_avg", "fraction_lost", "residual", "top contributions"):
             assert field in out
         assert out.count("(") >= 10  # ten contribution rows
+        assert out.count("1.08170416595") == 1  # E_exact at eta = 0.5, printed once
 
     def test_zero_eta_point(self, capsys):
         code = main(["point", "--eta", "0", "--beta", "5"])

@@ -7,9 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+from phasefree import encoding
 from phasefree.encoding import (
     DEFAULT_EPSILON_TAIL,
     _pair_window_grid,
+    _window_sizes,
     coherent_approx_param,
     coherent_outcome_distribution,
     encode_coherent,
@@ -327,6 +329,22 @@ def _full_grid_reference(eta, mean_b, epsilon_tail=DEFAULT_EPSILON_TAIL):
         w *= 2.0
 
 
+class TestWindowSizes:
+    def test_tops_double_the_width_up_to_the_growth_limit(self):
+        """k_max = ceil(mu + w sqrt(mu)) for w = 8, 16, ..., 2^24: the policy
+        that both outcome distributions share."""
+        mu = 4.25
+        assert list(_window_sizes(mu)) == [math.ceil(mu + 8.0 * 2**r * math.sqrt(mu)) for r in range(22)]
+        assert list(_window_sizes(0.0)) == [0] * 22
+
+    def test_both_distributions_fail_past_the_growth_limit(self, monkeypatch):
+        monkeypatch.setattr(encoding, "_MAX_WINDOW_GROWTH", 16.0)
+        with pytest.raises(RuntimeError, match=r"failed to reach tail 1e-300 \(eta=0\.5, mean=4\.0\)"):
+            pair_outcome_distribution(0.5, 2.0, epsilon_tail=1e-300)
+        with pytest.raises(RuntimeError, match=r"failed to reach tail 1e-300 \(mean=4\.25\)"):
+            coherent_outcome_distribution(0.5, 2.0, epsilon_tail=1e-300)
+
+
 class TestOutcomeGridKernel:
     @pytest.mark.parametrize(
         "eta,beta",
@@ -347,14 +365,22 @@ class TestOutcomeGridKernel:
 
 
 class TestApproxFidelities:
-    @pytest.mark.parametrize("eta,beta", [(0.95, 0.3), (0.9, 1.0), (0.95, 8.0)])
+    @pytest.mark.parametrize("eta,beta", [(0.95, 0.3), (0.9, 1.0), (0.95, 8.0), (0.5, 1e-200)])
     def test_pair_fidelity_is_warning_free_at_strong_squeezing(self, eta, beta):
         """Outcomes with eta' >= 1 must not overflow eta'^n on the way to
-        being counted as fidelity zero."""
+        being counted as fidelity zero, and an underflowing |beta|^2 must not
+        make eta' = 0/0 at K L = 0."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fid = mean_pair_approx_fidelity(eta, beta)
         assert 0.0 <= fid <= 1.0
+
+    def test_pair_fidelity_at_underflowing_beta(self):
+        """|beta|^2 = 1e-400 underflows to 0.0; only the (0, 0) outcome,
+        of probability 1 - eta^2, keeps an approximant (eta' = 0)."""
+        value = mean_pair_approx_fidelity(0.5, 1e-200)
+        assert value == pytest.approx(0.75, abs=1e-12)
+        assert value == pytest.approx(mean_pair_approx_fidelity(0.5, 1e-3), abs=1e-12)
 
     @pytest.mark.parametrize("fidelity", [mean_pair_approx_fidelity, mean_coherent_approx_fidelity])
     def test_exact_approximant_gives_fidelity_at_most_one(self, fidelity):

@@ -1,5 +1,6 @@
 """Entanglement accounting: exact benchmark, per-outcome, and averages."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,25 +8,11 @@ import pytest
 
 from phasefree.encoding import EncodedPairState, encode_pair, pair_outcome_distribution
 from phasefree.entanglement import (
-    SqueezingParams,
     average_entanglement,
     entanglement_sweep,
     entropy_of_entanglement,
     tmss_entanglement,
 )
-from phasefree.states import TmssParams, tmss_schmidt_amplitudes
-
-
-class TestSqueezingParams:
-    def test_from_eta(self):
-        assert SqueezingParams.from_eta(0.5).r == pytest.approx(math.atanh(0.5))
-        assert SqueezingParams.from_eta(0.0).r == 0.0
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SqueezingParams(-0.1)
-        with pytest.raises(ValueError):
-            SqueezingParams.from_eta(1.0)
 
 
 class TestTmssEntanglement:
@@ -41,9 +28,10 @@ class TestTmssEntanglement:
     @pytest.mark.parametrize("eta", [0.1, 0.3, 0.5, 0.7])
     def test_matches_geometric_spectrum_entropy(self, eta):
         """Closed form equals the entropy of the truncated Schmidt spectrum
-        (1-eta^2) eta^(2n), up to the declared truncation tail."""
-        coeffs = tmss_schmidt_amplitudes(TmssParams(eta), epsilon=1e-12)
-        weights = np.abs(coeffs) ** 2
+        (1-eta^2) eta^(2n), truncated after the first n whose tail
+        eta^(2(n+1)) is at most 1e-12."""
+        n_top = next(n for n in itertools.count() if eta ** (2 * (n + 1)) <= 1e-12)
+        weights = (1.0 - eta * eta) * eta ** (2.0 * np.arange(n_top + 1))
         entropy = float(-(weights * np.log2(weights)).sum())
         assert tmss_entanglement(eta) == pytest.approx(entropy, abs=1e-8)
 

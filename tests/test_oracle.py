@@ -1,6 +1,7 @@
 """Dense brute-force path: construction, projection, SVD entropy, and
 agreement with the closed-form encoding."""
 
+import cmath
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from phasefree.oracle import (
     project_total_number,
     schmidt_entropy_dense,
 )
-from phasefree.states import CoherentParams, coherent_amplitudes
+from phasefree.numerics import log_poisson_weight
 
 
 class TestBuildJointCoherent:
@@ -35,9 +36,17 @@ class TestBuildJointCoherent:
         assert state.truncation_loss == 0.0
 
     def test_outer_product_of_validated_kets(self):
-        state = build_joint_coherent(1.0, 1.0, 0.0, 12)
-        ket = coherent_amplitudes(CoherentParams(1.0), epsilon=1e-15)
-        expected = np.outer(ket.amplitudes[:13], ket.amplitudes[:13])
+        """Against kets built from the Poisson weights instead of the
+        oracle's direct factorials: a_n = sqrt(Pois(|alpha|^2, n)) e^(i n arg alpha)."""
+        alpha, beta = 1.0, 0.6 - 0.8j
+        state = build_joint_coherent(alpha, beta, 0.0, 12)
+
+        def ket(a):
+            return np.array(
+                [math.sqrt(math.exp(log_poisson_weight(abs(a) ** 2, n))) * cmath.exp(1j * n * cmath.phase(a)) for n in range(13)]
+            )
+
+        expected = np.outer(ket(alpha), ket(beta))
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
     def test_norm_bookkeeping(self):

@@ -1,100 +1,70 @@
-"""Truncated input-state construction and comparison primitives."""
+"""Truncated number-basis kets of the two input states, as the dense oracle
+builds them from direct factorial formulas."""
 
 import math
 
 import numpy as np
 import pytest
 
-from phasefree.numerics import log_poisson_weight
-from phasefree.states import (
-    CoherentParams,
-    TmssParams,
-    TruncatedKet,
-    coherent_amplitudes,
-    fidelity,
-    tmss_schmidt_amplitudes,
-)
+from phasefree.oracle import _coherent_vector, _tmss_vector, build_joint_coherent
 
 
-def _basis_ket(n: int, size: int) -> TruncatedKet:
-    amps = np.zeros(size, dtype=complex)
-    amps[n] = 1.0
-    return TruncatedKet(amps, size - 1, 0.0)
+def _tmss_cutoff(eta: float, epsilon: float) -> int:
+    """Smallest n_max whose geometric tail eta^(2(n_max+1)) is <= epsilon."""
+    n_max = 0
+    while eta ** (2 * (n_max + 1)) > epsilon:
+        n_max += 1
+    return n_max
 
 
 class TestCoherentAmplitudes:
     def test_vacuum(self):
-        ket = coherent_amplitudes(CoherentParams(0.0, 1.3), epsilon=1e-12)
-        assert ket.n_max == 0
-        assert ket.truncation_loss == 0.0
-        np.testing.assert_allclose(ket.amplitudes, [1.0 + 0.0j])
+        joint = build_joint_coherent(0.0, 0.0, 1.3, 4)
+        assert joint.truncation_loss == 0.0
+        expected = np.zeros((5, 5), dtype=complex)
+        expected[0, 0] = 1.0
+        np.testing.assert_allclose(joint.amplitudes, expected)
 
     def test_unit_amplitude_values(self):
-        ket = coherent_amplitudes(CoherentParams(1.0, 0.0), epsilon=1e-12)
+        amplitudes = _coherent_vector(1.0, 0.0, 2)
         root = math.exp(-0.5)
-        assert ket.amplitudes[0] == pytest.approx(root, abs=1e-13)
-        assert ket.amplitudes[1] == pytest.approx(root, abs=1e-13)
-        assert ket.amplitudes[2] == pytest.approx(root / math.sqrt(2.0), abs=1e-13)
+        assert amplitudes[0] == pytest.approx(root, abs=1e-13)
+        assert amplitudes[1] == pytest.approx(root, abs=1e-13)
+        assert amplitudes[2] == pytest.approx(root / math.sqrt(2.0), abs=1e-13)
 
     def test_phase_pi_alternates_signs(self):
-        plain = coherent_amplitudes(CoherentParams(1.0, 0.0))
-        flipped = coherent_amplitudes(CoherentParams(1.0, math.pi))
-        signs = (-1.0) ** np.arange(plain.n_max + 1)
-        np.testing.assert_allclose(flipped.amplitudes, signs * plain.amplitudes, atol=1e-12)
+        plain = _coherent_vector(1.0, 0.0, 20)
+        flipped = _coherent_vector(1.0, math.pi, 20)
+        signs = (-1.0) ** np.arange(plain.size)
+        np.testing.assert_allclose(flipped, signs * plain, atol=1e-12)
 
     @pytest.mark.parametrize("phi", [0.7, math.pi, 4.2])
     def test_phase_covariance(self, phi):
         """phi enters only as per-component phases e^(i n phi)."""
-        base = coherent_amplitudes(CoherentParams(0.8 + 0.3j, 0.0))
-        rotated = coherent_amplitudes(CoherentParams(0.8 + 0.3j, phi))
-        n = np.arange(base.n_max + 1)
-        np.testing.assert_allclose(rotated.amplitudes, base.amplitudes * np.exp(1j * phi * n), atol=1e-14)
-        np.testing.assert_allclose(np.abs(rotated.amplitudes), np.abs(base.amplitudes), atol=1e-15)
-
-    @pytest.mark.parametrize("epsilon", [1e-8, 1e-12])
-    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0, 1.0 + 1.0j, 12.0])
-    def test_normalization_budget(self, alpha, epsilon):
-        ket = coherent_amplitudes(CoherentParams(alpha), epsilon=epsilon)
-        norm_sq = ket.norm_squared()
-        assert norm_sq + ket.truncation_loss == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= ket.truncation_loss <= epsilon
-
-    def test_cutoff_is_minimal(self):
-        """One fewer term would leave more than epsilon in the tail."""
-        epsilon = 1e-8
-        ket = coherent_amplitudes(CoherentParams(2.0), epsilon=epsilon)
-        mean = 4.0
-        pmf = [math.exp(log_poisson_weight(mean, k)) for k in range(ket.n_max + 1)]
-        assert 1.0 - math.fsum(pmf) <= epsilon
-        assert 1.0 - math.fsum(pmf[:-1]) > epsilon
+        base = _coherent_vector(0.8 + 0.3j, 0.0, 20)
+        rotated = _coherent_vector(0.8 + 0.3j, phi, 20)
+        n = np.arange(base.size)
+        np.testing.assert_allclose(rotated, base * np.exp(1j * phi * n), atol=1e-14)
+        np.testing.assert_allclose(np.abs(rotated), np.abs(base), atol=1e-15)
 
     def test_amplitudes_are_read_only(self):
-        ket = coherent_amplitudes(CoherentParams(1.0))
+        joint = build_joint_coherent(1.0, 0.5, 0.0, 6)
         with pytest.raises(ValueError):
-            ket.amplitudes[0] = 0.0
-
-    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -1e-3, 2.0])
-    def test_rejects_bad_epsilon(self, epsilon):
-        with pytest.raises(ValueError):
-            coherent_amplitudes(CoherentParams(1.0), epsilon=epsilon)
-
-    def test_rejects_non_finite_alpha(self):
-        with pytest.raises(ValueError):
-            CoherentParams(float("inf"))
+            joint.amplitudes[0, 0] = 0.0
 
 
 class TestTmssSchmidtAmplitudes:
     def test_vacuum(self):
-        np.testing.assert_allclose(tmss_schmidt_amplitudes(TmssParams(0.0)), [1.0 + 0.0j])
+        np.testing.assert_allclose(_tmss_vector(0.0, 0.0, 3), [1.0, 0.0, 0.0, 0.0])
 
     def test_half_eta_values(self):
-        coeffs = tmss_schmidt_amplitudes(TmssParams(0.5, 0.0), epsilon=1e-12)
+        coeffs = _tmss_vector(0.5, 0.0, _tmss_cutoff(0.5, 1e-12))
         n = np.arange(coeffs.size)
         np.testing.assert_allclose(coeffs, math.sqrt(0.75) * 0.5**n, atol=1e-14)
 
     def test_phase_pattern(self):
-        plain = tmss_schmidt_amplitudes(TmssParams(0.5, 0.0))
-        rotated = tmss_schmidt_amplitudes(TmssParams(0.5, math.pi / 2))
+        plain = _tmss_vector(0.5, 0.0, 40)
+        rotated = _tmss_vector(0.5, math.pi / 2, 40)
         signs = (-1.0) ** np.arange(plain.size)
         np.testing.assert_allclose(rotated, signs * plain, atol=1e-13)
 
@@ -102,8 +72,9 @@ class TestTmssSchmidtAmplitudes:
     @pytest.mark.parametrize("epsilon", [1e-8, 1e-12])
     def test_geometric_tail_identity(self, eta, epsilon):
         """sum |c_n|^2 equals the analytic partial geometric sum exactly."""
-        coeffs = tmss_schmidt_amplitudes(TmssParams(eta), epsilon=epsilon)
-        n_max = coeffs.size - 1
+        n_max = _tmss_cutoff(eta, epsilon)
+        coeffs = _tmss_vector(eta, 0.0, n_max)
+        assert coeffs.size == n_max + 1
         tail = eta ** (2 * (n_max + 1))
         assert tail <= epsilon
         total = math.fsum((np.abs(coeffs) ** 2).tolist())
@@ -112,34 +83,4 @@ class TestTmssSchmidtAmplitudes:
     @pytest.mark.parametrize("eta", [-0.1, 1.0, 1.5])
     def test_rejects_bad_eta(self, eta):
         with pytest.raises(ValueError):
-            TmssParams(eta)
-
-
-class TestFidelity:
-    def test_self_overlap(self):
-        ket = coherent_amplitudes(CoherentParams(0.7 + 0.1j))
-        assert fidelity(ket, ket) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_basis_kets(self):
-        vacuum = _basis_ket(0, 2)
-        one_photon = _basis_ket(1, 2)
-        assert fidelity(vacuum, one_photon) == 0.0
-
-    def test_coherent_overlap_closed_form(self):
-        """|<a|b>|^2 = exp(-|a-b|^2) for coherent states, evaluated
-        independently of the truncation machinery."""
-        a = coherent_amplitudes(CoherentParams(1.0), epsilon=1e-12)
-        b = coherent_amplitudes(CoherentParams(1.1), epsilon=1e-12)
-        assert fidelity(a, b) == pytest.approx(0.9900498337491681, abs=1e-10)
-        assert fidelity(a, b) == pytest.approx(math.exp(-0.01), abs=1e-10)
-
-    def test_symmetry_and_padding(self):
-        short = coherent_amplitudes(CoherentParams(0.4), epsilon=1e-8)
-        long = coherent_amplitudes(CoherentParams(1.5), epsilon=1e-12)
-        assert short.n_max != long.n_max
-        assert fidelity(short, long) == pytest.approx(fidelity(long, short), abs=1e-15)
-
-    def test_global_phase_invariance(self):
-        ket = coherent_amplitudes(CoherentParams(0.9))
-        rotated = TruncatedKet(ket.amplitudes * np.exp(1j * 1.234), ket.n_max, ket.truncation_loss)
-        assert fidelity(ket, rotated) == pytest.approx(1.0, abs=1e-12)
+            _tmss_vector(eta, 0.0, 3)
