@@ -28,7 +28,20 @@ enumerated over an adaptive window [0, mu + w sqrt(mu)] whose unenumerated
 tail mass is reported, never ignored.  The n-th summand of P(K, L) vanishes
 for K < n or L < n and underflows to exactly 0.0 far from the Poisson peak,
 so each slice n is computed only on one square live block of the window;
-the sums, and every bit of the result, are those of the full window.
+the sums, and every bit of the result, are those of the full window.  P(M)
+is summed over the band of n where Pois(|alpha|^2, n) is not negligible,
+so each P(M) is fixed once computed and a grown window only appends.
+
+The approximant fidelities are array passes, not loops over outcomes.  For
+the coherent encoding the phases cancel, so the overlap with |alpha'> for
+outcome M is sum_n |a_n| |c_n|, built in log space over a band of n (in row
+chunks, so memory is O(window x band)) with the closed-form normalizer
+sum_n |q|^(2n) / (n! (M-n)!) = (1 + |q|^2)^M / M!, q = alpha/beta.  For
+the pair, the overlap summand sqrt(t_n) eta'^n, with t_n the n-th summand
+of P(K, L), equals sqrt(1 - eta^2) G[K, n] G[L, n] for
+G[X, n] = (eta sqrt(X/|beta|^2))^n sqrt(Pois(|beta|^2, X-n)), so every
+overlap comes from one contraction G G^T, taken on row-scaled G with
+numpy's own einsum loop rather than a threaded BLAS.
 """
 
 from __future__ import annotations
@@ -59,6 +72,14 @@ _UNDERFLOW_LOG = -760.0
 # exp() of anything below ln(2^-1075) ~ -745.13 rounds to exactly 0.0, so
 # outcome-grid cells whose log lies below this are never computed.
 _EXP_ZERO_LOG = -746.0
+
+# Photon-number bands cut a Poisson law where each tail holds at most
+# exp(-_BAND_LOG_CUT) ~ 2e-35 of its mass: far below float64 resolution,
+# also after the square root that an overlap of amplitudes takes.
+_BAND_LOG_CUT = 80.0
+
+# Cells per row chunk of a banded (rows, width) array: 2 MiB of float64.
+_BAND_CHUNK_CELLS = 1 << 18
 
 # Window growth factor limit; reaching it means epsilon_tail is below what
 # float64 summation can resolve.
@@ -272,16 +293,44 @@ def _window_sizes(mu: float) -> Iterator[int]:
         w *= 2.0
 
 
-def _coherent_outcome_vector(mean_a: float, mean_b: float, m_max: int) -> np.ndarray:
-    """P(M) for M = 0..m_max by direct convolution of the two Poisson laws."""
-    lpa = log_poisson_table(mean_a, m_max)
-    lpb = log_poisson_table(mean_b, m_max)
-    out = np.empty(m_max + 1)
-    for m in range(m_max + 1):
-        terms = lpa[: m + 1] + lpb[m::-1]
-        shift = float(terms.max())
-        out[m] = 0.0 if shift == LOG_ZERO else math.exp(shift) * float(np.exp(terms - shift).sum())
+def _poisson_band(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends lo <= hi of the photon-number range outside which the Poisson(lam)
+    tail on each side holds at most exp(-_BAND_LOG_CUT) of the mass, from
+    Bernstein's bounds P(X <= lam - x) <= exp(-x^2 / (2 lam)) and
+    P(X >= lam + x) <= exp(-x^2 / (2 (lam + x/3)))."""
+    cut = _BAND_LOG_CUT
+    lo = np.floor(lam - np.sqrt(2.0 * cut * lam))
+    hi = np.ceil(lam + cut / 3.0 + np.sqrt(cut * cut / 9.0 + 2.0 * cut * lam))
+    return np.maximum(lo, 0.0).astype(np.int64), hi.astype(np.int64)
+
+
+def _band_sums(lo: np.ndarray, width: int, log_term) -> np.ndarray:
+    """out[r] = sum of exp(log_term(r, n)) over n = lo[r] .. lo[r] + width - 1,
+    where log_term maps a column of row indices r and the matching
+    (rows, width) block of n to the log of each summand (LOG_ZERO for none).
+    Rows are processed in chunks of about _BAND_CHUNK_CELLS cells, and each
+    row is summed on its own, so out[r] depends on neither the chunking nor
+    the number of rows."""
+    out = np.empty(lo.size)
+    step = max(1, _BAND_CHUNK_CELLS // width)
+    for start in range(0, lo.size, step):
+        r = np.arange(start, min(start + step, lo.size))[:, None]
+        out[start : start + r.size] = np.exp(log_term(r, lo[r] + np.arange(width))).sum(axis=1)
     return out
+
+
+def _coherent_outcome_vector(mean_a: float, mean_b: float, m_max: int) -> np.ndarray:
+    """P(M) for M = 0..m_max by direct convolution of the two Poisson laws,
+    over the band of signal photon numbers n outside which Pois(mean_a, n)
+    is negligible; P(M) does not depend on m_max."""
+    n_lo, n_hi = (int(end) for end in _poisson_band(np.float64(mean_a)))
+    lpa = log_poisson_table(mean_a, n_hi)
+    lpb = log_poisson_table(mean_b, m_max)
+
+    def log_term(m, n):
+        return np.where(n <= m, lpa[n] + lpb[np.maximum(m - n, 0)], LOG_ZERO)
+
+    return _band_sums(np.full(m_max + 1, n_lo), n_hi - n_lo + 1, log_term)
 
 
 def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:
@@ -293,24 +342,33 @@ def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     mean_b = abs(_require_amplitude(beta, "beta")) ** 2
     mu = mean_a + mean_b
 
+    top, last = -1, None
     for m_max in _window_sizes(mu):
+        if m_max == top:
+            continue  # the same window as the previous round
         probs = _coherent_outcome_vector(mean_a, mean_b, m_max)
         residual = max(0.0, 1.0 - math.fsum(probs.tolist()))
         if residual <= epsilon_tail:
             return OutcomeDistribution(OutcomeTable(probs), residual)
+        # a grown window keeps probs[:top + 1] and only adds mass, so a
+        # residual it leaves unchanged can never fall any further
+        if residual == last:
+            raise RuntimeError(
+                f"outcome window stalled at residual {residual!r}: tail {epsilon_tail} "
+                f"is below float64 resolution (mean={mu})"
+            )
+        top, last = m_max, residual
     raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (mean={mu})")
 
 
-def _pair_log_slices(
-    eta: float, mean_b: float, k_max: int, floor: float
-) -> Iterator[tuple[int, int, np.ndarray]]:
+def _pair_log_slices(eta: float, mean_b: float, k_max: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (n, lo, log_block) with log_block[i, j] the log of the n-th
     summand of P(lo + i, lo + j); the iteration stops once every remaining
     summand underflows.
 
     The block [lo, lo + m)^2 is the slice's live square: every summand
-    outside it has a log below floor, being exactly zero for K < n or
-    L < n and cut where even its row's largest cell lies below floor.
+    outside it has a log below _EXP_ZERO_LOG, being exactly zero for K < n
+    or L < n and cut where even its row's largest cell lies below that.
     log_block is a view of one scratch buffer that the next slice reuses.
     """
     lp = log_poisson_table(mean_b, k_max)
@@ -326,7 +384,7 @@ def _pair_log_slices(
         # splitting the weight over both factors keeps the grid exactly
         # symmetric under K <-> L (float addition is commutative)
         shifted = 0.5 * lw + lp[: k_max + 1 - n]  # index K - n
-        live = np.flatnonzero(shifted + shifted.max() >= floor)
+        live = np.flatnonzero(shifted + shifted.max() >= _EXP_ZERO_LOG)
         start, stop = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
         row = shifted[start:stop]
         m = stop - start
@@ -348,7 +406,7 @@ def _pair_window_grid(
         a_grid = np.zeros((k_max + 1, k_max + 1))
         b_grid = np.zeros_like(a_grid) if with_entropy else None
         scratch = np.empty(a_grid.size)
-        for _, lo, log_block in _pair_log_slices(eta, mean_b, k_max, _EXP_ZERO_LOG):
+        for _, lo, log_block in _pair_log_slices(eta, mean_b, k_max):
             hi = lo + len(log_block)
             # log_block is finite, so a term that underflows adds -0.0 to B
             term = np.exp(log_block, out=scratch[: log_block.size].reshape(log_block.shape))
@@ -378,6 +436,43 @@ def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EP
 # ---------------------------------------------------------------------------
 
 
+def _coherent_overlaps(quot: complex, m_max: int) -> np.ndarray:
+    """overlap[M] = |<alpha'|encoded M>| for M = 0..m_max, with
+    quot = alpha/beta nonzero.
+
+    The phases of both states are n arg(quot), so the overlap is
+    sum_n |a_n| |c_n|: |a_n|^2 is Poisson(M s) at n and |c_n|^2 is
+    Binomial(M, s/(1+s)) at n, s = |quot|^2, whose normalizer
+    sum_n s^n / (n! (M-n)!) is (1+s)^M / M!.  By Cauchy-Schwarz the terms
+    outside the Poisson(M s) band sum to at most sqrt(2 exp(-_BAND_LOG_CUT)).
+    """
+    log_s = 2.0 * math.log(abs(quot))
+    s = abs(quot) * abs(quot)  # inf when |quot|^2 overflows
+    m_all = np.arange(m_max + 1)
+
+    def times_m(value: float) -> np.ndarray:
+        # M value: 0 at M = 0 also when value is inf, and inf, its limit in
+        # every use below, where the product overflows
+        with np.errstate(over="ignore"):
+            return np.multiply(m_all, value, out=np.zeros(m_max + 1), where=m_all > 0)
+
+    # beyond 2 (m_max + cut) the band's lower end passes m_max, so a larger
+    # M s changes no band once clipped to n <= M
+    lo, hi = _poisson_band(np.minimum(times_m(s), 2.0 * (m_max + _BAND_LOG_CUT)))
+    lo, hi = np.minimum(lo, m_all), np.minimum(hi, m_all)
+    lf = log_factorial_table(m_max)
+    log_norm = 0.5 * (lf - times_m(s + math.log1p(s)))
+
+    def log_term(m, n):
+        # ln |a_n| + ln |c_n|
+        live = n <= m
+        n = np.where(live, n, m)
+        terms = n * (log_s + 0.5 * np.log(np.maximum(m, 1))) - lf[n] - 0.5 * lf[m - n] + log_norm[m]
+        return np.where(live, terms, LOG_ZERO)
+
+    return _band_sums(lo, int((hi - lo).max()) + 1, log_term)
+
+
 def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> float:
     """P(M)-weighted fidelity between the encoded state and the coherent
     state of amplitude alpha' = alpha sqrt(M)/beta it approximates.
@@ -387,26 +482,33 @@ def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     """
     beta = _require_ancilla(beta)
     alpha = _require_amplitude(alpha, "alpha")
-    dist = coherent_outcome_distribution(alpha, beta, epsilon_tail)
+    probs = coherent_outcome_distribution(alpha, beta, epsilon_tail).support.probabilities
 
-    weighted = 0.0
-    for m, prob in enumerate(dist.support.probabilities.tolist()):
-        if prob == 0.0:
-            continue
-        exact = encode_coherent(alpha, beta, m).coeffs
-        approx_amp = coherent_approx_param(alpha, beta, m)
-        n = np.arange(m + 1)
-        lf = log_factorial_table(m)
-        if approx_amp == 0:
-            approx = np.zeros(m + 1, dtype=complex)
-            approx[0] = 1.0
-        else:
-            mag = abs(approx_amp)
-            log_mag = -0.5 * mag * mag + n * math.log(mag) - 0.5 * lf
-            approx = np.exp(log_mag) * np.exp(1j * cmath.phase(approx_amp) * n)
+    quot = alpha / beta
+    if quot == 0:
+        fid = np.ones(probs.size)  # the vacuum on both sides for every M
+    else:
         # by Cauchy-Schwarz only float noise can push a fidelity above 1
-        weighted += prob * min(abs(np.vdot(approx, exact)) ** 2, 1.0)
-    return min(float(weighted), 1.0)
+        fid = np.minimum(_coherent_overlaps(quot, probs.size - 1) ** 2, 1.0)
+    return min(float((probs * fid).sum()), 1.0)
+
+
+def _pair_log_factor(eta: float, mean_b: float, k_max: int) -> np.ndarray:
+    """ln G[X, n] = n ln(eta sqrt(X/|beta|^2)) + ln Pois(|beta|^2, X - n) / 2
+    for X = 0..k_max and n = 0..X (LOG_ZERO for n > X), the factor of
+    overlap[K, L] = sqrt(1 - eta^2) sum_n G[K, n] G[L, n].  With eta = 0 or
+    |beta|^2 = 0 (underflowed) only n = 0 survives."""
+    lp = log_poisson_table(mean_b, k_max)
+    n_top = k_max if eta > 0.0 and mean_b > 0.0 else 0
+    x = np.arange(k_max + 1)[:, None]
+    n = np.arange(n_top + 1)
+    live = n <= x
+    log_g = 0.5 * lp[np.where(live, x - n, 0)]
+    if n_top:
+        # row X = 0 holds only n = 0, so its ratio is never used
+        log_g += n * (math.log(eta) + 0.5 * (np.log(np.maximum(x, 1)) - math.log(mean_b)))
+    log_g[~live] = LOG_ZERO
+    return log_g
 
 
 def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> float:
@@ -431,32 +533,22 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
     # underflows to 0.0; eta' is then infinite for K L > 0, an invalid cell
     with np.errstate(divide="ignore"):
         eta_prime = np.divide(numer, mean_b, out=np.zeros_like(numer), where=numer > 0.0)
-    valid = eta_prime < 1.0
-    # invalid cells get eta'^n = 0 so that no power of eta' >= 1 overflows
-    log_eta_prime = np.where(
-        valid & (eta_prime > 0.0), np.log(np.where(eta_prime > 0.0, eta_prime, 1.0)), LOG_ZERO
-    )
 
-    # overlap[K, L] = sum_n sqrt(q_n) eta'^n, with q_n the Schmidt weights;
-    # sqrt(t_n) = sqrt(q_n P) so one division by P at the end suffices.
-    # sqrt(t_n) underflows to 0 where log t_n < 2 * _EXP_ZERO_LOG.
-    overlap = np.zeros((k_max + 1, k_max + 1))
-    for n, lo, log_block in _pair_log_slices(eta, mean_b, k_max, 2.0 * _EXP_ZERO_LOG):
-        hi = lo + len(log_block)
-        log_block *= 0.5
-        half = np.exp(log_block, out=log_block)
-        if n > 0:
-            half *= np.exp(n * log_eta_prime[lo:hi, lo:hi])
-        overlap[lo:hi, lo:hi] += half
+    # overlap[K, L] = sum_n sqrt(t_n) eta'^n with t_n the summands of A, in
+    # the factorised form sqrt(1 - eta^2) sum_n G[K, n] G[L, n]; each row of
+    # G is scaled by its largest entry, restored in log space below
+    log_g = _pair_log_factor(eta, mean_b, k_max)
+    shift = log_g.max(axis=1)
+    shift[shift == LOG_ZERO] = 0.0  # an all-zero row
+    g = np.exp(log_g - shift[:, None])
+    scaled = np.einsum("kn,ln->kl", g, g)
 
-    positive = a_grid > 0.0
-    fid = np.where(
-        positive & valid,
-        np.clip(1.0 - eta_prime * eta_prime, 0.0, None)
-        * overlap**2
-        / np.where(positive, a_grid, 1.0),
-        0.0,
-    )
+    # fid = (1 - eta'^2) overlap^2 / A on the outcomes that admit an
+    # approximant (eta' < 1); 1 - eta'^2 is formed only there
+    kk, ll = np.nonzero((eta_prime < 1.0) & (a_grid > 0.0) & (scaled > 0.0))
+    ep = eta_prime[kk, ll]
+    a = a_grid[kk, ll]
+    log_overlap = 0.5 * math.log1p(-eta * eta) + np.log(scaled[kk, ll]) + shift[kk] + shift[ll]
+    fid = np.exp(np.log1p(-ep * ep) + 2.0 * log_overlap - np.log(a))
     # by Cauchy-Schwarz only float noise can push a fidelity above 1
-    np.clip(fid, 0.0, 1.0, out=fid)
-    return min(float((a_grid * fid).sum()), 1.0)
+    return min(float((a * np.minimum(fid, 1.0)).sum()), 1.0)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -187,6 +188,30 @@ class TestCoherentOutcomeDistribution:
         with pytest.raises(ValueError):
             coherent_outcome_distribution(1.0, 1.0, epsilon_tail=0.0)
 
+    def test_rows_do_not_depend_on_the_window(self):
+        """A grown window leaves P(M) of the smaller one bit-identical, also
+        when the band is summed in several row chunks."""
+        for mean_a, mean_b in [(0.49, 49.0), (900.0, 49.0)]:
+            small = encoding._coherent_outcome_vector(mean_a, mean_b, 300)
+            grown = encoding._coherent_outcome_vector(mean_a, mean_b, 5000)
+            assert small.tobytes() == grown[:301].tobytes()
+
+    def test_stalled_residual_fails_within_a_few_rounds(self, monkeypatch):
+        """At (0.7, 7.0) the float64 residual 1 - sum P(M) stops near 5e-15,
+        so a tail of 1e-15 is unreachable: the first grown window that leaves
+        the residual unchanged raises, instead of doubling up to w = 2^24."""
+        tops = []
+        vector = encoding._coherent_outcome_vector
+
+        def counted(mean_a, mean_b, m_max):
+            tops.append(m_max)
+            return vector(mean_a, mean_b, m_max)
+
+        monkeypatch.setattr(encoding, "_coherent_outcome_vector", counted)
+        with pytest.raises(RuntimeError, match="below float64 resolution"):
+            coherent_outcome_distribution(0.7, 7.0, epsilon_tail=1e-15)
+        assert len(tops) <= 4
+
 
 class TestPairOutcomeDistribution:
     def test_vacuum_ancilla_is_diagonal_geometric(self):
@@ -365,11 +390,11 @@ class TestOutcomeGridKernel:
 
 
 class TestApproxFidelities:
-    @pytest.mark.parametrize("eta,beta", [(0.95, 0.3), (0.9, 1.0), (0.95, 8.0), (0.5, 1e-200)])
+    @pytest.mark.parametrize("eta,beta", [(0.95, 0.3), (0.9, 1.0), (0.95, 8.0), (0.5, 1e-200), (0.5, 1e-100)])
     def test_pair_fidelity_is_warning_free_at_strong_squeezing(self, eta, beta):
-        """Outcomes with eta' >= 1 must not overflow eta'^n on the way to
-        being counted as fidelity zero, and an underflowing |beta|^2 must not
-        make eta' = 0/0 at K L = 0."""
+        """Outcomes with eta' >= 1 must not overflow eta'^n (or eta'^2 at a
+        tiny nonzero |beta|) on the way to being counted as fidelity zero,
+        and an underflowing |beta|^2 must not make eta' = 0/0 at K L = 0."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fid = mean_pair_approx_fidelity(eta, beta)
@@ -402,24 +427,71 @@ class TestApproxFidelities:
         assert spun == pytest.approx(plain, abs=1e-10)
 
     def test_coherent_fidelity_matches_per_outcome_recomputation(self):
-        """Spot-check the weighted sum against a direct per-outcome overlap."""
-        alpha, beta = 0.8, 3.0
-        dist = coherent_outcome_distribution(alpha, beta)
-        weighted = 0.0
-        for m, p in dist.support.items():
-            if p == 0.0:
-                continue
-            state = encode_coherent(alpha, beta, m)
-            ap = coherent_approx_param(alpha, beta, m)
-            n = np.arange(m + 1)
-            if ap == 0:
-                approx = np.zeros(m + 1, dtype=complex)
-                approx[0] = 1.0
-            else:
-                approx = np.exp(
-                    -0.5 * abs(ap) ** 2
-                    + n * np.log(abs(ap))
-                    - 0.5 * np.array([math.lgamma(i + 1) for i in range(m + 1)])
-                ) * np.exp(1j * cmath.phase(ap) * n)
-            weighted += p * abs(np.vdot(approx, state.coeffs)) ** 2
-        assert mean_coherent_approx_fidelity(alpha, beta) == pytest.approx(weighted, abs=1e-12)
+        """The banded pass against the overlap of each encode_coherent state
+        with its coherent approximant, for real and complex alpha and beta,
+        a tiny and a large |beta|."""
+        cases = [
+            (0.8, 3.0),
+            (0.8 - 0.5j, 3.0),
+            (0.8, 3.0 * cmath.exp(2.2j)),
+            (0.6 + 0.3j, 2.0 - 1.0j),
+            (0.8, 1e-3),
+            (0.8, 15.0),
+        ]
+        for alpha, beta in cases:
+            expected = _coherent_fidelity_reference(alpha, beta)
+            assert mean_coherent_approx_fidelity(alpha, beta) == pytest.approx(expected, abs=1e-12), (alpha, beta)
+
+    @pytest.mark.parametrize("eta,beta", [(0.3, 3.0), (0.5, 1.0), (0.9, 2.0), (0.93, 9.25)])
+    def test_pair_fidelity_matches_per_outcome_recomputation(self, eta, beta):
+        expected = _pair_fidelity_reference(eta, beta)
+        assert mean_pair_approx_fidelity(eta, beta) == pytest.approx(expected, abs=1e-12)
+
+    def test_coherent_fidelity_memory_stays_banded(self):
+        """At |beta| = 100 the window holds about 10 800 outcomes; a dense
+        (M, n) array would take about 0.9 GB."""
+        tracemalloc.start()
+        try:
+            mean_coherent_approx_fidelity(3.0, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+def _coherent_fidelity_reference(alpha, beta):
+    """mean_coherent_approx_fidelity outcome by outcome: the overlap of each
+    encode_coherent state with the coherent state alpha sqrt(M)/beta."""
+    weighted = 0.0
+    for m, p in coherent_outcome_distribution(alpha, beta).support.items():
+        if p == 0.0:
+            continue
+        state = encode_coherent(alpha, beta, m)
+        ap = coherent_approx_param(alpha, beta, m)
+        n = np.arange(m + 1)
+        if ap == 0:
+            approx = np.zeros(m + 1, dtype=complex)
+            approx[0] = 1.0
+        else:
+            approx = np.exp(
+                -0.5 * abs(ap) ** 2
+                + n * np.log(abs(ap))
+                - 0.5 * np.array([math.lgamma(i + 1) for i in range(m + 1)])
+            ) * np.exp(1j * cmath.phase(ap) * n)
+        weighted += p * abs(np.vdot(approx, state.coeffs)) ** 2
+    return weighted
+
+
+def _pair_fidelity_reference(eta, beta):
+    """mean_pair_approx_fidelity outcome by outcome: the overlap of each
+    encode_pair Schmidt vector with sqrt(1 - eta'^2) eta'^n, the squeezed
+    state it approaches; outcomes with eta' >= 1 count as zero."""
+    weighted = 0.0
+    for (k, l), p in np.ndenumerate(pair_outcome_distribution(eta, beta).support.probabilities):
+        eta_prime = pair_approx_param(eta, beta, k, l)
+        if p == 0.0 or eta_prime >= 1.0:
+            continue
+        coeffs = np.abs(encode_pair(eta, beta, k, l).schmidt_coeffs)
+        approx = math.sqrt(1.0 - eta_prime**2) * eta_prime ** np.arange(coeffs.size)
+        weighted += p * float(coeffs @ approx) ** 2
+    return weighted
