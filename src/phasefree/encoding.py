@@ -27,8 +27,14 @@ Outcome statistics follow from the same amplitudes:
 enumerated over an adaptive window [0, mu + w sqrt(mu)] whose unenumerated
 tail mass is reported, never ignored.  The n-th summand of P(K, L) vanishes
 for K < n or L < n and underflows to exactly 0.0 far from the Poisson peak,
-so each slice n is computed only on one square live block of the window;
-the sums, and every bit of the result, are those of the full window.  P(M)
+so each slice n is computed only on one square live block of the window.
+A slice n > 0 also drops the leading rows and columns of that block where
+t_n < 2^-66 t_0 (with t_n the n-th summand): the sums run in n order and
+already hold t_0 there, so such a term is below half an ulp of its running
+sum and rounds away.  At weak squeezing and large |beta| that is most of
+the block.  The sums, and every bit of the result, are those of the full
+window.  A window round whose grids would exceed _GRID_BUDGET_BYTES fails
+before allocating.  P(M)
 is summed over the band of n where Pois(|alpha|^2, n) is not negligible,
 so each P(M) is fixed once computed and a grown window only appends.
 
@@ -73,6 +79,17 @@ _UNDERFLOW_LOG = -760.0
 # outcome-grid cells whose log lies below this are never computed.
 _EXP_ZERO_LOG = -746.0
 
+# A slice n > 0 of the outcome grid skips the cells where t_n < 2^-66 t_0
+# while t_0 >= e^-700, a normal float.  A and B are summed in n order from
+# terms of one sign, so at slice n |A| >= t_0 and |B| >= t_0 |ln t_0| >= t_0
+# (t_0 <= e^-2 once K, L >= 1, as Pois(mu, k) <= 1/e for k >= 1).  A term
+# that does not underflow to 0 has |ln t_n| < 746 < 2^10, so each skipped
+# A or B term is below 2^-56 of its running sum, while half an ulp of that
+# sum exceeds 2^-54 of it: the term rounds away and every bit of A and B is
+# kept, with a factor 4 to spare for the rounding of the logs.
+_NEGLIGIBLE_LOG = -66.0 * math.log(2.0)
+_NORMAL_LOG = -700.0
+
 # Photon-number bands cut a Poisson law where each tail holds at most
 # exp(-_BAND_LOG_CUT) ~ 2e-35 of its mass: far below float64 resolution,
 # also after the square root that an overlap of amplitudes takes.
@@ -84,6 +101,10 @@ _BAND_CHUNK_CELLS = 1 << 18
 # Window growth factor limit; reaching it means epsilon_tail is below what
 # float64 summation can resolve.
 _MAX_WINDOW_GROWTH = float(2**24)
+
+# Most bytes one round of the outcome grid may allocate for A, B and the two
+# slice buffers; a window that needs more fails before allocating.
+_GRID_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -369,11 +390,15 @@ def _pair_log_slices(eta: float, mean_b: float, k_max: int) -> Iterator[tuple[in
     The block [lo, lo + m)^2 is the slice's live square: every summand
     outside it has a log below _EXP_ZERO_LOG, being exactly zero for K < n
     or L < n and cut where even its row's largest cell lies below that.
+    For n > 0 the block also drops its leading rows (and columns) whose
+    summands are below _NEGLIGIBLE_LOG relative to t_0 in every live
+    column; see _NEGLIGIBLE_LOG for why that changes no bit of A or B.
     log_block is a view of one scratch buffer that the next slice reuses.
     """
     lp = log_poisson_table(mean_b, k_max)
     lp_max = float(lp.max())
     lw0 = math.log1p(-eta * eta)
+    row0 = 0.5 * lw0 + lp  # ln t_0(K, L) = row0[K] + row0[L]
     scratch = np.empty((k_max + 1) ** 2)
     for n in range(k_max + 1):
         if n > 0 and eta == 0.0:
@@ -386,6 +411,19 @@ def _pair_log_slices(eta: float, mean_b: float, k_max: int) -> Iterator[tuple[in
         shifted = 0.5 * lw + lp[: k_max + 1 - n]  # index K - n
         live = np.flatnonzero(shifted + shifted.max() >= _EXP_ZERO_LOG)
         start, stop = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+        if n > 0 and stop > start:
+            # ln t_n - ln t_0 = d[K] + d[L], with d[K] = n ln eta +
+            # ln(K! / ((K - n)! mean_b^n)) rising with K, so the negligible
+            # rows are a prefix of the block and d[top] is its largest value
+            lo, top = n + start, n + stop - 1
+            d_top = shifted[stop - 1] - row0[top]
+            if shifted[start] - row0[lo] + d_top < _NEGLIGIBLE_LOG:
+                d = shifted[start:stop] - row0[lo : top + 1]
+                cut = start + int(np.searchsorted(d, _NEGLIGIBLE_LOG - d_top))
+                # row0 is unimodal, so its least value on a range of rows
+                # lies at an end: t_0 >= e^_NORMAL_LOG on every dropped cell
+                if min(row0[lo], row0[n + cut - 1]) + min(row0[lo], row0[top]) >= _NORMAL_LOG:
+                    start = cut
         row = shifted[start:stop]
         m = stop - start
         log_block = np.add(row[:, None], row[None, :], out=scratch[: m * m].reshape(m, m))
@@ -402,7 +440,14 @@ def _pair_window_grid(
     plus (optionally) the companion accumulator B = sum_n t_n ln(t_n) needed
     for per-outcome Schmidt entropies.  Returns (A, B, residual, k_max)."""
     mu = mean_b + (eta * eta / (1.0 - eta * eta))
+    grids = 4 if with_entropy else 3  # A, B, this loop's scratch, the slices' scratch
     for k_max in _window_sizes(mu):
+        nbytes = grids * 8 * (k_max + 1) ** 2
+        if nbytes > _GRID_BUDGET_BYTES:
+            raise RuntimeError(
+                f"outcome window k_max={k_max} needs {nbytes} bytes, over the grid budget of "
+                f"{_GRID_BUDGET_BYTES} bytes, before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
+            )
         a_grid = np.zeros((k_max + 1, k_max + 1))
         b_grid = np.zeros_like(a_grid) if with_entropy else None
         scratch = np.empty(a_grid.size)

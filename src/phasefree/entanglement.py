@@ -21,8 +21,14 @@ are q_n = t_n / P, so
 
 and both accumulators are built slice by slice in n.  Each slice is
 computed only on its live block, the square of outcomes K, L >= n where
-t_n can be nonzero in float64; outside it t_n is exactly 0.0.  Per-outcome
-equality with the encode/entropy composition is pinned by tests.
+t_n can be nonzero in float64; outside it t_n is exactly 0.0.  A slice
+n > 0 also skips the outcomes where t_n < 2^-66 t_0: both accumulators
+already hold t_0 (resp. t_0 ln t_0) there, so such a term is below half an
+ulp of its running sum and would not change a bit.  Per-outcome equality
+with the encode/entropy composition is pinned by tests.
+
+Outcomes outside the window are not enumerated; residual_bound caps what
+they could add to E_avg from the directly summed marginal tail.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .encoding import (
     _require_eta,
     _require_tail,
 )
-from .numerics import LN2, shannon_entropy_bits
+from .numerics import LN2, log_poisson_table, shannon_entropy_bits
 
 
 class ContributionTable(OutcomeTable):
@@ -81,8 +87,9 @@ class ContributionTable(OutcomeTable):
 class EntanglementReport:
     """Entanglement accounting for one (eta, |beta|) operating point.
 
-    residual_bound is the stated cap on what the unenumerated tail could
-    have added to E_avg: residual times the log2 of the window size.
+    residual_bound caps what the outcomes outside the window could add to
+    E_avg: an outcome (K, L) has Schmidt rank min(K, L) + 1, so they add at
+    most 2 sum_{K > k_max} P_K(K) log2(K + 1), with P_K the marginal of K.
     """
 
     eta: float
@@ -114,6 +121,37 @@ def entropy_of_entanglement(state: EncodedPairState) -> float:
     """Schmidt entropy in ebits of an encoded pair state."""
     probs = np.abs(state.schmidt_coeffs) ** 2
     return shannon_entropy_bits(probs)
+
+
+def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
+    """2 sum_{K > k_max} P_K(K) log2(K + 1), summed directly.
+
+    K is n + X with n geometric, weights (1 - eta^2) eta^(2n), and X
+    Poisson(mean_b), so P_K(K + 1) = (1 - eta^2) Pois(K + 1) + eta^2 P_K(K)
+    <= r P_K(K) with r = eta^2 + mean_b / (K + 1), falling in K.  The sum
+    runs until r < 1 and the geometric bound on what is left,
+    sum_{j >= 1} r^j P_K(K) (log2(K + 1) + j / ((K + 1) ln 2)), is below
+    2^-60 of the sum; that bound is then added, so the result bounds the
+    whole tail.
+    """
+    e2 = eta * eta
+    pois = np.exp(log_poisson_table(mean_b, k_max)).tolist()
+    p_k = 0.0
+    for pois_k in pois:
+        p_k = (1.0 - e2) * pois_k + e2 * p_k
+    k, pois_k, terms, total = k_max, pois[-1], [], 0.0
+    while True:
+        k += 1
+        pois_k *= mean_b / k
+        p_k = (1.0 - e2) * pois_k + e2 * p_k
+        log_rank = math.log2(k + 1)
+        terms.append(p_k * log_rank)
+        total += terms[-1]
+        r = e2 + mean_b / (k + 1)
+        if r < 1.0:
+            rest = p_k * r / (1.0 - r) * (log_rank + 1.0 / ((1.0 - r) * (k + 1) * LN2))
+            if rest <= 2.0**-60 * total:
+                return 2.0 * (math.fsum(terms) + rest)
 
 
 def average_entanglement(
@@ -153,7 +191,7 @@ def average_entanglement(
         E_avg=e_avg,
         fraction_lost=fraction_lost,
         residual=residual,
-        residual_bound=residual * math.log2(window) if window > 1 else 0.0,
+        residual_bound=_outside_entropy_bound(eta, mean_b, k_max),
         window_K=window,
         window_L=window,
         contributions=ContributionTable(a_grid, entropies),

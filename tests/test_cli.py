@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import phasefree
+from phasefree import encoding
 from phasefree.cli import CSV_HEADER, MAX_GRID_POINTS, main, parse_grid
 from phasefree.entanglement import average_entanglement
 
@@ -178,6 +179,14 @@ class TestPointCommand:
         code = main(["point", "--eta", "1.0", "--beta", "2"])
         assert code == 2
         assert "eta" in capsys.readouterr().err
+
+    def test_window_past_the_grid_budget_fails_cleanly(self, capsys, monkeypatch):
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 100_000)
+        code = main(["point", "--eta", "0.5", "--beta", "2", "--epsilon-tail", "1e-17"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: outcome window k_max=") and err.count("\n") == 1
+        assert "grid budget" in err
 
     @pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "1e200"])
     def test_unrepresentable_beta_fails_cleanly(self, capsys, beta):

@@ -373,13 +373,36 @@ class TestWindowSizes:
 class TestOutcomeGridKernel:
     @pytest.mark.parametrize(
         "eta,beta",
-        [(0.3, 3.0), (0.5, 1e-200), (0.0, 2.0), (0.5, 12.0), (0.93, 9.25), (0.8, 0.05)],
-        ids=["one-doubling-round", "mean-b-zero", "eta-zero", "large-beta", "strong-squeezing", "floor-cut"],
+        [
+            (0.3, 3.0),
+            (0.5, 1e-200),
+            (0.0, 2.0),
+            (0.5, 12.0),
+            (0.93, 9.25),
+            (0.8, 0.05),
+            (0.1, 12.0),
+            (0.2, 8.0),
+            (0.5, 0.3),
+        ],
+        ids=[
+            "one-doubling-round",
+            "mean-b-zero",
+            "eta-zero",
+            "large-beta",
+            "strong-squeezing",
+            "floor-cut",
+            "weak-squeezing-cut",
+            "mid-beta-cut",
+            "small-mean",
+        ],
     )
     def test_bit_identical_to_full_grid_loop(self, eta, beta):
-        """Skipping the cells whose summands are exactly zero changes no bit.
-        At (0.8, 0.05) the window has grown far past the Poisson peak, so
-        cells whose summands lie just above the floor are in play."""
+        """Skipping the cells whose summands are exactly zero, or below half
+        an ulp of their running sums, changes no bit.  At (0.8, 0.05) the
+        window has grown far past the Poisson peak, so cells whose summands
+        lie just above the floor are in play; at (0.1, 12) and (0.2, 8) most
+        cells of the later slices are negligible; at (0.5, 0.3) t_0 exceeds
+        e^-1 at (0, 0)."""
         ref_a, ref_b, ref_residual, ref_k_max = _full_grid_reference(eta, beta * beta)
         a_grid, b_grid, residual, k_max = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, True)
         assert (k_max, residual) == (ref_k_max, ref_residual)
@@ -387,6 +410,37 @@ class TestOutcomeGridKernel:
         assert b_grid.tobytes() == ref_b.tobytes()
         a_only, b_none, _, _ = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, False)
         assert b_none is None and a_only.tobytes() == ref_a.tobytes()
+
+
+    def test_negligible_summands_are_most_cells_at_weak_squeezing(self, monkeypatch):
+        """At (0.1, 12) the slices n > 0 are below 2^-66 of t_0 on most of
+        their live blocks, so the cut at least halves the cells summed."""
+        mean_b = 144.0
+        k_max = _pair_window_grid(0.1, mean_b, DEFAULT_EPSILON_TAIL, False)[3]
+
+        def cells():
+            return sum(block.size for _, _, block in encoding._pair_log_slices(0.1, mean_b, k_max))
+
+        cut = cells()
+        monkeypatch.setattr(encoding, "_NEGLIGIBLE_LOG", -math.inf)
+        assert 2 * cut <= cells()
+
+
+class TestGridBudget:
+    def test_fails_before_allocating_past_the_budget(self, monkeypatch):
+        """A tail below float64 resolution grows the window (21, 38, 71, ...)
+        until a round would not fit; that round raises before allocating."""
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 100_000)
+        with pytest.raises(RuntimeError, match=r"k_max=71 needs 124416 bytes, over the grid budget of 100000 bytes"):
+            pair_outcome_distribution(0.5, 2.0, epsilon_tail=1e-17)
+        with pytest.raises(RuntimeError, match=r"k_max=71 needs 165888 bytes"):
+            average_entanglement(0.5, 2.0, epsilon_tail=1e-17)
+
+    def test_default_windows_fit(self, monkeypatch):
+        """A budget of exactly the default round's bytes still computes it."""
+        k_max = _pair_window_grid(0.5, 4.0, DEFAULT_EPSILON_TAIL, True)[3]
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 4 * 8 * (k_max + 1) ** 2)
+        assert _pair_window_grid(0.5, 4.0, DEFAULT_EPSILON_TAIL, True)[3] == k_max
 
 
 class TestApproxFidelities:

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from phasefree.encoding import EncodedPairState, encode_pair, pair_outcome_distribution
+from phasefree.encoding import EncodedPairState, _poisson_band, encode_pair, pair_outcome_distribution
 from phasefree.entanglement import (
     average_entanglement,
     entanglement_sweep,
     entropy_of_entanglement,
     tmss_entanglement,
 )
+from phasefree.numerics import LN2, log_poisson_table
 
 
 class TestTmssEntanglement:
@@ -87,9 +88,44 @@ class TestAverageEntanglement:
         probs = report.contributions.probabilities
         assert float(probs.sum()) + report.residual == pytest.approx(1.0, abs=1e-10)
         assert 0.0 <= report.residual <= 1e-10
-        assert report.residual_bound == pytest.approx(
-            report.residual * math.log2(report.window_K), abs=1e-15
-        )
+        # 2 sum_{K > k_max} P_K(K) log2(K + 1), with P_K(K) summed term by
+        # term from the geometric and Poisson laws it convolves
+        e2, mean_b = 0.45**2, 2.5**2
+        lp = log_poisson_table(mean_b, report.window_K + 400)
+        outside = [
+            math.fsum((1.0 - e2) * e2**n * math.exp(lp[k - n]) for n in range(k + 1)) * math.log2(k + 1)
+            for k in range(report.window_K, lp.size)
+        ]
+        assert report.residual_bound == pytest.approx(2.0 * math.fsum(outside), rel=1e-9, abs=0.0)
+        # a window with no float-resolved residual still leaves a tail
+        assert report.residual == 0.0
+        assert report.residual_bound > 0.0
+
+    @pytest.mark.parametrize("eta,beta,finer_tail", [(0.5, 12.0, 1e-14), (0.2, 8.0, 1e-13)])
+    def test_residual_bound_covers_a_wider_window(self, eta, beta, finer_tail):
+        """What a wider window adds to E_avg stays within the default
+        window's bound.  At (0.2, 8) a tail of 1e-14 is below what the
+        summed residual resolves, so 1e-13 widens the window instead."""
+        default = average_entanglement(eta, beta)
+        wider = average_entanglement(eta, beta, epsilon_tail=finer_tail)
+        assert wider.window_K > default.window_K
+        assert 0.0 < wider.E_avg - default.E_avg <= default.residual_bound
+
+    @pytest.mark.parametrize("eta,beta", [(0.3, 3.0), (0.5, 3.0), (0.9, 12.0)])
+    def test_loss_is_a_mutual_information(self, eta, beta):
+        """With n geometric and X, Y iid Poisson(|beta|^2), (K, L) =
+        (n + X, n + Y) and E_avg = H(n | K, L), so E_exact - E_avg =
+        I(n; K, L) = H(K, L) - 2 H(Pois(|beta|^2)); at these points the
+        default window leaves no residual."""
+        report = average_entanglement(eta, beta)
+        assert report.residual == 0.0
+        probs = report.contributions.probabilities
+        probs = probs[probs > 0.0]
+        h_kl = -math.fsum((probs * np.log2(probs)).tolist())
+        lo, hi = (int(end) for end in _poisson_band(np.float64(beta * beta)))
+        lp = log_poisson_table(beta * beta, hi)[lo:]
+        h_pois = -math.fsum((np.exp(lp) * lp).tolist()) / LN2
+        assert report.E_exact - report.E_avg == pytest.approx(h_kl - 2.0 * h_pois, abs=1e-12)
 
     def test_entropies_respect_schmidt_rank_bound(self):
         report = average_entanglement(0.5, 1.5)
