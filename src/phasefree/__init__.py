@@ -23,7 +23,6 @@ from .encoding import (
     pair_outcome_distribution,
 )
 from .entanglement import (
-    ContributionTable,
     EntanglementReport,
     average_entanglement,
     entanglement_sweep,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LOG_ZERO",
-    "ContributionTable",
     "EncodedCoherentState",
     "EncodedPairState",
     "EntanglementReport",

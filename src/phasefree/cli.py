@@ -71,8 +71,8 @@ def _sweep_csv(reports) -> str:
                     _format(r.E_avg),
                     _format(r.fraction_lost),
                     _format(r.residual),
-                    str(r.window_K),
-                    str(r.window_L),
+                    str(r.window),
+                    str(r.window),
                 ]
             )
         )
@@ -148,6 +148,14 @@ def _oracle_comparison(eta: float, beta: float, cutoff: int) -> tuple[int, float
     return compared, dev_p, dev_q, dev_e
 
 
+def _most_probable(probabilities: np.ndarray, count: int) -> list[tuple[int, int]]:
+    """The count most probable outcomes (K, L) of a 2-D probability grid,
+    most probable first; ties broken by outcome index."""
+    flat = probabilities.ravel()
+    order = np.lexsort((np.arange(flat.size), -flat))[:count]
+    return [divmod(int(i), probabilities.shape[1]) for i in order]
+
+
 def run_point(args) -> int:
     try:
         report = average_entanglement(args.eta, args.beta, args.epsilon_tail)
@@ -162,10 +170,12 @@ def run_point(args) -> int:
     print(f"fraction_lost  {_format(report.fraction_lost)}")
     print(f"residual       {_format(report.residual)}")
     print(f"residual_bound {_format(report.residual_bound)}")
-    print(f"window         {report.window_K} x {report.window_L}")
+    print(f"window         {report.window} x {report.window}")
     print("top contributions (K, L) -> probability, ebits:")
-    for (k, l), prob, ebits in report.contributions.top(10):
-        print(f"  ({k:4d},{l:4d})  {prob:.12g}  {ebits:.12g}")
+    probs = report.support.probabilities
+    for k, l in _most_probable(probs, 10):
+        ebits = entropy_of_entanglement(encode_pair(report.eta, report.beta_abs, k, l))
+        print(f"  ({k:4d},{l:4d})  {probs[k, l]:.12g}  {ebits:.12g}")
 
     if args.oracle:
         try:

@@ -34,9 +34,13 @@ already hold t_0 there, so such a term is below half an ulp of its running
 sum and rounds away.  At weak squeezing and large |beta| that is most of
 the block.  The sums, and every bit of the result, are those of the full
 window.  A window round whose grids would exceed _GRID_BUDGET_BYTES fails
-before allocating.  P(M)
-is summed over the band of n where Pois(|alpha|^2, n) is not negligible,
-so each P(M) is fixed once computed and a grown window only appends.
+before allocating.  The float64 residual 1 - sum P resolves no tail much
+below 1e-14, so a round whose residual is still over budget while the
+directly summed mass outside the window is within half of it fails as
+stalled instead of doubling on.  P(M) is summed over the band of n where
+Pois(|alpha|^2, n) is not negligible, so each P(M) is fixed once computed
+and a grown window only appends; a band pass over more (window x band)
+cells than the same budget allows fails before it runs.
 
 The approximant fidelities are array passes, not loops over outcomes.  For
 the coherent encoding the phases cancel, so the overlap with |alpha'> for
@@ -63,6 +67,7 @@ from typing import Iterator
 import numpy as np
 
 from .numerics import (
+    LN2,
     LOG_ZERO,
     log_factorial_table,
     log_poisson_table,
@@ -70,10 +75,6 @@ from .numerics import (
 )
 
 DEFAULT_EPSILON_TAIL = 1e-10
-
-# exp() of anything below this is exactly 0.0 in binary64 (subnormals end
-# near -744.4); slices that are all-zero can be skipped without error.
-_UNDERFLOW_LOG = -760.0
 
 # exp() of anything below ln(2^-1075) ~ -745.13 rounds to exactly 0.0, so
 # outcome-grid cells whose log lies below this are never computed.
@@ -103,7 +104,8 @@ _BAND_CHUNK_CELLS = 1 << 18
 _MAX_WINDOW_GROWTH = float(2**24)
 
 # Most bytes one round of the outcome grid may allocate for A, B and the two
-# slice buffers; a window that needs more fails before allocating.
+# slice buffers, and most cells (at 8 bytes each) a banded coherent pass may
+# compute; a window that needs more fails before allocating or computing.
 _GRID_BUDGET_BYTES = 1 << 30
 
 
@@ -302,6 +304,16 @@ def pair_approx_param(eta: float, beta, K: int, L: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _require_budget(cells: int, window: str, context: str) -> None:
+    """Raise RuntimeError when cells float64 cells exceed _GRID_BUDGET_BYTES."""
+    nbytes = 8 * cells
+    if nbytes > _GRID_BUDGET_BYTES:
+        raise RuntimeError(
+            f"outcome window {window} needs {nbytes} bytes, over the grid budget of "
+            f"{_GRID_BUDGET_BYTES} bytes, {context}"
+        )
+
+
 def _window_sizes(mu: float) -> Iterator[int]:
     """Outcome-window tops k_max = ceil(mu + w sqrt(mu)) for a distribution
     of mean mu, with w = 8, 16, 32, ... up to _MAX_WINDOW_GROWTH; the caller
@@ -345,13 +357,16 @@ def _coherent_outcome_vector(mean_a: float, mean_b: float, m_max: int) -> np.nda
     over the band of signal photon numbers n outside which Pois(mean_a, n)
     is negligible; P(M) does not depend on m_max."""
     n_lo, n_hi = (int(end) for end in _poisson_band(np.float64(mean_a)))
+    width = n_hi - n_lo + 1
+    context = f"for a band of {width} signal photon numbers (mean_a={mean_a}, mean_b={mean_b})"
+    _require_budget((m_max + 1) * width, f"m_max={m_max}", context)
     lpa = log_poisson_table(mean_a, n_hi)
     lpb = log_poisson_table(mean_b, m_max)
 
     def log_term(m, n):
         return np.where(n <= m, lpa[n] + lpb[np.maximum(m - n, 0)], LOG_ZERO)
 
-    return _band_sums(np.full(m_max + 1, n_lo), n_hi - n_lo + 1, log_term)
+    return _band_sums(np.full(m_max + 1, n_lo), width, log_term)
 
 
 def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:
@@ -396,7 +411,6 @@ def _pair_log_slices(eta: float, mean_b: float, k_max: int) -> Iterator[tuple[in
     log_block is a view of one scratch buffer that the next slice reuses.
     """
     lp = log_poisson_table(mean_b, k_max)
-    lp_max = float(lp.max())
     lw0 = math.log1p(-eta * eta)
     row0 = 0.5 * lw0 + lp  # ln t_0(K, L) = row0[K] + row0[L]
     scratch = np.empty((k_max + 1) ** 2)
@@ -404,14 +418,15 @@ def _pair_log_slices(eta: float, mean_b: float, k_max: int) -> Iterator[tuple[in
         if n > 0 and eta == 0.0:
             return
         lw = lw0 + 2.0 * n * math.log(eta) if n > 0 else lw0
-        if lw + 2.0 * lp_max < _UNDERFLOW_LOG:
-            return
         # splitting the weight over both factors keeps the grid exactly
         # symmetric under K <-> L (float addition is commutative)
         shifted = 0.5 * lw + lp[: k_max + 1 - n]  # index K - n
         live = np.flatnonzero(shifted + shifted.max() >= _EXP_ZERO_LOG)
-        start, stop = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-        if n > 0 and stop > start:
+        if not live.size:
+            # shifted.max() does not rise with n, so no later slice is live
+            return
+        start, stop = int(live[0]), int(live[-1]) + 1
+        if n > 0:
             # ln t_n - ln t_0 = d[K] + d[L], with d[K] = n ln eta +
             # ln(K! / ((K - n)! mean_b^n)) rising with K, so the negligible
             # rows are a prefix of the block and d[top] is its largest value
@@ -430,6 +445,38 @@ def _pair_log_slices(eta: float, mean_b: float, k_max: int) -> Iterator[tuple[in
         yield n, n + start, log_block
 
 
+def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
+    """2 sum_{K > k_max} P_K(K) log2(K + 1), summed directly.
+
+    K is n + X with n geometric, weights (1 - eta^2) eta^(2n), and X
+    Poisson(mean_b), so P_K(K + 1) = (1 - eta^2) Pois(K + 1) + eta^2 P_K(K)
+    <= r P_K(K) with r = eta^2 + mean_b / (K + 1), falling in K.  The sum
+    runs until r < 1 and the geometric bound on what is left,
+    sum_{j >= 1} r^j P_K(K) (log2(K + 1) + j / ((K + 1) ln 2)), is below
+    2^-60 of the sum; that bound is then added, so the result bounds the
+    whole tail.  As log2(K + 1) >= 1 there, it also bounds the joint mass
+    of the outcomes outside the window [0, k_max]^2.
+    """
+    e2 = eta * eta
+    pois = np.exp(log_poisson_table(mean_b, k_max)).tolist()
+    p_k = 0.0
+    for pois_k in pois:
+        p_k = (1.0 - e2) * pois_k + e2 * p_k
+    k, pois_k, terms, total = k_max, pois[-1], [], 0.0
+    while True:
+        k += 1
+        pois_k *= mean_b / k
+        p_k = (1.0 - e2) * pois_k + e2 * p_k
+        log_rank = math.log2(k + 1)
+        terms.append(p_k * log_rank)
+        total += terms[-1]
+        r = e2 + mean_b / (k + 1)
+        if r < 1.0:
+            rest = p_k * r / (1.0 - r) * (log_rank + 1.0 / ((1.0 - r) * (k + 1) * LN2))
+            if rest <= 2.0**-60 * total:
+                return 2.0 * (math.fsum(terms) + rest)
+
+
 def _pair_window_grid(
     eta: float,
     mean_b: float,
@@ -438,16 +485,16 @@ def _pair_window_grid(
 ) -> tuple[np.ndarray, np.ndarray | None, float, int]:
     """Joint probability grid A[K, L] over an adaptively grown square window,
     plus (optionally) the companion accumulator B = sum_n t_n ln(t_n) needed
-    for per-outcome Schmidt entropies.  Returns (A, B, residual, k_max)."""
+    for per-outcome Schmidt entropies.  Returns (A, B, residual, k_max).
+
+    The residual 1 - sum A is float64 noise near 1e-14, so a round it leaves
+    above epsilon_tail while the directly summed outside mass is at most
+    epsilon_tail / 2 has stalled: a wider window cannot lower it."""
     mu = mean_b + (eta * eta / (1.0 - eta * eta))
     grids = 4 if with_entropy else 3  # A, B, this loop's scratch, the slices' scratch
     for k_max in _window_sizes(mu):
-        nbytes = grids * 8 * (k_max + 1) ** 2
-        if nbytes > _GRID_BUDGET_BYTES:
-            raise RuntimeError(
-                f"outcome window k_max={k_max} needs {nbytes} bytes, over the grid budget of "
-                f"{_GRID_BUDGET_BYTES} bytes, before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
-            )
+        context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
+        _require_budget(grids * (k_max + 1) ** 2, f"k_max={k_max}", context)
         a_grid = np.zeros((k_max + 1, k_max + 1))
         b_grid = np.zeros_like(a_grid) if with_entropy else None
         scratch = np.empty(a_grid.size)
@@ -462,6 +509,11 @@ def _pair_window_grid(
         residual = max(0.0, 1.0 - float(a_grid.sum()))
         if residual <= epsilon_tail:
             return a_grid, b_grid, residual, k_max
+        if _outside_entropy_bound(eta, mean_b, k_max) <= 0.5 * epsilon_tail:
+            raise RuntimeError(
+                f"outcome window stalled at residual {residual!r}: tail {epsilon_tail} "
+                f"is below float64 resolution (eta={eta}, mean={mean_b})"
+            )
     raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (eta={eta}, mean={mean_b})")
 
 
@@ -505,6 +557,9 @@ def _coherent_overlaps(quot: complex, m_max: int) -> np.ndarray:
     # M s changes no band once clipped to n <= M
     lo, hi = _poisson_band(np.minimum(times_m(s), 2.0 * (m_max + _BAND_LOG_CUT)))
     lo, hi = np.minimum(lo, m_all), np.minimum(hi, m_all)
+    width = int((hi - lo).max()) + 1
+    context = f"for a fidelity band of {width} photon numbers (|alpha/beta|^2={s})"
+    _require_budget((m_max + 1) * width, f"m_max={m_max}", context)
     lf = log_factorial_table(m_max)
     log_norm = 0.5 * (lf - times_m(s + math.log1p(s)))
 
@@ -515,7 +570,7 @@ def _coherent_overlaps(quot: complex, m_max: int) -> np.ndarray:
         terms = n * (log_s + 0.5 * np.log(np.maximum(m, 1))) - lf[n] - 0.5 * lf[m - n] + log_norm[m]
         return np.where(live, terms, LOG_ZERO)
 
-    return _band_sums(lo, int((hi - lo).max()) + 1, log_term)
+    return _band_sums(lo, width, log_term)
 
 
 def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> float:

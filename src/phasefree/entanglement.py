@@ -24,8 +24,10 @@ computed only on its live block, the square of outcomes K, L >= n where
 t_n can be nonzero in float64; outside it t_n is exactly 0.0.  A slice
 n > 0 also skips the outcomes where t_n < 2^-66 t_0: both accumulators
 already hold t_0 (resp. t_0 ln t_0) there, so such a term is below half an
-ulp of its running sum and would not change a bit.  Per-outcome equality
-with the encode/entropy composition is pinned by tests.
+ulp of its running sum and would not change a bit.  The per-outcome
+entropies exist only while E_avg is summed; a report keeps the
+probabilities alone.  That E_avg equals the P-weighted sum of the
+encode/entropy composition is pinned by tests.
 
 Outcomes outside the window are not enumerated; residual_bound caps what
 they could add to E_avg from the directly summed marginal tail.
@@ -44,49 +46,21 @@ from .encoding import (
     DEFAULT_EPSILON_TAIL,
     EncodedPairState,
     OutcomeTable,
+    _outside_entropy_bound,
     _pair_window_grid,
     _require_ancilla,
     _require_eta,
     _require_tail,
 )
-from .numerics import LN2, log_poisson_table, shannon_entropy_bits
-
-
-class ContributionTable(OutcomeTable):
-    """Read-only map (K, L) -> (probability, ebits) over the enumerated
-    outcome window, stored as dense grids to keep large sweeps cheap."""
-
-    __slots__ = ("entropies",)
-
-    def __init__(self, probabilities: np.ndarray, entropies: np.ndarray):
-        super().__init__(probabilities)
-        entropies.setflags(write=False)
-        self.entropies = entropies
-
-    def __getitem__(self, key):
-        index = self._index(key)
-        return self.probabilities.item(index), self.entropies.item(index)
-
-    def top(self, count: int = 10) -> list[tuple[tuple[int, int], float, float]]:
-        """The count most probable outcomes as ((K, L), probability, ebits),
-        most probable first; ties broken by outcome index."""
-        flat = self.probabilities.ravel()
-        order = np.lexsort((np.arange(flat.size), -flat))[:count]
-        size_l = self.probabilities.shape[1]
-        return [
-            (
-                (int(i // size_l), int(i % size_l)),
-                float(flat[i]),
-                float(self.entropies.ravel()[i]),
-            )
-            for i in order
-        ]
+from .numerics import LN2, shannon_entropy_bits
 
 
 @dataclass(frozen=True)
 class EntanglementReport:
     """Entanglement accounting for one (eta, |beta|) operating point.
 
+    The enumerated outcomes are [0, window)^2, and support holds their
+    probabilities P(K, L), the same table as pair_outcome_distribution's.
     residual_bound caps what the outcomes outside the window could add to
     E_avg: an outcome (K, L) has Schmidt rank min(K, L) + 1, so they add at
     most 2 sum_{K > k_max} P_K(K) log2(K + 1), with P_K the marginal of K.
@@ -99,9 +73,8 @@ class EntanglementReport:
     fraction_lost: float
     residual: float
     residual_bound: float
-    window_K: int
-    window_L: int
-    contributions: ContributionTable = field(repr=False)
+    window: int
+    support: OutcomeTable = field(repr=False)
 
 
 def tmss_entanglement(eta: float) -> float:
@@ -123,44 +96,13 @@ def entropy_of_entanglement(state: EncodedPairState) -> float:
     return shannon_entropy_bits(probs)
 
 
-def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
-    """2 sum_{K > k_max} P_K(K) log2(K + 1), summed directly.
-
-    K is n + X with n geometric, weights (1 - eta^2) eta^(2n), and X
-    Poisson(mean_b), so P_K(K + 1) = (1 - eta^2) Pois(K + 1) + eta^2 P_K(K)
-    <= r P_K(K) with r = eta^2 + mean_b / (K + 1), falling in K.  The sum
-    runs until r < 1 and the geometric bound on what is left,
-    sum_{j >= 1} r^j P_K(K) (log2(K + 1) + j / ((K + 1) ln 2)), is below
-    2^-60 of the sum; that bound is then added, so the result bounds the
-    whole tail.
-    """
-    e2 = eta * eta
-    pois = np.exp(log_poisson_table(mean_b, k_max)).tolist()
-    p_k = 0.0
-    for pois_k in pois:
-        p_k = (1.0 - e2) * pois_k + e2 * p_k
-    k, pois_k, terms, total = k_max, pois[-1], [], 0.0
-    while True:
-        k += 1
-        pois_k *= mean_b / k
-        p_k = (1.0 - e2) * pois_k + e2 * p_k
-        log_rank = math.log2(k + 1)
-        terms.append(p_k * log_rank)
-        total += terms[-1]
-        r = e2 + mean_b / (k + 1)
-        if r < 1.0:
-            rest = p_k * r / (1.0 - r) * (log_rank + 1.0 / ((1.0 - r) * (k + 1) * LN2))
-            if rest <= 2.0**-60 * total:
-                return 2.0 * (math.fsum(terms) + rest)
-
-
 def average_entanglement(
     eta: float,
     beta,
     epsilon_tail: float = DEFAULT_EPSILON_TAIL,
 ) -> EntanglementReport:
     """Outcome-averaged entanglement of the encoded pair at one operating
-    point, with per-outcome contributions and explicit tail accounting."""
+    point, with its outcome probabilities and explicit tail accounting."""
     eta = _require_eta(eta)
     beta = _require_ancilla(beta)
     epsilon_tail = _require_tail(epsilon_tail)
@@ -169,7 +111,6 @@ def average_entanglement(
     a_grid, b_grid, residual, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
     if eta == 0.0:
         # every outcome is a product state
-        entropies = np.zeros_like(a_grid)
         e_avg = 0.0
     else:
         positive = a_grid > 0.0
@@ -183,7 +124,6 @@ def average_entanglement(
 
     e_exact = tmss_entanglement(eta)
     fraction_lost = (e_exact - e_avg) / e_exact if e_exact > 0.0 else 0.0
-    window = k_max + 1
     return EntanglementReport(
         eta=eta,
         beta_abs=abs(beta),
@@ -192,9 +132,8 @@ def average_entanglement(
         fraction_lost=fraction_lost,
         residual=residual,
         residual_bound=_outside_entropy_bound(eta, mean_b, k_max),
-        window_K=window,
-        window_L=window,
-        contributions=ContributionTable(a_grid, entropies),
+        window=k_max + 1,
+        support=OutcomeTable(a_grid),
     )
 
 

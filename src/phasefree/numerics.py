@@ -112,4 +112,5 @@ def shannon_entropy_bits(probabilities: Sequence[float] | np.ndarray) -> float:
             f"shannon_entropy_bits requires probabilities summing to 1, got {total!r}"
         )
     nz = p[p > 0.0]
-    return float(-math.fsum((nz * (np.log(nz) / LN2)).tolist()))
+    # 0.0 - sum rather than -sum, so that a pure state gives 0.0, not -0.0
+    return 0.0 - math.fsum((nz * (np.log(nz) / LN2)).tolist())

@@ -11,7 +11,7 @@ import pytest
 
 import phasefree
 from phasefree import encoding
-from phasefree.cli import CSV_HEADER, MAX_GRID_POINTS, main, parse_grid
+from phasefree.cli import CSV_HEADER, MAX_GRID_POINTS, _most_probable, main, parse_grid
 from phasefree.entanglement import average_entanglement
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -69,12 +69,19 @@ class TestSweepCommand:
         assert row[2] == f"{report.E_exact:.12g}"
         assert row[3] == f"{report.E_avg:.12g}"
         assert row[4] == f"{report.fraction_lost:.12g}"
-        assert int(row[6]) == report.window_K
+        assert int(row[6]) == int(row[7]) == report.window
 
         # eta = 0 rows carry no entanglement
         zero_row = lines[1].split(",")
         assert zero_row[2] == "0"
         assert zero_row[4] == "0"
+
+    def test_default_sweep_matches_the_reference_csv(self, tmp_path):
+        """The default 60-point sweep writes the committed reference bytes."""
+        reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep_default.csv"
+        csv_path = tmp_path / "default.csv"
+        assert main(["sweep", "--csv", str(csv_path), "--threads", "1"]) == 0
+        assert csv_path.read_bytes() == reference.read_bytes()
 
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
         paths = [tmp_path / f"run{i}.csv" for i in range(3)]
@@ -160,6 +167,17 @@ class TestPointCommand:
             assert field in out
         assert out.count("(") >= 10  # ten contribution rows
         assert out.count("1.08170416595") == 1  # E_exact at eta = 0.5, printed once
+        # (1, 1) has Schmidt weights (0.8, 0.2)
+        assert "(   1,   1)  0.126876828034  0.721928094887\n" in out
+
+    def test_top_outcomes_are_sorted_by_probability(self):
+        probs = average_entanglement(0.3, 1.0).support.probabilities
+        top = _most_probable(probs, 5)
+        values = [probs[k, l] for k, l in top]
+        assert values == sorted(values, reverse=True)
+        assert values[0] == probs.max()
+        # equal probabilities keep outcome order, as (0, 1) and (1, 0) do
+        assert top.index((0, 1)) + 1 == top.index((1, 0))
 
     def test_zero_eta_point(self, capsys):
         code = main(["point", "--eta", "0", "--beta", "5"])

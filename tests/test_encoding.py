@@ -196,20 +196,30 @@ class TestCoherentOutcomeDistribution:
             grown = encoding._coherent_outcome_vector(mean_a, mean_b, 5000)
             assert small.tobytes() == grown[:301].tobytes()
 
-    def test_stalled_residual_fails_within_a_few_rounds(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "distribution,args,kernel",
+        [
+            (coherent_outcome_distribution, (0.7, 7.0, 1e-15), "_coherent_outcome_vector"),
+            (pair_outcome_distribution, (0.2, 8.0, 1e-14), "_pair_log_slices"),
+        ],
+        ids=["coherent", "pair"],
+    )
+    def test_stalled_residual_fails_within_a_few_rounds(self, monkeypatch, distribution, args, kernel):
         """At (0.7, 7.0) the float64 residual 1 - sum P(M) stops near 5e-15,
-        so a tail of 1e-15 is unreachable: the first grown window that leaves
-        the residual unchanged raises, instead of doubling up to w = 2^24."""
+        and at (0.2, 8.0) 1 - sum P(K, L) stops near 5e-14 from k_max = 193,
+        so tails of 1e-15 and 1e-14 are unreachable: the first round that
+        shows the stall raises, instead of doubling up to w = 2^24 or the
+        grid budget."""
         tops = []
-        vector = encoding._coherent_outcome_vector
+        original = getattr(encoding, kernel)
 
-        def counted(mean_a, mean_b, m_max):
-            tops.append(m_max)
-            return vector(mean_a, mean_b, m_max)
+        def counted(eta_or_mean_a, mean_b, top):
+            tops.append(top)
+            return original(eta_or_mean_a, mean_b, top)
 
-        monkeypatch.setattr(encoding, "_coherent_outcome_vector", counted)
+        monkeypatch.setattr(encoding, kernel, counted)
         with pytest.raises(RuntimeError, match="below float64 resolution"):
-            coherent_outcome_distribution(0.7, 7.0, epsilon_tail=1e-15)
+            distribution(*args)
         assert len(tops) <= 4
 
 
@@ -285,8 +295,8 @@ class TestOutcomeTable:
     def test_pair_table_is_dense_and_read_only(self):
         dist = pair_outcome_distribution(0.4, 1.5)
         report = average_entanglement(0.4, 1.5)
-        assert dist.support.probabilities.shape == (report.window_K, report.window_L)
-        assert len(dist.support) == report.window_K * report.window_L
+        assert dist.support.probabilities.shape == (report.window, report.window)
+        assert len(dist.support) == report.window * report.window
         with pytest.raises(ValueError):
             dist.support.probabilities[0, 0] = 1.0
 
@@ -441,6 +451,28 @@ class TestGridBudget:
         k_max = _pair_window_grid(0.5, 4.0, DEFAULT_EPSILON_TAIL, True)[3]
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 4 * 8 * (k_max + 1) ** 2)
         assert _pair_window_grid(0.5, 4.0, DEFAULT_EPSILON_TAIL, True)[3] == k_max
+
+    def test_coherent_band_passes_fail_before_running_past_the_budget(self, monkeypatch):
+        """The banded coherent passes cost rows x band cells of 8 bytes; a
+        pass over the budget raises before summing any band, and a budget of
+        exactly a pass's cells still runs it."""
+        lo, hi = encoding._poisson_band(np.float64(9.0))
+        cells = 194 * int(hi - lo + 1)
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 8 * cells)
+        assert encoding._coherent_outcome_vector(9.0, 100.0, 193).size == 194
+
+        summed = []
+        monkeypatch.setattr(encoding, "_band_sums", lambda *args: summed.append(args))
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 8 * cells - 1)
+        with pytest.raises(RuntimeError, match=rf"m_max=193 needs {8 * cells} bytes, over the grid budget"):
+            encoding._coherent_outcome_vector(9.0, 100.0, 193)
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 8 * 194 - 1)
+        with pytest.raises(RuntimeError, match=r"m_max=193 needs \d+ bytes, over the grid budget"):
+            encoding._coherent_overlaps(0.3, 193)
+        for call in (coherent_outcome_distribution, mean_coherent_approx_fidelity):
+            with pytest.raises(RuntimeError, match="grid budget"):
+                call(3.0, 10.0)
+        assert summed == []
 
 
 class TestApproxFidelities:

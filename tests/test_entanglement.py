@@ -85,16 +85,16 @@ class TestAverageEntanglement:
         assert report.fraction_lost == pytest.approx(
             (report.E_exact - report.E_avg) / report.E_exact, abs=1e-15
         )
-        probs = report.contributions.probabilities
+        probs = report.support.probabilities
         assert float(probs.sum()) + report.residual == pytest.approx(1.0, abs=1e-10)
         assert 0.0 <= report.residual <= 1e-10
         # 2 sum_{K > k_max} P_K(K) log2(K + 1), with P_K(K) summed term by
         # term from the geometric and Poisson laws it convolves
         e2, mean_b = 0.45**2, 2.5**2
-        lp = log_poisson_table(mean_b, report.window_K + 400)
+        lp = log_poisson_table(mean_b, report.window + 400)
         outside = [
             math.fsum((1.0 - e2) * e2**n * math.exp(lp[k - n]) for n in range(k + 1)) * math.log2(k + 1)
-            for k in range(report.window_K, lp.size)
+            for k in range(report.window, lp.size)
         ]
         assert report.residual_bound == pytest.approx(2.0 * math.fsum(outside), rel=1e-9, abs=0.0)
         # a window with no float-resolved residual still leaves a tail
@@ -108,7 +108,7 @@ class TestAverageEntanglement:
         summed residual resolves, so 1e-13 widens the window instead."""
         default = average_entanglement(eta, beta)
         wider = average_entanglement(eta, beta, epsilon_tail=finer_tail)
-        assert wider.window_K > default.window_K
+        assert wider.window > default.window
         assert 0.0 < wider.E_avg - default.E_avg <= default.residual_bound
 
     @pytest.mark.parametrize("eta,beta", [(0.3, 3.0), (0.5, 3.0), (0.9, 12.0)])
@@ -119,7 +119,7 @@ class TestAverageEntanglement:
         default window leaves no residual."""
         report = average_entanglement(eta, beta)
         assert report.residual == 0.0
-        probs = report.contributions.probabilities
+        probs = report.support.probabilities
         probs = probs[probs > 0.0]
         h_kl = -math.fsum((probs * np.log2(probs)).tolist())
         lo, hi = (int(end) for end in _poisson_band(np.float64(beta * beta)))
@@ -128,35 +128,33 @@ class TestAverageEntanglement:
         assert report.E_exact - report.E_avg == pytest.approx(h_kl - 2.0 * h_pois, abs=1e-12)
 
     def test_entropies_respect_schmidt_rank_bound(self):
-        report = average_entanglement(0.5, 1.5)
-        ents = report.contributions.entropies
-        size = report.window_K
-        k = np.arange(size)
-        bound = np.log2(np.minimum.outer(k, k) + 1.0)
-        assert np.all(ents <= bound + 1e-12)
-        assert np.all(ents >= 0.0)
+        """Each outcome's entropy is at most log2 of its Schmidt rank
+        min(K, L) + 1, over the whole window."""
+        eta, beta = 0.5, 1.5
+        report = average_entanglement(eta, beta)
+        for k, l in itertools.product(range(report.window), repeat=2):
+            ebits = entropy_of_entanglement(encode_pair(eta, beta, k, l))
+            assert 0.0 <= ebits <= math.log2(min(k, l) + 1.0) + 1e-12
 
     def test_contributions_match_per_outcome_recomputation(self):
-        """Grid cells agree with the encode/entropy composition and the
-        distribution support, outcome by outcome."""
-        eta, beta = 0.4, 2.0
-        report = average_entanglement(eta, beta)
-        dist = pair_outcome_distribution(eta, beta)
-        peak = int(round(abs(beta) ** 2))
-        for outcome in [(0, 0), (1, 3), (peak, peak), (peak + 2, peak - 1), (2, 11)]:
-            prob, ebits = report.contributions[outcome]
-            assert prob == pytest.approx(dist.support[outcome], abs=1e-14)
-            if prob > 1e-13:
-                direct = entropy_of_entanglement(encode_pair(eta, beta, *outcome))
-                assert ebits == pytest.approx(direct, abs=1e-12)
+        """E_avg is the P-weighted sum of the encode/entropy composition over
+        the window, and the report's support is the distribution's table."""
+        for eta, beta in [(0.4, 2.0), (0.5, 1.5), (0.3, 3.0)]:
+            report = average_entanglement(eta, beta)
+            probs = report.support.probabilities
+            assert np.array_equal(probs, pair_outcome_distribution(eta, beta).support.probabilities)
+            direct = math.fsum(
+                probs[k, l] * entropy_of_entanglement(encode_pair(eta, beta, k, l))
+                for k, l in zip(*np.nonzero(probs))
+            )
+            assert report.E_avg == pytest.approx(direct, abs=1e-12)
 
     def test_is_deterministic(self):
         a = average_entanglement(0.3, 3.0)
         b = average_entanglement(0.3, 3.0)
         assert a.E_avg == b.E_avg
         assert a.residual == b.residual
-        np.testing.assert_array_equal(a.contributions.probabilities, b.contributions.probabilities)
-        np.testing.assert_array_equal(a.contributions.entropies, b.contributions.entropies)
+        np.testing.assert_array_equal(a.support.probabilities, b.support.probabilities)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -167,10 +165,10 @@ class TestAverageEntanglement:
             average_entanglement(0.5, 2.0, epsilon_tail=0.0)
 
 
-class TestContributionTable:
+class TestReportSupport:
     @pytest.fixture()
     def table(self):
-        return average_entanglement(0.3, 1.0).contributions
+        return average_entanglement(0.3, 1.0).support
 
     def test_mapping_protocol(self, table):
         size = table.probabilities.shape[0]
@@ -179,17 +177,9 @@ class TestContributionTable:
         assert keys[0] == (0, 0)
         assert keys[1] == (0, 1)
         assert keys[-1] == (size - 1, size - 1)
-        prob, ebits = table[(0, 0)]
-        assert prob == float(table.probabilities[0, 0])
-        assert ebits == 0.0
+        assert table[(0, 0)] == float(table.probabilities[0, 0])
         with pytest.raises(KeyError):
             table[(size, 0)]
-
-    def test_top_is_sorted_by_probability(self, table):
-        top = table.top(5)
-        probs = [p for _, p, _ in top]
-        assert probs == sorted(probs, reverse=True)
-        assert probs[0] == float(table.probabilities.max())
 
 
 class TestEntanglementSweep:
