@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .encoding import DEFAULT_EPSILON_TAIL, encode_pair, pair_outcome_distribution
+from .encoding import DEFAULT_EPSILON_TAIL, OutcomeTable, encode_pair
 from .entanglement import average_entanglement, entanglement_sweep, entropy_of_entanglement
 from .oracle import (
     PAIR_GROUP_K,
@@ -29,6 +29,11 @@ _DEFAULT_BETAS = "1:12:1"
 
 # A range is expanded into a list, so its length is capped before expansion.
 MAX_GRID_POINTS = 10_000
+
+# point --oracle compares the outcomes K, L <= _ORACLE_OUTCOMES.  Each
+# component the projection keeps, (K - n, L - n, n, n), lies inside a dense
+# state of that photon cutoff, so a larger cutoff changes no compared value.
+_ORACLE_OUTCOMES = 6
 
 
 def parse_grid(text: str) -> list[float]:
@@ -118,19 +123,19 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _oracle_comparison(eta: float, beta: float, cutoff: int) -> tuple[int, float, float, float]:
+def _oracle_comparison(eta: float, beta: float, support: OutcomeTable) -> tuple[int, float, float, float]:
     """Max deviation between the dense projection path and the closed-form
-    path over small outcomes: (count, probability, Schmidt weight, ebits)."""
-    max_outcome = min(6, cutoff - 2)
-    dist = pair_outcome_distribution(eta, beta)
-    joint = build_joint_pair(eta, beta, 0.0, cutoff)
+    path, whose outcome probabilities are support, over the small outcomes
+    inside its window: (count, probability, Schmidt weight, ebits)."""
+    outcomes = range(min(_ORACLE_OUTCOMES + 1, len(support.probabilities)))
+    joint = build_joint_pair(eta, beta, 0.0, _ORACLE_OUTCOMES)
     compared = 0
     dev_p = dev_q = dev_e = 0.0
-    for k in range(max_outcome + 1):
+    for k in outcomes:
         p_k, after_k = project_total_number(joint, PAIR_GROUP_K, k)
         if after_k is None:
             continue
-        for l in range(max_outcome + 1):
+        for l in outcomes:
             p_l, after_l = project_total_number(after_k, PAIR_GROUP_L, l)
             if after_l is None:
                 continue
@@ -138,7 +143,7 @@ def _oracle_comparison(eta: float, beta: float, cutoff: int) -> tuple[int, float
             if dense_p < 1e-12:
                 continue
             compared += 1
-            dev_p = max(dev_p, abs(dense_p - dist.support[(k, l)]))
+            dev_p = max(dev_p, abs(dense_p - support[(k, l)]))
             dense_q = np.abs(pair_schmidt_amplitudes(after_l, k, l)) ** 2
             state = encode_pair(eta, beta, k, l)
             main_q = np.abs(state.schmidt_coeffs) ** 2
@@ -179,12 +184,12 @@ def run_point(args) -> int:
 
     if args.oracle:
         try:
-            compared, dev_p, dev_q, dev_e = _oracle_comparison(args.eta, args.beta, args.cutoff)
+            compared, dev_p, dev_q, dev_e = _oracle_comparison(args.eta, args.beta, report.support)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if compared == 0:
-            print("oracle-vs-main: no outcome below the cutoff has probability above 1e-12; raise --cutoff")
+            print(f"oracle-vs-main: no outcome K, L <= {_ORACLE_OUTCOMES} has probability above 1e-12")
         else:
             print(
                 f"oracle-vs-main max deviation over {compared} outcomes: "
@@ -220,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--beta", type=float, required=True)
     point.add_argument("--epsilon-tail", type=float, default=DEFAULT_EPSILON_TAIL, help=tail_help)
     point.add_argument("--oracle", action="store_true", help="append dense-projection cross-check deviations")
-    point.add_argument("--cutoff", type=int, default=10, help="per-mode photon cutoff for --oracle (default %(default)s)")
     point.set_defaults(func=run_point)
     return parser
 

@@ -29,15 +29,14 @@ tail mass is reported, never ignored.  The n-th summand of P(K, L) vanishes
 for K < n or L < n and underflows to exactly 0.0 far from the Poisson peak,
 so each slice n is computed only on one square live block of the window.
 A slice n > 0 also drops the leading rows and columns of that block where
-t_n < 2^-66 t_0 (with t_n the n-th summand): the sums run in n order and
-already hold t_0 there, so such a term is below half an ulp of its running
-sum and rounds away.  At weak squeezing and large |beta| that is most of
-the block.  The sums, and every bit of the result, are those of the full
-window.  A window round whose grids would exceed _GRID_BUDGET_BYTES fails
-before allocating.  The float64 residual 1 - sum P resolves no tail much
-below 1e-14, so a round whose residual is still over budget while the
+t_n < 2^-66 t_0 (with t_n the n-th summand), terms that round away (see
+_NEGLIGIBLE_LOG); at weak squeezing and large |beta| that is most of the
+block.  Every bit of the result is that of the full window.  A window
+round whose grids would exceed _GRID_BUDGET_BYTES fails before allocating.
+The float64 residual 1 - sum P resolves no tail much below 1e-14, so in
+both windows a round whose residual is still over budget while the
 directly summed mass outside the window is within half of it fails as
-stalled instead of doubling on.  P(M) is summed over the band of n where
+stalled instead of growing on.  P(M) is summed over the band of n where
 Pois(|alpha|^2, n) is not negligible, so each P(M) is fixed once computed
 and a grown window only appends; a band pass over more (window x band)
 cells than the same budget allows fails before it runs.
@@ -378,71 +377,18 @@ def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     mean_b = abs(_require_amplitude(beta, "beta")) ** 2
     mu = mean_a + mean_b
 
-    top, last = -1, None
     for m_max in _window_sizes(mu):
-        if m_max == top:
-            continue  # the same window as the previous round
         probs = _coherent_outcome_vector(mean_a, mean_b, m_max)
         residual = max(0.0, 1.0 - math.fsum(probs.tolist()))
         if residual <= epsilon_tail:
             return OutcomeDistribution(OutcomeTable(probs), residual)
-        # a grown window keeps probs[:top + 1] and only adds mass, so a
-        # residual it leaves unchanged can never fall any further
-        if residual == last:
+        # with eta = 0 the bound covers the Poisson(mu) mass beyond m_max
+        if _outside_entropy_bound(0.0, mu, m_max) <= 0.5 * epsilon_tail:
             raise RuntimeError(
                 f"outcome window stalled at residual {residual!r}: tail {epsilon_tail} "
                 f"is below float64 resolution (mean={mu})"
             )
-        top, last = m_max, residual
     raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (mean={mu})")
-
-
-def _pair_log_slices(eta: float, mean_b: float, k_max: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (n, lo, log_block) with log_block[i, j] the log of the n-th
-    summand of P(lo + i, lo + j); the iteration stops once every remaining
-    summand underflows.
-
-    The block [lo, lo + m)^2 is the slice's live square: every summand
-    outside it has a log below _EXP_ZERO_LOG, being exactly zero for K < n
-    or L < n and cut where even its row's largest cell lies below that.
-    For n > 0 the block also drops its leading rows (and columns) whose
-    summands are below _NEGLIGIBLE_LOG relative to t_0 in every live
-    column; see _NEGLIGIBLE_LOG for why that changes no bit of A or B.
-    log_block is a view of one scratch buffer that the next slice reuses.
-    """
-    lp = log_poisson_table(mean_b, k_max)
-    lw0 = math.log1p(-eta * eta)
-    row0 = 0.5 * lw0 + lp  # ln t_0(K, L) = row0[K] + row0[L]
-    scratch = np.empty((k_max + 1) ** 2)
-    for n in range(k_max + 1):
-        if n > 0 and eta == 0.0:
-            return
-        lw = lw0 + 2.0 * n * math.log(eta) if n > 0 else lw0
-        # splitting the weight over both factors keeps the grid exactly
-        # symmetric under K <-> L (float addition is commutative)
-        shifted = 0.5 * lw + lp[: k_max + 1 - n]  # index K - n
-        live = np.flatnonzero(shifted + shifted.max() >= _EXP_ZERO_LOG)
-        if not live.size:
-            # shifted.max() does not rise with n, so no later slice is live
-            return
-        start, stop = int(live[0]), int(live[-1]) + 1
-        if n > 0:
-            # ln t_n - ln t_0 = d[K] + d[L], with d[K] = n ln eta +
-            # ln(K! / ((K - n)! mean_b^n)) rising with K, so the negligible
-            # rows are a prefix of the block and d[top] is its largest value
-            lo, top = n + start, n + stop - 1
-            d_top = shifted[stop - 1] - row0[top]
-            if shifted[start] - row0[lo] + d_top < _NEGLIGIBLE_LOG:
-                d = shifted[start:stop] - row0[lo : top + 1]
-                cut = start + int(np.searchsorted(d, _NEGLIGIBLE_LOG - d_top))
-                # row0 is unimodal, so its least value on a range of rows
-                # lies at an end: t_0 >= e^_NORMAL_LOG on every dropped cell
-                if min(row0[lo], row0[n + cut - 1]) + min(row0[lo], row0[top]) >= _NORMAL_LOG:
-                    start = cut
-        row = shifted[start:stop]
-        m = stop - start
-        log_block = np.add(row[:, None], row[None, :], out=scratch[: m * m].reshape(m, m))
-        yield n, n + start, log_block
 
 
 def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
@@ -487,21 +433,56 @@ def _pair_window_grid(
     plus (optionally) the companion accumulator B = sum_n t_n ln(t_n) needed
     for per-outcome Schmidt entropies.  Returns (A, B, residual, k_max).
 
+    Each slice n is summed on its live square [lo, hi)^2 only: every summand
+    outside it has a log below _EXP_ZERO_LOG, being exactly zero for K < n
+    or L < n and cut where even its row's largest cell lies below that.
+    For n > 0 the square also drops its leading rows (and columns) whose
+    summands are below _NEGLIGIBLE_LOG relative to t_0 in every live
+    column, which changes no bit of A or B.
+
     The residual 1 - sum A is float64 noise near 1e-14, so a round it leaves
     above epsilon_tail while the directly summed outside mass is at most
     epsilon_tail / 2 has stalled: a wider window cannot lower it."""
     mu = mean_b + (eta * eta / (1.0 - eta * eta))
-    grids = 4 if with_entropy else 3  # A, B, this loop's scratch, the slices' scratch
+    lw0 = math.log1p(-eta * eta)
+    grids = 4 if with_entropy else 3  # A, B and the scratch of the logs and of the terms
     for k_max in _window_sizes(mu):
         context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
         _require_budget(grids * (k_max + 1) ** 2, f"k_max={k_max}", context)
         a_grid = np.zeros((k_max + 1, k_max + 1))
         b_grid = np.zeros_like(a_grid) if with_entropy else None
-        scratch = np.empty(a_grid.size)
-        for _, lo, log_block in _pair_log_slices(eta, mean_b, k_max):
-            hi = lo + len(log_block)
+        log_scratch = np.empty(a_grid.size)
+        term_scratch = np.empty(a_grid.size)
+        lp = log_poisson_table(mean_b, k_max)
+        row0 = 0.5 * lw0 + lp  # ln t_0(K, L) = row0[K] + row0[L]
+        for n in range(k_max + 1 if eta > 0.0 else 1):
+            lw = lw0 + 2.0 * n * math.log(eta) if n > 0 else lw0
+            # splitting the weight over both factors keeps the grid exactly
+            # symmetric under K <-> L (float addition is commutative)
+            shifted = 0.5 * lw + lp[: k_max + 1 - n]  # index K - n
+            live = np.flatnonzero(shifted + shifted.max() >= _EXP_ZERO_LOG)
+            if not live.size:
+                break  # shifted.max() does not rise with n, so no later slice is live
+            start, stop = int(live[0]), int(live[-1]) + 1
+            if n > 0:
+                # ln t_n - ln t_0 = d[K] + d[L], with d[K] = n ln eta +
+                # ln(K! / ((K - n)! mean_b^n)) rising with K, so the negligible
+                # rows are a prefix of the block and d[top] is its largest value
+                lo, top = n + start, n + stop - 1
+                d_top = shifted[stop - 1] - row0[top]
+                if shifted[start] - row0[lo] + d_top < _NEGLIGIBLE_LOG:
+                    d = shifted[start:stop] - row0[lo : top + 1]
+                    cut = start + int(np.searchsorted(d, _NEGLIGIBLE_LOG - d_top))
+                    # row0 is unimodal, so its least value on a range of rows
+                    # lies at an end: t_0 >= e^_NORMAL_LOG on every dropped cell
+                    if min(row0[lo], row0[n + cut - 1]) + min(row0[lo], row0[top]) >= _NORMAL_LOG:
+                        start = cut
+            row = shifted[start:stop]
+            m = stop - start
+            lo, hi = n + start, n + stop
+            log_block = np.add(row[:, None], row[None, :], out=log_scratch[: m * m].reshape(m, m))
             # log_block is finite, so a term that underflows adds -0.0 to B
-            term = np.exp(log_block, out=scratch[: log_block.size].reshape(log_block.shape))
+            term = np.exp(log_block, out=term_scratch[: m * m].reshape(m, m))
             a_grid[lo:hi, lo:hi] += term
             if with_entropy:
                 term *= log_block

@@ -22,9 +22,8 @@ are q_n = t_n / P, so
 and both accumulators are built slice by slice in n.  Each slice is
 computed only on its live block, the square of outcomes K, L >= n where
 t_n can be nonzero in float64; outside it t_n is exactly 0.0.  A slice
-n > 0 also skips the outcomes where t_n < 2^-66 t_0: both accumulators
-already hold t_0 (resp. t_0 ln t_0) there, so such a term is below half an
-ulp of its running sum and would not change a bit.  The per-outcome
+n > 0 also skips the outcomes where t_n < 2^-66 t_0, which changes no bit
+of either accumulator (see encoding._NEGLIGIBLE_LOG).  The per-outcome
 entropies exist only while E_avg is summed; a report keeps the
 probabilities alone.  That E_avg equals the P-weighted sum of the
 encode/entropy composition is pinned by tests.
@@ -113,10 +112,9 @@ def average_entanglement(
         # every outcome is a product state
         e_avg = 0.0
     else:
-        positive = a_grid > 0.0
-        safe = np.where(positive, a_grid, 1.0)
-        log2_a = np.where(positive, np.log2(safe), 0.0)
-        entropies = np.maximum(np.where(positive, log2_a - b_grid / (LN2 * safe), 0.0), 0.0)
+        # a cell with A = 0 has B = +-0, so its entropy comes out 0 as well
+        safe = np.where(a_grid > 0.0, a_grid, 1.0)
+        entropies = np.maximum(np.log2(safe) - b_grid / (LN2 * safe), 0.0)
         # min(K, L) == 0 admits a single Schmidt term; pin the float noise
         entropies[0, :] = 0.0
         entropies[:, 0] = 0.0

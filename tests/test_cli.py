@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import phasefree
-from phasefree import encoding
+from phasefree import encoding, entanglement
 from phasefree.cli import CSV_HEADER, MAX_GRID_POINTS, _most_probable, main, parse_grid
 from phasefree.entanglement import average_entanglement
 
@@ -185,11 +185,39 @@ class TestPointCommand:
         assert "E_exact        0" in capsys.readouterr().out
 
     def test_oracle_flag_reports_tiny_deviation(self, capsys):
-        code = main(["point", "--eta", "0.5", "--beta", "1", "--oracle", "--cutoff", "12"])
+        code = main(["point", "--eta", "0.5", "--beta", "1", "--oracle"])
         assert code == 0
         out = capsys.readouterr().out
         assert "oracle-vs-main max deviation" in out
         line = next(l for l in out.splitlines() if "oracle-vs-main" in l)
+        values = [float(m) for m in re.findall(r"\d\.\d+e[+-]\d+", line)]
+        assert len(values) == 3 and all(v < 1e-10 for v in values)
+
+    def test_oracle_checks_the_printed_report(self, capsys, monkeypatch):
+        """--oracle compares against the table the report already holds, so
+        the outcome grid is built once, at the tail the report used."""
+        calls = []
+        for module in (entanglement, encoding):
+            original = module._pair_window_grid
+
+            def counted(*args, original=original, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "_pair_window_grid", counted)
+        code = main(["point", "--eta", "0.5", "--beta", "1", "--epsilon-tail", "1e-12", "--oracle"])
+        assert code == 0
+        assert "oracle-vs-main max deviation over 49 outcomes" in capsys.readouterr().out
+        assert len(calls) == 1 and calls[0][2] == 1e-12
+
+    def test_oracle_compares_only_outcomes_inside_the_window(self, capsys):
+        # a loose tail leaves a window of 5 x 5 outcomes at (0.3, 0.3)
+        code = main(["point", "--eta", "0.3", "--beta", "0.3", "--epsilon-tail", "0.01", "--oracle"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "window         5 x 5" in out
+        line = next(l for l in out.splitlines() if "oracle-vs-main" in l)
+        assert "over 25 outcomes" in line
         values = [float(m) for m in re.findall(r"\d\.\d+e[+-]\d+", line)]
         assert len(values) == 3 and all(v < 1e-10 for v in values)
 

@@ -197,30 +197,30 @@ class TestCoherentOutcomeDistribution:
             assert small.tobytes() == grown[:301].tobytes()
 
     @pytest.mark.parametrize(
-        "distribution,args,kernel",
+        "distribution,args",
         [
-            (coherent_outcome_distribution, (0.7, 7.0, 1e-15), "_coherent_outcome_vector"),
-            (pair_outcome_distribution, (0.2, 8.0, 1e-14), "_pair_log_slices"),
+            (coherent_outcome_distribution, (0.7, 7.0, 1e-15)),
+            (pair_outcome_distribution, (0.2, 8.0, 1e-14)),
         ],
         ids=["coherent", "pair"],
     )
-    def test_stalled_residual_fails_within_a_few_rounds(self, monkeypatch, distribution, args, kernel):
+    def test_stalled_residual_fails_within_a_few_rounds(self, monkeypatch, distribution, args):
         """At (0.7, 7.0) the float64 residual 1 - sum P(M) stops near 5e-15,
         and at (0.2, 8.0) 1 - sum P(K, L) stops near 5e-14 from k_max = 193,
         so tails of 1e-15 and 1e-14 are unreachable: the first round that
         shows the stall raises, instead of doubling up to w = 2^24 or the
-        grid budget."""
-        tops = []
-        original = getattr(encoding, kernel)
+        grid budget.  Each round checks its budget once."""
+        windows = []
+        original = encoding._require_budget
 
-        def counted(eta_or_mean_a, mean_b, top):
-            tops.append(top)
-            return original(eta_or_mean_a, mean_b, top)
+        def counted(cells, window, context):
+            windows.append(window)
+            return original(cells, window, context)
 
-        monkeypatch.setattr(encoding, kernel, counted)
+        monkeypatch.setattr(encoding, "_require_budget", counted)
         with pytest.raises(RuntimeError, match="below float64 resolution"):
             distribution(*args)
-        assert len(tops) <= 4
+        assert len(windows) <= 4
 
 
 class TestPairOutcomeDistribution:
@@ -425,11 +425,25 @@ class TestOutcomeGridKernel:
     def test_negligible_summands_are_most_cells_at_weak_squeezing(self, monkeypatch):
         """At (0.1, 12) the slices n > 0 are below 2^-66 of t_0 on most of
         their live blocks, so the cut at least halves the cells summed."""
-        mean_b = 144.0
-        k_max = _pair_window_grid(0.1, mean_b, DEFAULT_EPSILON_TAIL, False)[3]
+
+        class CountingNumpy:
+            """numpy as encoding sees it, counting the cells given to exp."""
+
+            def __init__(self):
+                self.cells = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *args, **kwargs):
+                self.cells += np.size(x)
+                return np.exp(x, *args, **kwargs)
 
         def cells():
-            return sum(block.size for _, _, block in encoding._pair_log_slices(0.1, mean_b, k_max))
+            counting = CountingNumpy()
+            monkeypatch.setattr(encoding, "np", counting)
+            _pair_window_grid(0.1, 144.0, DEFAULT_EPSILON_TAIL, False)
+            return counting.cells
 
         cut = cells()
         monkeypatch.setattr(encoding, "_NEGLIGIBLE_LOG", -math.inf)

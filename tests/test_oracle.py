@@ -83,6 +83,29 @@ class TestBuildJointPair:
         geometric /= geometric.sum()
         np.testing.assert_allclose(weights, geometric, atol=1e-12)
 
+    @pytest.mark.parametrize("eta,beta", [(0.5, 1.0), (0.9, 1.5)])
+    def test_small_outcomes_do_not_depend_on_the_cutoff(self, eta, beta):
+        """Every component (K - n, L - n, n, n) that the projection onto
+        outcomes K, L <= 6 keeps lies inside a cutoff of 6, so a cutoff of
+        12 gives the same probabilities, Schmidt weights and ebits."""
+
+        def dense(cutoff):
+            joint = build_joint_pair(eta, beta, 0.0, cutoff)
+            out = {}
+            for k in range(7):
+                p_k, after_k = project_total_number(joint, PAIR_GROUP_K, k)
+                for l in range(7):
+                    p_l, after_l = project_total_number(after_k, PAIR_GROUP_L, l)
+                    weights = np.abs(pair_schmidt_amplitudes(after_l, k, l)) ** 2
+                    out[k, l] = (p_k * p_l, weights, schmidt_entropy_dense(after_l, (0, 2)))
+            return out
+
+        small, large = dense(6), dense(12)
+        for key, (p, weights, ebits) in small.items():
+            assert p == pytest.approx(large[key][0], rel=0, abs=1e-15)
+            np.testing.assert_allclose(weights, large[key][1], rtol=0, atol=1e-15)
+            assert ebits == pytest.approx(large[key][2], rel=0, abs=1e-15)
+
     def test_phase_shift_is_total_occupation_phase(self):
         # the squeezed pair carries e^(2 i n phi) on its diagonal support
         # (n2 = n3 = n), which is e^(i phi (n2 + n3)) there, so every
