@@ -50,7 +50,15 @@ the pair, the overlap summand sqrt(t_n) eta'^n, with t_n the n-th summand
 of P(K, L), equals sqrt(1 - eta^2) G[K, n] G[L, n] for
 G[X, n] = (eta sqrt(X/|beta|^2))^n sqrt(Pois(|beta|^2, X-n)), so every
 overlap comes from one contraction G G^T, taken on row-scaled G with
-numpy's own einsum loop rather than a threaded BLAS.
+numpy's own einsum loop rather than a threaded BLAS.  The fidelity of
+outcome (K, L) is (1 - eta'^2) overlap^2 / P(K, L), so the P-weighted mean
+is the sum of (1 - eta'^2) overlap^2 over the outcomes with eta' < 1 and
+needs no probability table.  Its window is the first top whose outside
+mass, summed directly rather than taken as 1 - sum P, is at most
+epsilon_tail, and the result underestimates by at most that mass.  That
+sum has no float64 floor, so a tail below float64 resolution does not
+stall this window; it grows until the tail is met or its arrays would
+exceed _GRID_BUDGET_BYTES.
 """
 
 from __future__ import annotations
@@ -103,9 +111,16 @@ _BAND_CHUNK_CELLS = 1 << 18
 _MAX_WINDOW_GROWTH = float(2**24)
 
 # Most bytes one round of the outcome grid may allocate for A, B and the two
-# slice buffers, and most cells (at 8 bytes each) a banded coherent pass may
-# compute; a window that needs more fails before allocating or computing.
+# slice buffers, or the pair fidelity for its _PAIR_FIDELITY_GRIDS arrays,
+# and most cells (at 8 bytes each) a banded coherent pass may compute; a
+# window that needs more fails before allocating or computing.
 _GRID_BUDGET_BYTES = 1 << 30
+
+# (window x window) float64 arrays the pair fidelity holds at once: the
+# factor G and the overlaps G G^T, then the overlaps and eta'.
+_PAIR_FIDELITY_GRIDS = 2
+
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -423,6 +438,38 @@ def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
                 return 2.0 * (math.fsum(terms) + rest)
 
 
+def _outside_mass(eta: float, mean_b: float, k_max: int) -> float:
+    """Joint mass of the pair outcomes outside the window [0, k_max]^2,
+    summed directly rather than taken as 1 - sum P, so it has no float64
+    floor; k_max >= mean_b, as every window top is.
+
+    (K, L) = (n + X, n + Y) with n geometric, weights w_n = (1 - eta^2)
+    eta^(2n), and X, Y iid Poisson(mean_b), so an outcome lies outside
+    unless X, Y <= k_max - n:
+
+        sum_{n <= k_max} w_n U(k_max - n) (2 - U(k_max - n)) + eta^(2 (k_max + 1))
+
+    with U(j) = P(X > j), formed as suffix sums of the Poisson table from
+    its small end, starting from the tail past k_max.  That tail is summed
+    term by term until the geometric bound on the rest, with ratio
+    r = mean_b / (j + 1) < 1, is below 2^-60 of it; the bound is added.
+    """
+    e2 = eta * eta
+    pois = np.exp(log_poisson_table(mean_b, k_max))
+    j, term, tail = k_max, float(pois[-1]), 0.0
+    while True:
+        j += 1
+        term *= mean_b / j
+        tail += term
+        r = mean_b / (j + 1)
+        if r < 1.0 and term * r <= 2.0**-60 * tail * (1.0 - r):
+            tail += term * r / (1.0 - r)
+            break
+    upper = np.cumsum(np.concatenate([[tail], pois[:0:-1]]))  # U(k_max - n)
+    weights = (1.0 - e2) * e2 ** np.arange(k_max + 1)
+    return math.fsum((weights * upper * (2.0 - upper)).tolist()) + e2 ** (k_max + 1)
+
+
 def _pair_window_grid(
     eta: float,
     mean_b: float,
@@ -574,22 +621,26 @@ def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     return min(float((probs * fid).sum()), 1.0)
 
 
-def _pair_log_factor(eta: float, mean_b: float, k_max: int) -> np.ndarray:
-    """ln G[X, n] = n ln(eta sqrt(X/|beta|^2)) + ln Pois(|beta|^2, X - n) / 2
-    for X = 0..k_max and n = 0..X (LOG_ZERO for n > X), the factor of
-    overlap[K, L] = sqrt(1 - eta^2) sum_n G[K, n] G[L, n].  With eta = 0 or
-    |beta|^2 = 0 (underflowed) only n = 0 survives."""
-    lp = log_poisson_table(mean_b, k_max)
-    n_top = k_max if eta > 0.0 and mean_b > 0.0 else 0
-    x = np.arange(k_max + 1)[:, None]
-    n = np.arange(n_top + 1)
-    live = n <= x
-    log_g = 0.5 * lp[np.where(live, x - n, 0)]
+def _pair_factor(eta: float, mean_b: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """G[X, n] = (eta sqrt(X/|beta|^2))^n sqrt(Pois(|beta|^2, X - n)) for
+    X = 0..k_max and n = 0..X (0 for n > X), the factor of
+    overlap[K, L] = sqrt(1 - eta^2) sum_n G[K, n] G[L, n], with each row
+    divided by its largest entry; returns (scaled G, ln of those entries).
+    With eta = 0 only n = 0 survives.  |beta|^2 must be positive.  Built in
+    one array, in place."""
+    half = 0.5 * log_poisson_table(mean_b, k_max)
+    n_top = k_max if eta > 0.0 else 0
+    g = np.zeros((k_max + 1, n_top + 1))
     if n_top:
         # row X = 0 holds only n = 0, so its ratio is never used
-        log_g += n * (math.log(eta) + 0.5 * (np.log(np.maximum(x, 1)) - math.log(mean_b)))
-    log_g[~live] = LOG_ZERO
-    return log_g
+        ratio = math.log(eta) + 0.5 * (np.log(np.maximum(np.arange(k_max + 1), 1)) - math.log(mean_b))
+        np.multiply.outer(ratio, np.arange(n_top + 1), out=g)
+    # g[X, n] += half[X - n], LOG_ZERO for n > X, read through a strided view
+    padded = np.concatenate([np.full(n_top, LOG_ZERO), half])
+    g += np.lib.stride_tricks.sliding_window_view(padded, n_top + 1)[:, ::-1]
+    shift = g.max(axis=1)  # finite: half[X] is, as |beta|^2 > 0
+    g -= shift[:, None]
+    return np.exp(g, out=g), shift
 
 
 def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> float:
@@ -601,35 +652,54 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
     overlap then involves coefficient magnitudes only and the result cannot
     depend on the phase of beta.  Outcomes where eta' >= 1 (far tail at
     small |beta|) admit no squeezed approximant and count as fidelity zero.
+
+    The fidelity of outcome (K, L) is (1 - eta'^2) overlap^2 / P(K, L), so
+    the weighted sum is that of (1 - eta'^2) overlap^2 and needs no
+    probability table.  It runs over the first window whose directly summed
+    outside mass (_outside_mass) is at most epsilon_tail; the outcomes
+    outside contribute zero, so the result underestimates by at most that
+    mass.
     """
     eta = _require_eta(eta)
     beta = _require_ancilla(beta)
     epsilon_tail = _require_tail(epsilon_tail)
     mean_b = abs(beta) ** 2
+    if mean_b == 0.0:
+        # |beta|^2 underflowed: every outcome is (n, n), and only (0, 0), of
+        # probability 1 - eta^2, admits an approximant (eta' = 0, exact)
+        return 1.0 - eta * eta
 
-    a_grid, _, _, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=False)
-    k = np.arange(k_max + 1, dtype=float)
-    numer = eta * np.sqrt(np.outer(k, k))
-    # eta' = 0 wherever eta K L = 0, its limit value, also when |beta|^2
-    # underflows to 0.0; eta' is then infinite for K L > 0, an invalid cell
+    context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
+    for k_max in _window_sizes(mean_b + eta * eta / (1.0 - eta * eta)):
+        _require_budget(_PAIR_FIDELITY_GRIDS * (k_max + 1) ** 2, f"k_max={k_max}", context)
+        if _outside_mass(eta, mean_b, k_max) <= epsilon_tail:
+            break
+    else:
+        raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (eta={eta}, mean={mean_b})")
+
+    # overlap[K, L] = sum_n sqrt(t_n) eta'^n with t_n the summands of
+    # P(K, L), in the factorised form sqrt(1 - eta^2) sum_n G[K, n] G[L, n]
+    g, shift = _pair_factor(eta, mean_b, k_max)
+    terms = np.einsum("kn,ln->kl", g, g)
+    del g
+    # ln((1 - eta^2) overlap^2), -inf where the overlap is 0
     with np.errstate(divide="ignore"):
-        eta_prime = np.divide(numer, mean_b, out=np.zeros_like(numer), where=numer > 0.0)
+        np.log(terms, out=terms)
+    terms += shift[:, None]
+    terms += shift[None, :]
+    terms *= 2.0
+    terms += math.log1p(-eta * eta)
 
-    # overlap[K, L] = sum_n sqrt(t_n) eta'^n with t_n the summands of A, in
-    # the factorised form sqrt(1 - eta^2) sum_n G[K, n] G[L, n]; each row of
-    # G is scaled by its largest entry, restored in log space below
-    log_g = _pair_log_factor(eta, mean_b, k_max)
-    shift = log_g.max(axis=1)
-    shift[shift == LOG_ZERO] = 0.0  # an all-zero row
-    g = np.exp(log_g - shift[:, None])
-    scaled = np.einsum("kn,ln->kl", g, g)
-
-    # fid = (1 - eta'^2) overlap^2 / A on the outcomes that admit an
-    # approximant (eta' < 1); 1 - eta'^2 is formed only there
-    kk, ll = np.nonzero((eta_prime < 1.0) & (a_grid > 0.0) & (scaled > 0.0))
-    ep = eta_prime[kk, ll]
-    a = a_grid[kk, ll]
-    log_overlap = 0.5 * math.log1p(-eta * eta) + np.log(scaled[kk, ll]) + shift[kk] + shift[ll]
-    fid = np.exp(np.log1p(-ep * ep) + 2.0 * log_overlap - np.log(a))
-    # by Cauchy-Schwarz only float noise can push a fidelity above 1
-    return min(float((a * np.minimum(fid, 1.0)).sum()), 1.0)
+    # eta' = sqrt(K) sqrt(L) eta/|beta|^2, clipped to 1 where there is no
+    # approximant, so that ln(1 - eta'^2) is -inf there; eta/|beta|^2 is
+    # capped at the largest float so that eta' = 0 wherever K L = 0
+    factor = np.sqrt(np.arange(k_max + 1.0))
+    eta_prime = np.multiply.outer(factor, factor)
+    with np.errstate(over="ignore", divide="ignore"):
+        eta_prime *= min(eta / mean_b, _FLOAT_MAX)
+        np.minimum(eta_prime, 1.0, out=eta_prime)
+        np.square(eta_prime, out=eta_prime)
+        np.negative(eta_prime, out=eta_prime)
+        terms += np.log1p(eta_prime, out=eta_prime)
+    # by Cauchy-Schwarz only float noise can push the sum above 1
+    return min(float(np.exp(terms, out=terms).sum()), 1.0)

@@ -108,8 +108,9 @@ def average_entanglement(
     mean_b = abs(beta) ** 2
 
     a_grid, b_grid, residual, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
-    if eta == 0.0:
-        # every outcome is a product state
+    if eta == 0.0 or mean_b == 0.0:
+        # every outcome is a product state, or (with |beta|^2 underflowed)
+        # an (n, n) outcome with a single Schmidt term
         e_avg = 0.0
     else:
         # a cell with A = 0 has B = +-0, so its entropy comes out 0 as well

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -380,6 +381,52 @@ class TestWindowSizes:
             coherent_outcome_distribution(0.5, 2.0, epsilon_tail=1e-300)
 
 
+def _mp_pair_probability(eta, mean_b, k, l):
+    """P(K, L) = sum_n (1 - eta^2) eta^(2n) Pois(K - n) Pois(L - n) at the
+    working precision."""
+    e2, mean_b = mp.mpf(eta) ** 2, mp.mpf(mean_b)
+
+    def pois(j):
+        return mp.exp(-mean_b) * mean_b**j / mp.factorial(j)
+
+    return mp.fsum((1 - e2) * e2**n * pois(k - n) * pois(l - n) for n in range(min(k, l) + 1))
+
+
+class TestOutsideMass:
+    def test_matches_an_mpmath_sum(self):
+        """The mass outside [0, 20]^2 at (0.5, |beta|^2 = 4), about 7e-8,
+        against 1 - sum P(K, L) over the window at 30 digits."""
+        eta, mean_b, k_max = 0.5, 4.0, 20
+        with mp.workdps(30):
+            inside = mp.fsum(_mp_pair_probability(eta, mean_b, k, l) for k in range(k_max + 1) for l in range(k_max + 1))
+            expected = float(1 - inside)
+        assert encoding._outside_mass(eta, mean_b, k_max) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("eta,mean_b,k_max", [(0.5, 4.0, 21), (0.9, 1.0, 24), (0.2, 64.0, 129), (0.0, 9.0, 33)])
+    def test_lies_between_the_marginal_tail_and_the_entropy_bound(self, eta, mean_b, k_max):
+        """An outcome outside the window has K > k_max or L > k_max, so the
+        joint mass is at least the marginal tail sum_{K > k_max} P_K(K) (1 -
+        sum over K <= k_max at 30 digits) and at most twice it, which
+        _outside_entropy_bound bounds in turn."""
+        with mp.workdps(30):
+            e2 = mp.mpf(eta) ** 2
+            pois = [mp.exp(-mean_b) * mp.mpf(mean_b) ** j / mp.factorial(j) for j in range(k_max + 1)]
+            inside = mp.fsum((1 - e2) * e2**n * pois[k - n] for k in range(k_max + 1) for n in range(k + 1))
+            marginal = float(1 - inside)
+        mass = encoding._outside_mass(eta, mean_b, k_max)
+        assert marginal <= mass * (1.0 + 1e-12)
+        assert mass <= encoding._outside_entropy_bound(eta, mean_b, k_max)
+
+    @pytest.mark.parametrize("eta,beta", [(0.5, 0.7), (0.8, 0.5), (0.3, 0.5), (0.9, 1.0), (0.5, 2.0), (0.6, 1.2)])
+    def test_agrees_with_the_grid_residual(self, eta, beta):
+        """On a first window round whose outside mass (1e-8 to 1e-2) is far
+        above the float64 noise of 1 - sum P, both give the same mass."""
+        _, _, residual, k_max = _pair_window_grid(eta, beta * beta, 0.5, False)
+        mass = encoding._outside_mass(eta, beta * beta, k_max)
+        assert mass > 1e-8
+        assert mass == pytest.approx(residual, rel=0.0, abs=1e-13)
+
+
 class TestOutcomeGridKernel:
     @pytest.mark.parametrize(
         "eta,beta",
@@ -546,6 +593,67 @@ class TestApproxFidelities:
     def test_pair_fidelity_matches_per_outcome_recomputation(self, eta, beta):
         expected = _pair_fidelity_reference(eta, beta)
         assert mean_pair_approx_fidelity(eta, beta) == pytest.approx(expected, abs=1e-12)
+
+    def test_pair_fidelity_needs_no_probability_table(self, monkeypatch):
+        expected = mean_pair_approx_fidelity(0.5, 3.0)
+
+        def refuse(*args):
+            raise AssertionError("the pair fidelity built an outcome grid")
+
+        monkeypatch.setattr(encoding, "_pair_window_grid", refuse)
+        assert mean_pair_approx_fidelity(0.5, 3.0) == expected
+
+    def test_pair_fidelity_reaches_a_tail_below_float64_resolution(self):
+        """The outcome table stalls at a tail of 1e-17; the fidelity's window
+        is sized by the directly summed outside mass and gets there."""
+        with pytest.raises(RuntimeError, match="stalled"):
+            pair_outcome_distribution(0.5, 2.0, epsilon_tail=1e-17)
+        value = mean_pair_approx_fidelity(0.5, 2.0, epsilon_tail=1e-17)
+        assert value == pytest.approx(mean_pair_approx_fidelity(0.5, 2.0), abs=1e-10)
+
+    def test_pair_fidelity_fails_past_the_growth_limit(self, monkeypatch):
+        monkeypatch.setattr(encoding, "_MAX_WINDOW_GROWTH", 16.0)
+        with pytest.raises(RuntimeError, match=r"failed to reach tail 1e-300 \(eta=0\.5, mean=4\.0\)"):
+            mean_pair_approx_fidelity(0.5, 2.0, epsilon_tail=1e-300)
+
+    @staticmethod
+    def _pair_fidelity_window(eta, mean_b):
+        mu = mean_b + eta * eta / (1.0 - eta * eta)
+        return next(k for k in _window_sizes(mu) if encoding._outside_mass(eta, mean_b, k) <= DEFAULT_EPSILON_TAIL)
+
+    @pytest.mark.parametrize("eta", [0.5, 0.0])
+    def test_pair_fidelity_memory_is_what_it_budgets(self, eta):
+        """At |beta| = 14 (window about 310) the peak is the budgeted
+        _PAIR_FIDELITY_GRIDS window arrays, plus numpy's broadcasting
+        buffers (np.getbufsize() cells per operand) and O(window) vectors."""
+        mean_pair_approx_fidelity(eta, 14.0)  # grow the log-factorial cache
+        size = self._pair_fidelity_window(eta, 196.0) + 1
+        tracemalloc.start()
+        try:
+            mean_pair_approx_fidelity(eta, 14.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budgeted = encoding._PAIR_FIDELITY_GRIDS * 8 * size * size
+        assert budgeted <= peak <= budgeted + 4 * 8 * np.getbufsize() + 64 * 8 * size
+
+    def test_pair_fidelity_fails_before_allocating_past_the_budget(self, monkeypatch):
+        """A budget of exactly the window's arrays still computes the
+        fidelity; one byte less raises before any window array exists."""
+        size = self._pair_fidelity_window(0.5, 196.0) + 1
+        budgeted = encoding._PAIR_FIDELITY_GRIDS * 8 * size * size
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted)
+        expected = mean_pair_approx_fidelity(0.5, 14.0)
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match=rf"k_max={size - 1} needs {budgeted} bytes, over the grid budget"):
+                mean_pair_approx_fidelity(0.5, 14.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * size * size
+        assert 0.999 < expected <= 1.0
 
     def test_coherent_fidelity_memory_stays_banded(self):
         """At |beta| = 100 the window holds about 10 800 outcomes; a dense

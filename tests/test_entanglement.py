@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -79,6 +80,13 @@ class TestAverageEntanglement:
         report = average_entanglement(0.5, 1e-3)
         assert report.E_avg < 1e-8
 
+    def test_underflowing_ancilla_leaves_no_entanglement(self):
+        """|beta|^2 = 1e-400 underflows to 0.0: every outcome is (n, n) with
+        a single Schmidt term, so E_avg is exactly 0."""
+        report = average_entanglement(0.5, 1e-200)
+        assert report.E_avg == 0.0
+        assert report.fraction_lost == 1.0
+
     def test_report_invariants(self):
         report = average_entanglement(0.45, 2.5, epsilon_tail=1e-10)
         assert 0.0 <= report.E_avg <= report.E_exact + 1e-9
@@ -110,6 +118,15 @@ class TestAverageEntanglement:
         wider = average_entanglement(eta, beta, epsilon_tail=finer_tail)
         assert wider.window > default.window
         assert 0.0 < wider.E_avg - default.E_avg <= default.residual_bound
+
+    @pytest.mark.parametrize("eta,beta", [(0.3, 1.0), (0.5, 1.5)])
+    def test_residual_bound_is_a_bound(self, eta, beta):
+        """E_avg summed at 30 digits over a window twice the report's, where
+        the outcomes left out hold far less than 1e-13, lies between the
+        report's E_avg and E_avg + residual_bound."""
+        report = average_entanglement(eta, beta)
+        truth = _mp_average_entanglement(eta, beta * beta, 2 * report.window)
+        assert report.E_avg - 1e-13 <= truth <= report.E_avg + report.residual_bound + 1e-13
 
     @pytest.mark.parametrize("eta,beta", [(0.3, 3.0), (0.5, 3.0), (0.9, 12.0)])
     def test_loss_is_a_mutual_information(self, eta, beta):
@@ -163,6 +180,25 @@ class TestAverageEntanglement:
             average_entanglement(0.5, 0.0)
         with pytest.raises(ValueError):
             average_entanglement(0.5, 2.0, epsilon_tail=0.0)
+
+
+def _mp_average_entanglement(eta, mean_b, window):
+    """sum_{K, L < window} (P log2 P - sum_n t_n log2 t_n) at 30 digits, with
+    t_n(K, L) = (1 - eta^2) eta^(2n) Pois(K - n) Pois(L - n) and P = sum_n
+    t_n, summed over L <= K and doubled off the diagonal."""
+    with mp.workdps(30):
+        eta, mean_b = mp.mpf(eta), mp.mpf(mean_b)
+        log_w = [mp.log1p(-eta * eta) + 2 * n * mp.log(eta) for n in range(window)]
+        log_p = [-mean_b + j * mp.log(mean_b) - mp.loggamma(j + 1) for j in range(window)]
+        total = []
+        for k in range(window):
+            for l in range(k + 1):
+                logs = [log_w[n] + log_p[k - n] + log_p[l - n] for n in range(l + 1)]
+                terms = [mp.exp(x) for x in logs]
+                prob = mp.fsum(terms)
+                weighted = prob * mp.log(prob) - mp.fsum(t * x for t, x in zip(terms, logs))
+                total.append(weighted if k == l else 2 * weighted)
+        return float(mp.fsum(total) / mp.log(2))
 
 
 class TestReportSupport:
