@@ -24,22 +24,27 @@ Outcome statistics follow from the same amplitudes:
     P(M)    = sum_n Pois(|alpha|^2, n) Pois(|beta|^2, M-n)
     P(K, L) = sum_n (1-eta^2) eta^(2n) Pois(|beta|^2, K-n) Pois(|beta|^2, L-n)
 
-enumerated over an adaptive window [0, mu + w sqrt(mu)] whose unenumerated
-tail mass is reported, never ignored.  The n-th summand of P(K, L) vanishes
-for K < n or L < n and underflows to exactly 0.0 far from the Poisson peak,
-so each slice n is computed only on one square live block of the window.
-A slice n > 0 also drops the leading rows and columns of that block where
-t_n < 2^-66 t_0 (with t_n the n-th summand), terms that round away (see
-_NEGLIGIBLE_LOG); at weak squeezing and large |beta| that is most of the
-block.  Every bit of the result is that of the full window.  A window
-round whose grids would exceed _GRID_BUDGET_BYTES fails before allocating.
-The float64 residual 1 - sum P resolves no tail much below 1e-14, so in
-both windows a round whose residual is still over budget while the
-directly summed mass outside the window is within half of it fails as
-stalled instead of growing on.  P(M) is summed over the band of n where
-Pois(|alpha|^2, n) is not negligible, so each P(M) is fixed once computed
-and a grown window only appends; a band pass over more (window x band)
-cells than the same budget allows fails before it runs.
+enumerated over a window [0, k_max] whose unenumerated tail mass is
+reported, never ignored.  One rule sizes every window.  The tops
+k_max = ceil(mu + w sqrt(mu)), w = 8, 16, 32, ..., are tried in turn, and
+a table is built only on a top whose mass outside the window, summed
+directly from the Poisson (and geometric) laws rather than taken as
+1 - sum P, is at most epsilon_tail; a top whose arrays would exceed
+_GRID_BUDGET_BYTES fails before allocating.  The float64 residual 1 - sum P
+of the built table resolves no tail much below 1e-14, so a table whose
+residual is still over the tail while that mass is within half of it fails
+as stalled; in between, the two differ by rounding and the next top is
+tried.
+
+The n-th summand of P(K, L) vanishes for K < n or L < n and underflows to
+exactly 0.0 far from the Poisson peak, so each slice n is computed only on
+one square live block of the window.  A slice n > 0 also drops the leading
+rows and columns of that block where t_n < 2^-66 t_0 (with t_n the n-th
+summand), terms that round away (see _NEGLIGIBLE_LOG); at weak squeezing
+and large |beta| that is most of the block.  Every bit of the result is that of the full window.  P(M) is
+summed over the band of n where Pois(|alpha|^2, n) is not negligible, so
+each P(M) does not depend on the window; a band pass over more
+(window x band) cells than the same budget allows fails before it runs.
 
 The approximant fidelities are array passes, not loops over outcomes.  For
 the coherent encoding the phases cancel, so the overlap with |alpha'> for
@@ -53,12 +58,11 @@ overlap comes from one contraction G G^T, taken on row-scaled G with
 numpy's own einsum loop rather than a threaded BLAS.  The fidelity of
 outcome (K, L) is (1 - eta'^2) overlap^2 / P(K, L), so the P-weighted mean
 is the sum of (1 - eta'^2) overlap^2 over the outcomes with eta' < 1 and
-needs no probability table.  Its window is the first top whose outside
-mass, summed directly rather than taken as 1 - sum P, is at most
-epsilon_tail, and the result underestimates by at most that mass.  That
-sum has no float64 floor, so a tail below float64 resolution does not
-stall this window; it grows until the tail is met or its arrays would
-exceed _GRID_BUDGET_BYTES.
+needs no probability table.  Its window is the first top the window rule
+admits, and the result underestimates by at most the mass outside it.  As
+no residual is formed, a tail below float64 resolution does not stall
+this window; it grows until the tail is met or its arrays would exceed
+_GRID_BUDGET_BYTES.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ from .numerics import (
     LOG_ZERO,
     log_factorial_table,
     log_poisson_table,
+    log_poisson_weight,
     log_sum_exp,
 )
 
@@ -330,8 +335,9 @@ def _require_budget(cells: int, window: str, context: str) -> None:
 
 def _window_sizes(mu: float) -> Iterator[int]:
     """Outcome-window tops k_max = ceil(mu + w sqrt(mu)) for a distribution
-    of mean mu, with w = 8, 16, 32, ... up to _MAX_WINDOW_GROWTH; the caller
-    takes the first window whose tail fits its budget."""
+    of mean mu, with w = 8, 16, 32, ... up to _MAX_WINDOW_GROWTH (a small mu
+    repeats a top); the callers build a table only on a top whose directly
+    summed outside mass is within the tail."""
     w = 8.0
     while True:
         yield math.ceil(mu + w * math.sqrt(mu)) if mu > 0 else 0
@@ -392,13 +398,19 @@ def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     mean_b = abs(_require_amplitude(beta, "beta")) ** 2
     mu = mean_a + mean_b
 
-    for m_max in _window_sizes(mu):
+    context = f"before reaching tail {epsilon_tail} (mean={mu})"
+    for m_max in dict.fromkeys(_window_sizes(mu)):  # a repeated top is tried once
+        # the table's own cells; this also caps the tail sum, whose length
+        # grows as sqrt(mu)
+        _require_budget(m_max + 1, f"m_max={m_max}", context)
+        mass = _poisson_tail(mu, m_max, math.exp(log_poisson_weight(mu, m_max)))
+        if mass > epsilon_tail:
+            continue
         probs = _coherent_outcome_vector(mean_a, mean_b, m_max)
         residual = max(0.0, 1.0 - math.fsum(probs.tolist()))
         if residual <= epsilon_tail:
             return OutcomeDistribution(OutcomeTable(probs), residual)
-        # with eta = 0 the bound covers the Poisson(mu) mass beyond m_max
-        if _outside_entropy_bound(0.0, mu, m_max) <= 0.5 * epsilon_tail:
+        if mass <= 0.5 * epsilon_tail:
             raise RuntimeError(
                 f"outcome window stalled at residual {residual!r}: tail {epsilon_tail} "
                 f"is below float64 resolution (mean={mu})"
@@ -416,7 +428,9 @@ def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
     sum_{j >= 1} r^j P_K(K) (log2(K + 1) + j / ((K + 1) ln 2)), is below
     2^-60 of the sum; that bound is then added, so the result bounds the
     whole tail.  As log2(K + 1) >= 1 there, it also bounds the joint mass
-    of the outcomes outside the window [0, k_max]^2.
+    of the outcomes outside the window [0, k_max]^2.  It is the
+    residual_bound of an entanglement report; windows are sized by
+    _outside_mass.
     """
     e2 = eta * eta
     pois = np.exp(log_poisson_table(mean_b, k_max)).tolist()
@@ -438,6 +452,21 @@ def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
                 return 2.0 * (math.fsum(terms) + rest)
 
 
+def _poisson_tail(mean: float, k: int, pois_k: float) -> float:
+    """P(X > k) for X Poisson(mean), k >= mean, given pois_k = P(X = k),
+    summed directly: term by term until the geometric bound on the rest,
+    with ratio r = mean / (j + 1) < 1, is below 2^-60 of the sum; the bound
+    is added."""
+    j, term, tail = k, pois_k, 0.0
+    while True:
+        j += 1
+        term *= mean / j
+        tail += term
+        r = mean / (j + 1)
+        if r < 1.0 and term * r <= 2.0**-60 * tail * (1.0 - r):
+            return tail + term * r / (1.0 - r)
+
+
 def _outside_mass(eta: float, mean_b: float, k_max: int) -> float:
     """Joint mass of the pair outcomes outside the window [0, k_max]^2,
     summed directly rather than taken as 1 - sum P, so it has no float64
@@ -450,24 +479,30 @@ def _outside_mass(eta: float, mean_b: float, k_max: int) -> float:
         sum_{n <= k_max} w_n U(k_max - n) (2 - U(k_max - n)) + eta^(2 (k_max + 1))
 
     with U(j) = P(X > j), formed as suffix sums of the Poisson table from
-    its small end, starting from the tail past k_max.  That tail is summed
-    term by term until the geometric bound on the rest, with ratio
-    r = mean_b / (j + 1) < 1, is below 2^-60 of it; the bound is added.
+    its small end, starting from the tail past k_max (_poisson_tail).
     """
     e2 = eta * eta
     pois = np.exp(log_poisson_table(mean_b, k_max))
-    j, term, tail = k_max, float(pois[-1]), 0.0
-    while True:
-        j += 1
-        term *= mean_b / j
-        tail += term
-        r = mean_b / (j + 1)
-        if r < 1.0 and term * r <= 2.0**-60 * tail * (1.0 - r):
-            tail += term * r / (1.0 - r)
-            break
+    tail = _poisson_tail(mean_b, k_max, float(pois[-1]))
     upper = np.cumsum(np.concatenate([[tail], pois[:0:-1]]))  # U(k_max - n)
     weights = (1.0 - e2) * e2 ** np.arange(k_max + 1)
     return math.fsum((weights * upper * (2.0 - upper)).tolist()) + e2 ** (k_max + 1)
+
+
+def _pair_windows(eta: float, mean_b: float, epsilon_tail: float, grids: int) -> Iterator[tuple[int, float]]:
+    """(k_max, mass) for each top of _window_sizes, in growing order, whose
+    directly summed outside mass (_outside_mass) is at most epsilon_tail.
+    Every top is first checked against the grid budget for grids window
+    arrays, so one that would not fit fails before its caller allocates;
+    past the growth limit it raises."""
+    context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
+    mu = mean_b + eta * eta / (1.0 - eta * eta)
+    for k_max in dict.fromkeys(_window_sizes(mu)):  # a repeated top is tried once
+        _require_budget(grids * (k_max + 1) ** 2, f"k_max={k_max}", context)
+        mass = _outside_mass(eta, mean_b, k_max)
+        if mass <= epsilon_tail:
+            yield k_max, mass
+    raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (eta={eta}, mean={mean_b})")
 
 
 def _pair_window_grid(
@@ -487,15 +522,15 @@ def _pair_window_grid(
     summands are below _NEGLIGIBLE_LOG relative to t_0 in every live
     column, which changes no bit of A or B.
 
-    The residual 1 - sum A is float64 noise near 1e-14, so a round it leaves
-    above epsilon_tail while the directly summed outside mass is at most
-    epsilon_tail / 2 has stalled: a wider window cannot lower it."""
-    mu = mean_b + (eta * eta / (1.0 - eta * eta))
+    The grid is built only on the tops of _pair_windows, whose directly
+    summed outside mass is at most epsilon_tail.  The residual 1 - sum A is
+    float64 noise near 1e-14, so a top it leaves above epsilon_tail while
+    that mass is at most epsilon_tail / 2 has stalled: a wider window cannot
+    lower it.  Between the two, the mass and the float sum disagree only by
+    rounding, and the next top is tried."""
     lw0 = math.log1p(-eta * eta)
     grids = 4 if with_entropy else 3  # A, B and the scratch of the logs and of the terms
-    for k_max in _window_sizes(mu):
-        context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
-        _require_budget(grids * (k_max + 1) ** 2, f"k_max={k_max}", context)
+    for k_max, mass in _pair_windows(eta, mean_b, epsilon_tail, grids):
         a_grid = np.zeros((k_max + 1, k_max + 1))
         b_grid = np.zeros_like(a_grid) if with_entropy else None
         log_scratch = np.empty(a_grid.size)
@@ -537,12 +572,12 @@ def _pair_window_grid(
         residual = max(0.0, 1.0 - float(a_grid.sum()))
         if residual <= epsilon_tail:
             return a_grid, b_grid, residual, k_max
-        if _outside_entropy_bound(eta, mean_b, k_max) <= 0.5 * epsilon_tail:
+        if mass <= 0.5 * epsilon_tail:
             raise RuntimeError(
                 f"outcome window stalled at residual {residual!r}: tail {epsilon_tail} "
                 f"is below float64 resolution (eta={eta}, mean={mean_b})"
             )
-    raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (eta={eta}, mean={mean_b})")
+    raise AssertionError("unreachable: _pair_windows raises when it runs out")
 
 
 def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:
@@ -655,10 +690,10 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
 
     The fidelity of outcome (K, L) is (1 - eta'^2) overlap^2 / P(K, L), so
     the weighted sum is that of (1 - eta'^2) overlap^2 and needs no
-    probability table.  It runs over the first window whose directly summed
-    outside mass (_outside_mass) is at most epsilon_tail; the outcomes
-    outside contribute zero, so the result underestimates by at most that
-    mass.
+    probability table.  It runs over the first top of _pair_windows, the
+    first whose directly summed outside mass is at most epsilon_tail; the
+    outcomes outside contribute zero, so the result underestimates by at
+    most that mass.
     """
     eta = _require_eta(eta)
     beta = _require_ancilla(beta)
@@ -669,14 +704,7 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
         # probability 1 - eta^2, admits an approximant (eta' = 0, exact)
         return 1.0 - eta * eta
 
-    context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
-    for k_max in _window_sizes(mean_b + eta * eta / (1.0 - eta * eta)):
-        _require_budget(_PAIR_FIDELITY_GRIDS * (k_max + 1) ** 2, f"k_max={k_max}", context)
-        if _outside_mass(eta, mean_b, k_max) <= epsilon_tail:
-            break
-    else:
-        raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (eta={eta}, mean={mean_b})")
-
+    k_max, _ = next(_pair_windows(eta, mean_b, epsilon_tail, _PAIR_FIDELITY_GRIDS))
     # overlap[K, L] = sum_n sqrt(t_n) eta'^n with t_n the summands of
     # P(K, L), in the factorised form sqrt(1 - eta^2) sum_n G[K, n] G[L, n]
     g, shift = _pair_factor(eta, mean_b, k_max)

@@ -83,6 +83,16 @@ class TestSweepCommand:
         assert main(["sweep", "--csv", str(csv_path), "--threads", "1"]) == 0
         assert csv_path.read_bytes() == reference.read_bytes()
 
+    def test_strong_squeezing_sweep_matches_the_reference_csv(self, tmp_path):
+        """The eight seed-0 points of the sweep-strong benchmark write the
+        committed reference bytes; windows 290, 296 and 326 lie past window
+        tops that leave too much mass outside."""
+        reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep_strong_seed0.csv"
+        csv_path = tmp_path / "strong.csv"
+        argv = ["sweep", "--etas", "0.9081,0.9315", "--betas", "7.006,7.68,9.252,11.265", "--threads", "2"]
+        assert main([*argv, "--csv", str(csv_path)]) == 0
+        assert csv_path.read_bytes() == reference.read_bytes()
+
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
         paths = [tmp_path / f"run{i}.csv" for i in range(3)]
         for path, threads in zip(paths, ("1", "1", "3")):
@@ -227,7 +237,9 @@ class TestPointCommand:
         assert "eta" in capsys.readouterr().err
 
     def test_window_past_the_grid_budget_fails_cleanly(self, capsys, monkeypatch):
-        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 100_000)
+        # the first window whose outside mass meets 1e-17 is k_max = 38, and
+        # its four grids take 4 * 39^2 * 8 = 48 672 bytes
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 30_000)
         code = main(["point", "--eta", "0.5", "--beta", "2", "--epsilon-tail", "1e-17"])
         assert code == 2
         err = capsys.readouterr().err

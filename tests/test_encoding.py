@@ -427,6 +427,63 @@ class TestOutsideMass:
         assert mass == pytest.approx(residual, rel=0.0, abs=1e-13)
 
 
+class TestWindowRule:
+    """Each outcome table is built only on a window top whose directly
+    summed outside mass is within the tail."""
+
+    def test_pair_grid_is_built_once(self, monkeypatch):
+        """At (0.9081, 7.006) the tops 113 and 172 leave more than 1e-10
+        outside the window, so only the grid of top 289 is allocated."""
+        counting = _GridCountingNumpy()
+        monkeypatch.setattr(encoding, "np", counting)
+        k_max = _pair_window_grid(0.9081, 7.006**2, 1e-10, True)[3]
+        assert k_max == 289
+        assert counting.grids == [(290, 290)]
+
+    def test_coherent_table_is_built_once(self, monkeypatch):
+        """At alpha = 0, |beta| = 0.3 the tops 3 and 5 leave more than 1e-10
+        outside the window; only top 10 is summed."""
+        built = []
+        original = encoding._coherent_outcome_vector
+
+        def counted(mean_a, mean_b, m_max):
+            built.append(m_max)
+            return original(mean_a, mean_b, m_max)
+
+        monkeypatch.setattr(encoding, "_coherent_outcome_vector", counted)
+        dist = coherent_outcome_distribution(0, 0.3)
+        assert built == [10] and dist.support.probabilities.size == 11
+
+    def test_a_near_tie_grows_instead_of_stalling(self):
+        """At (0, |beta| = 1e-3) and a tail of 1e-12 the mass outside top 1,
+        9.999993e-13, meets the tail while the float residual 1.00009e-12
+        does not.  The mass is over half the tail, so that is rounding, not
+        a stall: the window grows to top 2, whose residual is 0."""
+        epsilon_tail, mean_b = 1e-12, 1e-3**2
+        mass = encoding._outside_mass(0.0, mean_b, 1)
+        assert 0.5 * epsilon_tail < mass <= epsilon_tail
+        _, _, residual, k_max = _pair_window_grid(0.0, mean_b, 10 * epsilon_tail, False)
+        assert k_max == 1 and residual > epsilon_tail
+        dist = pair_outcome_distribution(0.0, 1e-3, epsilon_tail)
+        assert dist.support.probabilities.shape == (3, 3)
+        assert dist.residual == 0.0
+
+
+class _GridCountingNumpy:
+    """numpy as encoding sees it, recording the shape of every array that
+    np.zeros allocates: in the pair grid, one A grid per built window."""
+
+    def __init__(self):
+        self.grids = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, *args, **kwargs):
+        self.grids.append(shape)
+        return np.zeros(shape, *args, **kwargs)
+
+
 class TestOutcomeGridKernel:
     @pytest.mark.parametrize(
         "eta,beta",
@@ -499,13 +556,18 @@ class TestOutcomeGridKernel:
 
 class TestGridBudget:
     def test_fails_before_allocating_past_the_budget(self, monkeypatch):
-        """A tail below float64 resolution grows the window (21, 38, 71, ...)
-        until a round would not fit; that round raises before allocating."""
-        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 100_000)
-        with pytest.raises(RuntimeError, match=r"k_max=71 needs 124416 bytes, over the grid budget of 100000 bytes"):
+        """At a tail of 1e-17 the window tops run 21, 38, ...; the outside
+        mass first meets it at 38, whose 3 (4 with B) grids of 39^2 cells do
+        not fit a budget of 30 000 bytes, so that top raises before any grid
+        is allocated."""
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 30_000)
+        counting = _GridCountingNumpy()
+        monkeypatch.setattr(encoding, "np", counting)
+        with pytest.raises(RuntimeError, match=r"k_max=38 needs 36504 bytes, over the grid budget of 30000 bytes"):
             pair_outcome_distribution(0.5, 2.0, epsilon_tail=1e-17)
-        with pytest.raises(RuntimeError, match=r"k_max=71 needs 165888 bytes"):
+        with pytest.raises(RuntimeError, match=r"k_max=38 needs 48672 bytes"):
             average_entanglement(0.5, 2.0, epsilon_tail=1e-17)
+        assert counting.grids == []
 
     def test_default_windows_fit(self, monkeypatch):
         """A budget of exactly the default round's bytes still computes it."""
