@@ -21,7 +21,7 @@ never overflow and small quotients never underflow.
 
 Outcome statistics follow from the same amplitudes:
 
-    P(M)    = sum_n Pois(|alpha|^2, n) Pois(|beta|^2, M-n)
+    P(M)    = sum_n Pois(|alpha|^2, n) Pois(|beta|^2, M-n) = Pois(|alpha|^2 + |beta|^2, M)
     P(K, L) = sum_n (1-eta^2) eta^(2n) Pois(|beta|^2, K-n) Pois(|beta|^2, L-n)
 
 enumerated over a window [0, k_max] whose unenumerated tail mass is
@@ -30,21 +30,19 @@ k_max = ceil(mu + w sqrt(mu)), w = 8, 16, 32, ..., are tried in turn, and
 a table is built only on a top whose mass outside the window, summed
 directly from the Poisson (and geometric) laws rather than taken as
 1 - sum P, is at most epsilon_tail; a top whose arrays would exceed
-_GRID_BUDGET_BYTES fails before allocating.  The float64 residual 1 - sum P
-of the built table resolves no tail much below 1e-14, so a table whose
-residual is still over the tail while that mass is within half of it fails
-as stalled; in between, the two differ by rounding and the next top is
-tried.
+_GRID_BUDGET_BYTES fails before allocating.  That mass is the residual of
+the coherent table.  The pair table reports the float64 residual 1 - sum P,
+which resolves no tail much below 1e-14, so a pair table whose residual is
+still over the tail while that mass is within half of it fails as stalled;
+in between, the two differ by rounding and the next top is tried.
 
 The n-th summand of P(K, L) vanishes for K < n or L < n and underflows to
 exactly 0.0 far from the Poisson peak, so each slice n is computed only on
 one square live block of the window.  A slice n > 0 also drops the leading
 rows and columns of that block where t_n < 2^-66 t_0 (with t_n the n-th
 summand), terms that round away (see _NEGLIGIBLE_LOG); at weak squeezing
-and large |beta| that is most of the block.  Every bit of the result is that of the full window.  P(M) is
-summed over the band of n where Pois(|alpha|^2, n) is not negligible, so
-each P(M) does not depend on the window; a band pass over more
-(window x band) cells than the same budget allows fails before it runs.
+and large |beta| that is most of the block.  Every bit of the result is
+that of the full window.
 
 The approximant fidelities are array passes, not loops over outcomes.  For
 the coherent encoding the phases cancel, so the overlap with |alpha'> for
@@ -116,9 +114,9 @@ _BAND_CHUNK_CELLS = 1 << 18
 _MAX_WINDOW_GROWTH = float(2**24)
 
 # Most bytes one round of the outcome grid may allocate for A, B and the two
-# slice buffers, or the pair fidelity for its _PAIR_FIDELITY_GRIDS arrays,
-# and most cells (at 8 bytes each) a banded coherent pass may compute; a
-# window that needs more fails before allocating or computing.
+# slice buffers, the pair fidelity for its _PAIR_FIDELITY_GRIDS arrays or the
+# coherent table for its cells, and most cells (8 bytes each) the coherent
+# fidelity pass may compute; a window that needs more fails before either.
 _GRID_BUDGET_BYTES = 1 << 30
 
 # (window x window) float64 arrays the pair fidelity holds at once: the
@@ -207,7 +205,9 @@ class OutcomeDistribution:
     """Probability table over measurement outcomes with explicit tail mass.
 
     support maps an outcome (int M, or an (int K, int L) pair) to its
-    probability; residual is the mass of every outcome left unenumerated.
+    probability; residual is the mass of every outcome left unenumerated:
+    the directly summed Poisson tail for the coherent table, the float64
+    1 - sum P (noise near 1e-14) for the pair table.
     """
 
     support: OutcomeTable
@@ -372,31 +372,14 @@ def _band_sums(lo: np.ndarray, width: int, log_term) -> np.ndarray:
     return out
 
 
-def _coherent_outcome_vector(mean_a: float, mean_b: float, m_max: int) -> np.ndarray:
-    """P(M) for M = 0..m_max by direct convolution of the two Poisson laws,
-    over the band of signal photon numbers n outside which Pois(mean_a, n)
-    is negligible; P(M) does not depend on m_max."""
-    n_lo, n_hi = (int(end) for end in _poisson_band(np.float64(mean_a)))
-    width = n_hi - n_lo + 1
-    context = f"for a band of {width} signal photon numbers (mean_a={mean_a}, mean_b={mean_b})"
-    _require_budget((m_max + 1) * width, f"m_max={m_max}", context)
-    lpa = log_poisson_table(mean_a, n_hi)
-    lpb = log_poisson_table(mean_b, m_max)
-
-    def log_term(m, n):
-        return np.where(n <= m, lpa[n] + lpb[np.maximum(m - n, 0)], LOG_ZERO)
-
-    return _band_sums(np.full(m_max + 1, n_lo), width, log_term)
-
-
 def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:
     """Distribution of the total-photon outcome M for signal alpha and
-    ancilla beta; equals Poisson(|alpha|^2 + |beta|^2) by additivity, but is
-    evaluated by the defining convolution so that identity stays testable."""
+    ancilla beta: Poisson(|alpha|^2 + |beta|^2) by additivity, with the
+    Poisson tail past the window, summed directly, as residual."""
     epsilon_tail = _require_tail(epsilon_tail)
-    mean_a = abs(_require_amplitude(alpha, "alpha")) ** 2
-    mean_b = abs(_require_amplitude(beta, "beta")) ** 2
-    mu = mean_a + mean_b
+    mu = abs(_require_amplitude(alpha, "alpha")) ** 2 + abs(_require_amplitude(beta, "beta")) ** 2
+    if not math.isfinite(mu):
+        raise ValueError(f"|alpha|^2 + |beta|^2 must be finite, got {mu!r}")
 
     context = f"before reaching tail {epsilon_tail} (mean={mu})"
     for m_max in dict.fromkeys(_window_sizes(mu)):  # a repeated top is tried once
@@ -404,17 +387,8 @@ def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPS
         # grows as sqrt(mu)
         _require_budget(m_max + 1, f"m_max={m_max}", context)
         mass = _poisson_tail(mu, m_max, math.exp(log_poisson_weight(mu, m_max)))
-        if mass > epsilon_tail:
-            continue
-        probs = _coherent_outcome_vector(mean_a, mean_b, m_max)
-        residual = max(0.0, 1.0 - math.fsum(probs.tolist()))
-        if residual <= epsilon_tail:
-            return OutcomeDistribution(OutcomeTable(probs), residual)
-        if mass <= 0.5 * epsilon_tail:
-            raise RuntimeError(
-                f"outcome window stalled at residual {residual!r}: tail {epsilon_tail} "
-                f"is below float64 resolution (mean={mu})"
-            )
+        if mass <= epsilon_tail:
+            return OutcomeDistribution(OutcomeTable(np.exp(log_poisson_table(mu, m_max))), mass)
     raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (mean={mu})")
 
 
@@ -641,7 +615,8 @@ def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     state of amplitude alpha' = alpha sqrt(M)/beta it approximates.
 
     Outcomes outside the enumerated window contribute zero, so the result
-    underestimates by at most the window residual.
+    underestimates by at most the residual of the coherent table, the
+    directly summed Poisson tail past that window.
     """
     beta = _require_ancilla(beta)
     alpha = _require_amplitude(alpha, "alpha")

@@ -161,10 +161,11 @@ class TestCoherentOutcomeDistribution:
         assert dist.residual == 0.0
 
     def test_poisson_additivity(self):
-        """Convolution of Poisson(1) and Poisson(4) is Poisson(5), term by term."""
+        """P(M) at |alpha|^2 = 1, |beta|^2 = 4 is the defining convolution of
+        Poisson(1) and Poisson(4), summed here term by term."""
         dist = coherent_outcome_distribution(1.0, 2.0, epsilon_tail=1e-10)
         for m, p in dist.support.items():
-            assert p == pytest.approx(math.exp(log_poisson_weight(5.0, m)), abs=1e-12)
+            assert p == pytest.approx(_poisson_convolution(1.0, 4.0, m), abs=1e-12)
 
     def test_single_source(self):
         dist = coherent_outcome_distribution(0.0, 1.0)
@@ -190,27 +191,44 @@ class TestCoherentOutcomeDistribution:
             coherent_outcome_distribution(1.0, 1.0, epsilon_tail=0.0)
 
     def test_rows_do_not_depend_on_the_window(self):
-        """A grown window leaves P(M) of the smaller one bit-identical, also
-        when the band is summed in several row chunks."""
-        for mean_a, mean_b in [(0.49, 49.0), (900.0, 49.0)]:
-            small = encoding._coherent_outcome_vector(mean_a, mean_b, 300)
-            grown = encoding._coherent_outcome_vector(mean_a, mean_b, 5000)
-            assert small.tobytes() == grown[:301].tobytes()
+        """A smaller tail grows the window and leaves P(M) of the smaller
+        one bit-identical."""
+        for alpha, beta in [(0.7, 7.0), (30.0, 7.0)]:
+            small = coherent_outcome_distribution(alpha, beta, 1e-4).support.probabilities
+            grown = coherent_outcome_distribution(alpha, beta, 1e-20).support.probabilities
+            assert grown.size > small.size
+            assert small.tobytes() == grown[: small.size].tobytes()
 
-    @pytest.mark.parametrize(
-        "distribution,args",
-        [
-            (coherent_outcome_distribution, (0.7, 7.0, 1e-15)),
-            (pair_outcome_distribution, (0.2, 8.0, 1e-14)),
-        ],
-        ids=["coherent", "pair"],
-    )
-    def test_stalled_residual_fails_within_a_few_rounds(self, monkeypatch, distribution, args):
-        """At (0.7, 7.0) the float64 residual 1 - sum P(M) stops near 5e-15,
-        and at (0.2, 8.0) 1 - sum P(K, L) stops near 5e-14 from k_max = 193,
-        so tails of 1e-15 and 1e-14 are unreachable: the first round that
-        shows the stall raises, instead of doubling up to w = 2^24 or the
-        grid budget.  Each round checks its budget once."""
+    def test_reaches_a_tail_below_float64_resolution(self):
+        """At (0.7, 7.0) the float64 value 1 - sum P(M) stops near 5e-15; the
+        residual is the Poisson tail past the window, summed directly, so a
+        tail of 1e-15 is met on the first top that holds it, 163."""
+        dist = coherent_outcome_distribution(0.7, 7.0, 1e-15)
+        assert dist.support.probabilities.size == 164
+        mu = abs(0.7) ** 2 + abs(7.0) ** 2
+        with mp.workdps(30):
+            mean = mp.mpf(mu)
+            tail = mp.fsum(mp.exp(-mean) * mean**k / mp.factorial(k) for k in range(164, 400))
+        assert 0.0 < dist.residual <= 1e-15
+        assert dist.residual == pytest.approx(float(tail), rel=1e-10, abs=0.0)
+
+    def test_large_means_fit(self):
+        """At alpha = beta = 300 (mean 1.8e5) the table of 183 396 outcomes
+        is built within the budget, and with its residual it sums to 1."""
+        dist = coherent_outcome_distribution(300.0, 300.0)
+        assert dist.total() + dist.residual == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("call", [coherent_outcome_distribution, mean_coherent_approx_fidelity])
+    def test_rejects_an_overflowing_total_mean(self, call):
+        """Each |.|^2 is finite, but their sum overflows to inf."""
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 \+ \|beta\|\^2 must be finite, got inf"):
+            call(1e154, 1e154)
+
+    def test_stalled_residual_fails_within_a_few_rounds(self, monkeypatch):
+        """At (0.2, 8.0) the float64 residual 1 - sum P(K, L) stops near
+        5e-14 from k_max = 193, so a tail of 1e-14 is unreachable: the first
+        round that shows the stall raises, instead of doubling up to
+        w = 2^24 or the grid budget.  Each round checks its budget once."""
         windows = []
         original = encoding._require_budget
 
@@ -220,7 +238,7 @@ class TestCoherentOutcomeDistribution:
 
         monkeypatch.setattr(encoding, "_require_budget", counted)
         with pytest.raises(RuntimeError, match="below float64 resolution"):
-            distribution(*args)
+            pair_outcome_distribution(0.2, 8.0, 1e-14)
         assert len(windows) <= 4
 
 
@@ -442,15 +460,15 @@ class TestWindowRule:
 
     def test_coherent_table_is_built_once(self, monkeypatch):
         """At alpha = 0, |beta| = 0.3 the tops 3 and 5 leave more than 1e-10
-        outside the window; only top 10 is summed."""
+        outside the window; only the Poisson table of top 10 is built."""
         built = []
-        original = encoding._coherent_outcome_vector
+        original = encoding.log_poisson_table
 
-        def counted(mean_a, mean_b, m_max):
-            built.append(m_max)
-            return original(mean_a, mean_b, m_max)
+        def counted(mean, k_max):
+            built.append(k_max)
+            return original(mean, k_max)
 
-        monkeypatch.setattr(encoding, "_coherent_outcome_vector", counted)
+        monkeypatch.setattr(encoding, "log_poisson_table", counted)
         dist = coherent_outcome_distribution(0, 0.3)
         assert built == [10] and dist.support.probabilities.size == 11
 
@@ -576,24 +594,16 @@ class TestGridBudget:
         assert _pair_window_grid(0.5, 4.0, DEFAULT_EPSILON_TAIL, True)[3] == k_max
 
     def test_coherent_band_passes_fail_before_running_past_the_budget(self, monkeypatch):
-        """The banded coherent passes cost rows x band cells of 8 bytes; a
-        pass over the budget raises before summing any band, and a budget of
-        exactly a pass's cells still runs it."""
-        lo, hi = encoding._poisson_band(np.float64(9.0))
-        cells = 194 * int(hi - lo + 1)
-        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 8 * cells)
-        assert encoding._coherent_outcome_vector(9.0, 100.0, 193).size == 194
-
+        """The banded coherent fidelity pass costs rows x band cells of 8
+        bytes; a pass over the budget raises before summing any band, and
+        both public calls fail on the table's own cells first."""
         summed = []
         monkeypatch.setattr(encoding, "_band_sums", lambda *args: summed.append(args))
-        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 8 * cells - 1)
-        with pytest.raises(RuntimeError, match=rf"m_max=193 needs {8 * cells} bytes, over the grid budget"):
-            encoding._coherent_outcome_vector(9.0, 100.0, 193)
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 8 * 194 - 1)
         with pytest.raises(RuntimeError, match=r"m_max=193 needs \d+ bytes, over the grid budget"):
             encoding._coherent_overlaps(0.3, 193)
         for call in (coherent_outcome_distribution, mean_coherent_approx_fidelity):
-            with pytest.raises(RuntimeError, match="grid budget"):
+            with pytest.raises(RuntimeError, match="m_max=193 needs 1552 bytes, over the grid budget"):
                 call(3.0, 10.0)
         assert summed == []
 
@@ -665,6 +675,10 @@ class TestApproxFidelities:
         monkeypatch.setattr(encoding, "_pair_window_grid", refuse)
         assert mean_pair_approx_fidelity(0.5, 3.0) == expected
 
+    def test_coherent_fidelity_reaches_a_tail_below_float64_resolution(self):
+        value = mean_coherent_approx_fidelity(0.7, 7.0, epsilon_tail=1e-15)
+        assert value == pytest.approx(mean_coherent_approx_fidelity(0.7, 7.0), abs=1e-10)
+
     def test_pair_fidelity_reaches_a_tail_below_float64_resolution(self):
         """The outcome table stalls at a tail of 1e-17; the fidelity's window
         is sized by the directly summed outside mass and gets there."""
@@ -727,6 +741,15 @@ class TestApproxFidelities:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def _poisson_convolution(mean_a, mean_b, m):
+    """sum_n Pois(mean_a, n) Pois(mean_b, m - n), summed with math.fsum."""
+
+    def pois(mean, k):
+        return math.exp(-mean) * mean**k / math.factorial(k)
+
+    return math.fsum(pois(mean_a, n) * pois(mean_b, m - n) for n in range(m + 1))
 
 
 def _coherent_fidelity_reference(alpha, beta):
