@@ -25,16 +25,17 @@ Outcome statistics follow from the same amplitudes:
     P(K, L) = sum_n (1-eta^2) eta^(2n) Pois(|beta|^2, K-n) Pois(|beta|^2, L-n)
 
 enumerated over a window [0, k_max] whose unenumerated tail mass is
-reported, never ignored.  One rule sizes every window.  The tops
+reported, never ignored.  One rule sizes every window: the tops
 k_max = ceil(mu + w sqrt(mu)), w = 8, 16, 32, ..., are tried in turn, and
-a table is built only on a top whose mass outside the window, summed
-directly from the Poisson (and geometric) laws rather than taken as
-1 - sum P, is at most epsilon_tail; a top whose arrays would exceed
-_GRID_BUDGET_BYTES fails before allocating.  That mass is the residual of
-the coherent table.  The pair table reports the float64 residual 1 - sum P,
-which resolves no tail much below 1e-14, so a pair table whose residual is
-still over the tail while that mass is within half of it fails as stalled;
-in between, the two differ by rounding and the next top is tried.
+a table is built only on a top whose outside mass, summed directly from
+the Poisson (and geometric) laws rather than taken as 1 - sum P, is at
+most epsilon_tail; a top whose arrays would exceed _GRID_BUDGET_BYTES
+fails before allocating.  That mass is the coherent table's residual (its
+entries carry the rounding of log_poisson_table).  The pair table reports
+the float64 1 - sum P, which resolves no tail much below 1e-14: a pair
+table whose residual is over the tail while the mass is within half of it
+fails as stalled; in between, they differ by rounding and the next top is
+tried.
 
 The n-th summand of P(K, L) vanishes for K < n or L < n and underflows to
 exactly 0.0 far from the Poisson peak, so each slice n is computed only on
@@ -56,11 +57,9 @@ overlap comes from one contraction G G^T, taken on row-scaled G with
 numpy's own einsum loop rather than a threaded BLAS.  The fidelity of
 outcome (K, L) is (1 - eta'^2) overlap^2 / P(K, L), so the P-weighted mean
 is the sum of (1 - eta'^2) overlap^2 over the outcomes with eta' < 1 and
-needs no probability table.  Its window is the first top the window rule
-admits, and the result underestimates by at most the mass outside it.  As
-no residual is formed, a tail below float64 resolution does not stall
-this window; it grows until the tail is met or its arrays would exceed
-_GRID_BUDGET_BYTES.
+needs no probability table.  Each fidelity runs on the first top the
+window rule admits and underestimates by at most the mass outside it; as
+neither forms 1 - sum P, a tail below float64 resolution stalls neither.
 """
 
 from __future__ import annotations
@@ -115,8 +114,8 @@ _MAX_WINDOW_GROWTH = float(2**24)
 
 # Most bytes one round of the outcome grid may allocate for A, B and the two
 # slice buffers, the pair fidelity for its _PAIR_FIDELITY_GRIDS arrays or the
-# coherent table for its cells, and most cells (8 bytes each) the coherent
-# fidelity pass may compute; a window that needs more fails before either.
+# coherent table with its temporaries, and most cells (8 bytes each) the
+# coherent fidelity pass may compute; a window that needs more fails first.
 _GRID_BUDGET_BYTES = 1 << 30
 
 # (window x window) float64 arrays the pair fidelity holds at once: the
@@ -205,9 +204,10 @@ class OutcomeDistribution:
     """Probability table over measurement outcomes with explicit tail mass.
 
     support maps an outcome (int M, or an (int K, int L) pair) to its
-    probability; residual is the mass of every outcome left unenumerated:
-    the directly summed Poisson tail for the coherent table, the float64
-    1 - sum P (noise near 1e-14) for the pair table.
+    probability; residual is, for the coherent table, the mass of the
+    outcomes left unenumerated, a directly summed Poisson tail (its entries
+    carry the rounding of log_poisson_table: 1 - sum P - residual is 3.4e-11
+    at mean 1.8e5), and for the pair table the float64 1 - sum P, near 1e-14.
     """
 
     support: OutcomeTable
@@ -372,24 +372,30 @@ def _band_sums(lo: np.ndarray, width: int, log_term) -> np.ndarray:
     return out
 
 
-def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:
-    """Distribution of the total-photon outcome M for signal alpha and
-    ancilla beta: Poisson(|alpha|^2 + |beta|^2) by additivity, with the
-    Poisson tail past the window, summed directly, as residual."""
+def _coherent_window(alpha, beta, epsilon_tail: float) -> tuple[float, int, float]:
+    """(mu, m_max, mass): mu = |alpha|^2 + |beta|^2 and the first top whose
+    directly summed Poisson(mu) tail mass is at most epsilon_tail."""
     epsilon_tail = _require_tail(epsilon_tail)
     mu = abs(_require_amplitude(alpha, "alpha")) ** 2 + abs(_require_amplitude(beta, "beta")) ** 2
     if not math.isfinite(mu):
         raise ValueError(f"|alpha|^2 + |beta|^2 must be finite, got {mu!r}")
-
-    context = f"before reaching tail {epsilon_tail} (mean={mu})"
     for m_max in dict.fromkeys(_window_sizes(mu)):  # a repeated top is tried once
-        # the table's own cells; this also caps the tail sum, whose length
-        # grows as sqrt(mu)
-        _require_budget(m_max + 1, f"m_max={m_max}", context)
+        # the table, the temporaries of log_poisson_table and the growth of
+        # the log-factorial cache (a list of 4 cells per entry, then the new
+        # cache) take up to 10 cells per row; this also caps the tail sum
+        _require_budget(10 * (m_max + 1), f"m_max={m_max}", f"before reaching tail {epsilon_tail} (mean={mu})")
         mass = _poisson_tail(mu, m_max, math.exp(log_poisson_weight(mu, m_max)))
         if mass <= epsilon_tail:
-            return OutcomeDistribution(OutcomeTable(np.exp(log_poisson_table(mu, m_max))), mass)
+            return mu, m_max, mass
     raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (mean={mu})")
+
+
+def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:
+    """Distribution of the total-photon outcome M for signal alpha and
+    ancilla beta: Poisson(|alpha|^2 + |beta|^2) by additivity, with the
+    Poisson tail past the window, summed directly, as residual."""
+    mu, m_max, mass = _coherent_window(alpha, beta, epsilon_tail)
+    return OutcomeDistribution(OutcomeTable(np.exp(log_poisson_table(mu, m_max))), mass)
 
 
 def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
@@ -614,21 +620,20 @@ def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     """P(M)-weighted fidelity between the encoded state and the coherent
     state of amplitude alpha' = alpha sqrt(M)/beta it approximates.
 
-    Outcomes outside the enumerated window contribute zero, so the result
-    underestimates by at most the residual of the coherent table, the
-    directly summed Poisson tail past that window.
+    Outcomes outside the window of the coherent table contribute zero, so
+    the result underestimates by at most its residual plus the rounding of
+    its entries (see OutcomeDistribution).
     """
     beta = _require_ancilla(beta)
     alpha = _require_amplitude(alpha, "alpha")
-    probs = coherent_outcome_distribution(alpha, beta, epsilon_tail).support.probabilities
+    mu, m_max, _ = _coherent_window(alpha, beta, epsilon_tail)
 
     quot = alpha / beta
-    if quot == 0:
-        fid = np.ones(probs.size)  # the vacuum on both sides for every M
-    else:
-        # by Cauchy-Schwarz only float noise can push a fidelity above 1
-        fid = np.minimum(_coherent_overlaps(quot, probs.size - 1) ** 2, 1.0)
-    return min(float((probs * fid).sum()), 1.0)
+    # at quot = 0 the vacuum on both sides for every M; the band pass runs
+    # before the table, so that one over the budget fails first, and by
+    # Cauchy-Schwarz only float noise can push a fidelity above 1
+    fid = np.ones(m_max + 1) if quot == 0 else np.minimum(_coherent_overlaps(quot, m_max) ** 2, 1.0)
+    return min(float((np.exp(log_poisson_table(mu, m_max)) * fid).sum()), 1.0)
 
 
 def _pair_factor(eta: float, mean_b: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:

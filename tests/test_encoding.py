@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from phasefree import encoding
+from phasefree import encoding, numerics
 from phasefree.encoding import (
     DEFAULT_EPSILON_TAIL,
     _pair_window_grid,
@@ -214,7 +214,8 @@ class TestCoherentOutcomeDistribution:
 
     def test_large_means_fit(self):
         """At alpha = beta = 300 (mean 1.8e5) the table of 183 396 outcomes
-        is built within the budget, and with its residual it sums to 1."""
+        is built within the budget, and with its residual it sums to 1 up to
+        the rounding of log_poisson_table, 3.4e-11 there."""
         dist = coherent_outcome_distribution(300.0, 300.0)
         assert dist.total() + dist.residual == pytest.approx(1.0, abs=1e-10)
 
@@ -595,17 +596,48 @@ class TestGridBudget:
 
     def test_coherent_band_passes_fail_before_running_past_the_budget(self, monkeypatch):
         """The banded coherent fidelity pass costs rows x band cells of 8
-        bytes; a pass over the budget raises before summing any band, and
-        both public calls fail on the table's own cells first."""
-        summed = []
+        bytes; a pass over the budget raises before summing any band.  Both
+        public calls fail on the table's 10 cells per row first, and with
+        room for the table the fidelity fails on its band pass before the
+        table is built."""
+        summed, tables = [], []
         monkeypatch.setattr(encoding, "_band_sums", lambda *args: summed.append(args))
+        monkeypatch.setattr(encoding, "log_poisson_table", lambda *args: tables.append(args))
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 8 * 194 - 1)
         with pytest.raises(RuntimeError, match=r"m_max=193 needs \d+ bytes, over the grid budget"):
             encoding._coherent_overlaps(0.3, 193)
         for call in (coherent_outcome_distribution, mean_coherent_approx_fidelity):
-            with pytest.raises(RuntimeError, match="m_max=193 needs 1552 bytes, over the grid budget"):
+            with pytest.raises(RuntimeError, match="m_max=193 needs 15520 bytes, over the grid budget"):
                 call(3.0, 10.0)
-        assert summed == []
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 15520)
+        with pytest.raises(RuntimeError, match=r"m_max=193 needs \d+ bytes, over the grid budget.*fidelity band"):
+            mean_coherent_approx_fidelity(3.0, 10.0)
+        assert summed == [] and tables == []
+
+    def test_coherent_table_fails_before_allocating_past_the_budget(self, monkeypatch):
+        """At beta = 300 the window holds 92 401 outcomes.  Building the
+        table with the log-factorial cache one entry short, so that it
+        doubles, allocates at most the 10 cells per row the budget counts;
+        one byte less raises before the cache grows or any table exists."""
+        m_max = 92400
+        budgeted = 10 * 8 * (m_max + 1)
+        monkeypatch.setattr(numerics, "_log_factorials", numerics.log_factorial_table(m_max - 1))
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match=rf"m_max={m_max} needs {budgeted} bytes, over the grid budget"):
+                coherent_outcome_distribution(0.0, 300.0)
+            refused = tracemalloc.get_traced_memory()[1]
+            cache_size = numerics._log_factorials.size
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted)
+            dist = coherent_outcome_distribution(0.0, 300.0)
+            built = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused < 8 * m_max and cache_size == m_max
+        assert dist.support.probabilities.size == m_max + 1
+        assert 8 * 8 * (m_max + 1) < built <= budgeted
 
 
 class TestApproxFidelities:
@@ -644,6 +676,17 @@ class TestApproxFidelities:
         plain = mean_pair_approx_fidelity(0.5, 3.0)
         spun = mean_pair_approx_fidelity(0.5, 3.0 * cmath.exp(1.7j))
         assert spun == pytest.approx(plain, abs=1e-10)
+
+    def test_coherent_overlaps_do_not_depend_on_the_row_chunks(self, monkeypatch):
+        """At |q| = 0.3 and m_max = 3000 the band is 446 photon numbers wide,
+        so the default chunks of 2^18 cells split the 3001 rows six ways;
+        chunks of one row or of seven give the same bits."""
+        q = 0.3 * cmath.exp(0.4j)
+        default = encoding._coherent_overlaps(q, 3000)
+        assert 5 * encoding._BAND_CHUNK_CELLS < 3001 * 446 <= 6 * encoding._BAND_CHUNK_CELLS
+        for rows in (1, 7):
+            monkeypatch.setattr(encoding, "_BAND_CHUNK_CELLS", rows * 446)
+            assert encoding._coherent_overlaps(q, 3000).tobytes() == default.tobytes()
 
     def test_coherent_fidelity_matches_per_outcome_recomputation(self):
         """The banded pass against the overlap of each encode_coherent state
