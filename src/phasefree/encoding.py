@@ -25,12 +25,13 @@ Outcome statistics follow from the same amplitudes:
     P(K, L) = sum_n (1-eta^2) eta^(2n) Pois(|beta|^2, K-n) Pois(|beta|^2, L-n)
 
 enumerated over a window [0, k_max] whose unenumerated tail mass is
-reported, never ignored.  One rule sizes every window: the tops
+reported, never ignored.  One rule sizes every window: the distinct tops
 k_max = ceil(mu + w sqrt(mu)), w = 8, 16, 32, ..., are tried in turn, and
 a table is built only on a top whose outside mass, summed directly from
 the Poisson (and geometric) laws rather than taken as 1 - sum P, is at
-most epsilon_tail; a top whose arrays would exceed _GRID_BUDGET_BYTES
-fails before allocating.  That mass is the coherent table's residual (its
+most epsilon_tail.  The walk has no length limit: it ends at the tail,
+or at a top whose arrays would exceed _GRID_BUDGET_BYTES, which fails
+before allocating.  That mass is the coherent table's residual (its
 entries carry the rounding of log_poisson_table).  The pair table reports
 the float64 1 - sum P, which resolves no tail much below 1e-14: a pair
 table whose residual is over the tail while the mass is within half of it
@@ -108,14 +109,12 @@ _BAND_LOG_CUT = 80.0
 # Cells per row chunk of a banded (rows, width) array: 2 MiB of float64.
 _BAND_CHUNK_CELLS = 1 << 18
 
-# Window growth factor limit; reaching it means epsilon_tail is below what
-# float64 summation can resolve.
-_MAX_WINDOW_GROWTH = float(2**24)
-
 # Most bytes one round of the outcome grid may allocate for A, B and the two
 # slice buffers, the pair fidelity for its _PAIR_FIDELITY_GRIDS arrays or the
 # coherent table with its temporaries, and most cells (8 bytes each) the
 # coherent fidelity pass may compute; a window that needs more fails first.
+# Every window walk checks each top against it, which ends a walk that
+# does not reach its tail.
 _GRID_BUDGET_BYTES = 1 << 30
 
 # (window x window) float64 arrays the pair fidelity holds at once: the
@@ -334,16 +333,16 @@ def _require_budget(cells: int, window: str, context: str) -> None:
 
 
 def _window_sizes(mu: float) -> Iterator[int]:
-    """Outcome-window tops k_max = ceil(mu + w sqrt(mu)) for a distribution
-    of mean mu, with w = 8, 16, 32, ... up to _MAX_WINDOW_GROWTH (a small mu
-    repeats a top); the callers build a table only on a top whose directly
-    summed outside mass is within the tail."""
-    w = 8.0
-    while True:
-        yield math.ceil(mu + w * math.sqrt(mu)) if mu > 0 else 0
-        if w >= _MAX_WINDOW_GROWTH:
-            return
-        w *= 2.0
+    """The distinct outcome-window tops k_max = ceil(mu + w sqrt(mu)) for a
+    distribution of mean mu, w = 8, 16, 32, ..., in rising order and without
+    end (only top 0 at mu = 0, whose outside mass is 0); the callers build a
+    table only on a top whose directly summed outside mass is within the
+    tail, and check every top against the grid budget, which ends the walk
+    otherwise."""
+    if mu == 0.0:
+        return iter([0])
+    tops = (math.ceil(mu + 2.0**r * math.sqrt(mu)) for r in itertools.count(3))
+    return (top for top, _ in itertools.groupby(tops))
 
 
 def _poisson_band(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,20 +373,20 @@ def _band_sums(lo: np.ndarray, width: int, log_term) -> np.ndarray:
 
 def _coherent_window(alpha, beta, epsilon_tail: float) -> tuple[float, int, float]:
     """(mu, m_max, mass): mu = |alpha|^2 + |beta|^2 and the first top whose
-    directly summed Poisson(mu) tail mass is at most epsilon_tail."""
+    directly summed Poisson(mu) tail mass is at most epsilon_tail; a top
+    before it that does not fit the grid budget raises."""
     epsilon_tail = _require_tail(epsilon_tail)
     mu = abs(_require_amplitude(alpha, "alpha")) ** 2 + abs(_require_amplitude(beta, "beta")) ** 2
     if not math.isfinite(mu):
         raise ValueError(f"|alpha|^2 + |beta|^2 must be finite, got {mu!r}")
-    for m_max in dict.fromkeys(_window_sizes(mu)):  # a repeated top is tried once
+    for m_max in _window_sizes(mu):
         # the table, the temporaries of log_poisson_table and the growth of
-        # the log-factorial cache (a list of 4 cells per entry, then the new
-        # cache) take up to 10 cells per row; this also caps the tail sum
-        _require_budget(10 * (m_max + 1), f"m_max={m_max}", f"before reaching tail {epsilon_tail} (mean={mu})")
+        # the log-factorial cache (up to 2 new cells per row, filled through
+        # a temporary) take up to 6 cells per row; this also caps the tail sum
+        _require_budget(6 * (m_max + 1), f"m_max={m_max}", f"before reaching tail {epsilon_tail} (mean={mu})")
         mass = _poisson_tail(mu, m_max, math.exp(log_poisson_weight(mu, m_max)))
         if mass <= epsilon_tail:
             return mu, m_max, mass
-    raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (mean={mu})")
 
 
 def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:
@@ -474,15 +473,14 @@ def _pair_windows(eta: float, mean_b: float, epsilon_tail: float, grids: int) ->
     directly summed outside mass (_outside_mass) is at most epsilon_tail.
     Every top is first checked against the grid budget for grids window
     arrays, so one that would not fit fails before its caller allocates;
-    past the growth limit it raises."""
+    that error is the only end of the walk."""
     context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
     mu = mean_b + eta * eta / (1.0 - eta * eta)
-    for k_max in dict.fromkeys(_window_sizes(mu)):  # a repeated top is tried once
+    for k_max in _window_sizes(mu):
         _require_budget(grids * (k_max + 1) ** 2, f"k_max={k_max}", context)
         mass = _outside_mass(eta, mean_b, k_max)
         if mass <= epsilon_tail:
             yield k_max, mass
-    raise RuntimeError(f"outcome window failed to reach tail {epsilon_tail} (eta={eta}, mean={mean_b})")
 
 
 def _pair_window_grid(
@@ -557,7 +555,7 @@ def _pair_window_grid(
                 f"outcome window stalled at residual {residual!r}: tail {epsilon_tail} "
                 f"is below float64 resolution (eta={eta}, mean={mean_b})"
             )
-    raise AssertionError("unreachable: _pair_windows raises when it runs out")
+    raise AssertionError("unreachable: _pair_windows ends only by raising")
 
 
 def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:

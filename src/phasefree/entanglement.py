@@ -113,13 +113,17 @@ def average_entanglement(
         # an (n, n) outcome with a single Schmidt term
         e_avg = 0.0
     else:
-        # a cell with A = 0 has B = +-0, so its entropy comes out 0 as well
+        # a cell with A = 0 has B = +-0, so its entropy comes out 0 as well;
+        # max(log2 A - B / (LN2 A), 0) is formed in place, so that with A
+        # and B the report holds the four grids its budget counts
         safe = np.where(a_grid > 0.0, a_grid, 1.0)
-        entropies = np.maximum(np.log2(safe) - b_grid / (LN2 * safe), 0.0)
+        entropies = np.log2(safe)
+        np.divide(b_grid, np.multiply(safe, LN2, out=safe), out=b_grid)
+        np.maximum(np.subtract(entropies, b_grid, out=entropies), 0.0, out=entropies)
         # min(K, L) == 0 admits a single Schmidt term; pin the float noise
         entropies[0, :] = 0.0
         entropies[:, 0] = 0.0
-        e_avg = float((a_grid * entropies).sum())
+        e_avg = float(np.multiply(entropies, a_grid, out=entropies).sum())
 
     e_exact = tmss_entanglement(eta)
     fraction_lost = (e_exact - e_avg) / e_exact if e_exact > 0.0 else 0.0

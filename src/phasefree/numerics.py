@@ -48,8 +48,13 @@ def log_factorial_table(n_max: int) -> np.ndarray:
     table = _log_factorials
     if n_max >= table.size:
         size = max(n_max + 1, 2 * table.size)
-        table = np.concatenate([table, [log_factorial(k) for k in range(table.size, size)]])
-        _log_factorials = table
+        grown = np.empty(size)
+        grown[: table.size] = table
+        # above _EXACT_FACTORIAL_MAX, log_factorial(k) is math.lgamma(k + 1)
+        start = min(size, max(table.size, _EXACT_FACTORIAL_MAX + 1))
+        grown[table.size : start] = [log_factorial(k) for k in range(table.size, start)]
+        grown[start:] = np.fromiter(map(math.lgamma, range(start + 1, size + 1)), float, size - start)
+        _log_factorials = table = grown
     return table[: n_max + 1].copy()
 
 

@@ -194,6 +194,13 @@ class TestPointCommand:
         assert code == 0
         assert "E_exact        0" in capsys.readouterr().out
 
+    def test_tiny_beta_point_reaches_its_tail(self, capsys):
+        """The window tops stay at 1 until w passes 1e15; a 4 x 4 window
+        then meets the tail."""
+        code = main(["point", "--eta", "0", "--beta", "1e-15", "--epsilon-tail", "1e-100"])
+        assert code == 0
+        assert "window         4 x 4" in capsys.readouterr().out
+
     def test_oracle_flag_reports_tiny_deviation(self, capsys):
         code = main(["point", "--eta", "0.5", "--beta", "1", "--oracle"])
         assert code == 0

@@ -1,6 +1,7 @@
 """Encoded-state construction and outcome statistics."""
 
 import cmath
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -228,8 +229,8 @@ class TestCoherentOutcomeDistribution:
     def test_stalled_residual_fails_within_a_few_rounds(self, monkeypatch):
         """At (0.2, 8.0) the float64 residual 1 - sum P(K, L) stops near
         5e-14 from k_max = 193, so a tail of 1e-14 is unreachable: the first
-        round that shows the stall raises, instead of doubling up to
-        w = 2^24 or the grid budget.  Each round checks its budget once."""
+        round that shows the stall raises, instead of doubling up to the
+        grid budget.  Each round checks its budget once."""
         windows = []
         original = encoding._require_budget
 
@@ -385,19 +386,29 @@ def _full_grid_reference(eta, mean_b, epsilon_tail=DEFAULT_EPSILON_TAIL):
 
 
 class TestWindowSizes:
-    def test_tops_double_the_width_up_to_the_growth_limit(self):
-        """k_max = ceil(mu + w sqrt(mu)) for w = 8, 16, ..., 2^24: the policy
-        that both outcome distributions share."""
+    def test_tops_double_the_width_without_a_limit(self):
+        """k_max = ceil(mu + w sqrt(mu)) for w = 8, 16, 32, ...: the policy
+        that every outcome table shares; each top is new, and at mu = 0 the
+        only top is 0."""
         mu = 4.25
-        assert list(_window_sizes(mu)) == [math.ceil(mu + 8.0 * 2**r * math.sqrt(mu)) for r in range(22)]
-        assert list(_window_sizes(0.0)) == [0] * 22
+        tops = list(itertools.islice(_window_sizes(mu), 22))
+        assert tops == [math.ceil(mu + 8.0 * 2**r * math.sqrt(mu)) for r in range(22)]
+        assert all(a < b for a, b in zip(tops, tops[1:]))
+        assert list(_window_sizes(0.0)) == [0]
 
-    def test_both_distributions_fail_past_the_growth_limit(self, monkeypatch):
-        monkeypatch.setattr(encoding, "_MAX_WINDOW_GROWTH", 16.0)
-        with pytest.raises(RuntimeError, match=r"failed to reach tail 1e-300 \(eta=0\.5, mean=4\.0\)"):
-            pair_outcome_distribution(0.5, 2.0, epsilon_tail=1e-300)
-        with pytest.raises(RuntimeError, match=r"failed to reach tail 1e-300 \(mean=4\.25\)"):
-            coherent_outcome_distribution(0.5, 2.0, epsilon_tail=1e-300)
+    def test_a_tiny_mean_reaches_its_tail(self):
+        """At |beta| = 1e-15 the tops ceil(mu + w sqrt(mu)) stay at 1 until
+        w passes 1e15; the walk goes on until the mass outside a 4-row
+        window, about mu^4 / 24 = 4.2e-122, meets a tail of 1e-100."""
+        coherent = coherent_outcome_distribution(0.0, 1e-15, epsilon_tail=1e-100)
+        assert coherent.support.probabilities.shape == (4,)
+        assert coherent.residual == pytest.approx(1e-120 / 24, rel=1e-12)
+        pair = pair_outcome_distribution(0.0, 1e-15, epsilon_tail=1e-100)
+        assert pair.support.probabilities.shape == (4, 4)
+        report = average_entanglement(0.0, 1e-15, epsilon_tail=1e-100)
+        assert report.window == 4 and report.E_avg == 0.0
+        assert mean_pair_approx_fidelity(0.0, 1e-15, epsilon_tail=1e-100) == 1.0
+        assert mean_coherent_approx_fidelity(0.0, 1e-15, epsilon_tail=1e-100) == 1.0
 
 
 def _mp_pair_probability(eta, mean_b, k, l):
@@ -597,7 +608,7 @@ class TestGridBudget:
     def test_coherent_band_passes_fail_before_running_past_the_budget(self, monkeypatch):
         """The banded coherent fidelity pass costs rows x band cells of 8
         bytes; a pass over the budget raises before summing any band.  Both
-        public calls fail on the table's 10 cells per row first, and with
+        public calls fail on the table's 6 cells per row first, and with
         room for the table the fidelity fails on its band pass before the
         table is built."""
         summed, tables = [], []
@@ -607,9 +618,9 @@ class TestGridBudget:
         with pytest.raises(RuntimeError, match=r"m_max=193 needs \d+ bytes, over the grid budget"):
             encoding._coherent_overlaps(0.3, 193)
         for call in (coherent_outcome_distribution, mean_coherent_approx_fidelity):
-            with pytest.raises(RuntimeError, match="m_max=193 needs 15520 bytes, over the grid budget"):
+            with pytest.raises(RuntimeError, match="m_max=193 needs 9312 bytes, over the grid budget"):
                 call(3.0, 10.0)
-        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 15520)
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 9312)
         with pytest.raises(RuntimeError, match=r"m_max=193 needs \d+ bytes, over the grid budget.*fidelity band"):
             mean_coherent_approx_fidelity(3.0, 10.0)
         assert summed == [] and tables == []
@@ -617,10 +628,10 @@ class TestGridBudget:
     def test_coherent_table_fails_before_allocating_past_the_budget(self, monkeypatch):
         """At beta = 300 the window holds 92 401 outcomes.  Building the
         table with the log-factorial cache one entry short, so that it
-        doubles, allocates at most the 10 cells per row the budget counts;
+        doubles, allocates at most the 6 cells per row the budget counts;
         one byte less raises before the cache grows or any table exists."""
         m_max = 92400
-        budgeted = 10 * 8 * (m_max + 1)
+        budgeted = 6 * 8 * (m_max + 1)
         monkeypatch.setattr(numerics, "_log_factorials", numerics.log_factorial_table(m_max - 1))
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted - 1)
         tracemalloc.start()
@@ -637,7 +648,7 @@ class TestGridBudget:
             tracemalloc.stop()
         assert refused < 8 * m_max and cache_size == m_max
         assert dist.support.probabilities.size == m_max + 1
-        assert 8 * 8 * (m_max + 1) < built <= budgeted
+        assert 4 * 8 * (m_max + 1) < built <= budgeted
 
 
 class TestApproxFidelities:
@@ -729,11 +740,6 @@ class TestApproxFidelities:
             pair_outcome_distribution(0.5, 2.0, epsilon_tail=1e-17)
         value = mean_pair_approx_fidelity(0.5, 2.0, epsilon_tail=1e-17)
         assert value == pytest.approx(mean_pair_approx_fidelity(0.5, 2.0), abs=1e-10)
-
-    def test_pair_fidelity_fails_past_the_growth_limit(self, monkeypatch):
-        monkeypatch.setattr(encoding, "_MAX_WINDOW_GROWTH", 16.0)
-        with pytest.raises(RuntimeError, match=r"failed to reach tail 1e-300 \(eta=0\.5, mean=4\.0\)"):
-            mean_pair_approx_fidelity(0.5, 2.0, epsilon_tail=1e-300)
 
     @staticmethod
     def _pair_fidelity_window(eta, mean_b):

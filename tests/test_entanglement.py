@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -180,6 +181,22 @@ class TestAverageEntanglement:
             average_entanglement(0.5, 0.0)
         with pytest.raises(ValueError):
             average_entanglement(0.5, 2.0, epsilon_tail=0.0)
+
+    @pytest.mark.parametrize("eta,beta", [(0.5, 14.0), (0.9, 12.0)])
+    def test_memory_is_what_it_budgets(self, eta, beta):
+        """At windows of 310 and 345 the peak is the 4 window arrays the
+        grid budget counts (A, B and the two slice buffers, then A, B and
+        the two grids of the entropy reduction), plus numpy's broadcasting
+        buffers (np.getbufsize() cells per operand) and O(window) vectors."""
+        size = average_entanglement(eta, beta).window  # grow the log-factorial cache
+        tracemalloc.start()
+        try:
+            average_entanglement(eta, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budgeted = 4 * 8 * size * size
+        assert budgeted <= peak <= budgeted + 4 * 8 * np.getbufsize() + 64 * 8 * size
 
 
 def _mp_average_entanglement(eta, mean_b, window):

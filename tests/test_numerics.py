@@ -89,6 +89,16 @@ class TestLogFactorial:
             assert table.shape == (n_max + 1,)
             assert table.tolist() == [log_factorial(k) for k in range(n_max + 1)]
 
+    def test_grown_cache_is_the_scalar_values_bit_for_bit(self, monkeypatch):
+        """A growth from 15 entries fills k = 15..29 across the switch from
+        exact factorials to lgamma at k = 20/21; the next, past 29, doubles
+        the cache to 60 entries."""
+        monkeypatch.setattr(numerics, "_log_factorials", numerics.log_factorial_table(14))
+        for n_max, size in ((25, 30), (30, 60)):
+            log_factorial_table(n_max)
+            expected = np.array([log_factorial(k) for k in range(size)])
+            assert numerics._log_factorials.tobytes() == expected.tobytes()
+
     def test_table_is_consistent_under_concurrent_growth(self, monkeypatch):
         """Threads that grow the shared table at once each see a complete
         table of scalar values."""
