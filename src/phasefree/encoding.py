@@ -54,11 +54,12 @@ sum_n |q|^(2n) / (n! (M-n)!) = (1 + |q|^2)^M / M!, q = alpha/beta.  For
 the pair, the overlap summand sqrt(t_n) eta'^n, with t_n the n-th summand
 of P(K, L), equals sqrt(1 - eta^2) G[K, n] G[L, n] for
 G[X, n] = (eta sqrt(X/|beta|^2))^n sqrt(Pois(|beta|^2, X-n)), so every
-overlap comes from one contraction G G^T, taken on row-scaled G with
-numpy's own einsum loop rather than a threaded BLAS.  The fidelity of
-outcome (K, L) is (1 - eta'^2) overlap^2 / P(K, L), so the P-weighted mean
-is the sum of (1 - eta'^2) overlap^2 over the outcomes with eta' < 1 and
-needs no probability table.  Each fidelity runs on the first top the
+overlap comes from one contraction G G^T, over the n up to where eta^(2n)
+falls to e^-80 (see _pair_factor), taken on row-scaled G with numpy's own
+einsum loop rather than a threaded BLAS.  The fidelity of outcome (K, L)
+is (1 - eta'^2) overlap^2 / P(K, L), so the P-weighted mean is the sum of
+(1 - eta'^2) overlap^2 over the outcomes with eta' < 1 and needs no
+probability table.  Each fidelity runs on the first top the
 window rule admits and underestimates by at most the mass outside it; as
 neither forms 1 - sum P, a tail below float64 resolution stalls neither.
 """
@@ -76,7 +77,6 @@ from typing import Iterator
 import numpy as np
 
 from .numerics import (
-    LN2,
     LOG_ZERO,
     log_factorial_table,
     log_poisson_table,
@@ -322,12 +322,16 @@ def pair_approx_param(eta: float, beta, K: int, L: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_budget(cells: int, window: str, context: str) -> None:
-    """Raise RuntimeError when cells float64 cells exceed _GRID_BUDGET_BYTES."""
+def _require_budget(cells: int, top: str, k: int, context: str) -> None:
+    """Raise RuntimeError when cells float64 cells exceed _GRID_BUDGET_BYTES,
+    naming the window by its top, top=k; a count of more than 15 digits is
+    printed as %.3e."""
     nbytes = 8 * cells
     if nbytes > _GRID_BUDGET_BYTES:
+        from decimal import Decimal  # rounds an int past 1e308; imported only on failure
+        k, nbytes = (str(v) if v < 10**15 else f"{Decimal(v):.3e}" for v in (k, nbytes))
         raise RuntimeError(
-            f"outcome window {window} needs {nbytes} bytes, over the grid budget of "
+            f"outcome window {top}={k} needs {nbytes} bytes, over the grid budget of "
             f"{_GRID_BUDGET_BYTES} bytes, {context}"
         )
 
@@ -383,7 +387,7 @@ def _coherent_window(alpha, beta, epsilon_tail: float) -> tuple[float, int, floa
         # the table, the temporaries of log_poisson_table and the growth of
         # the log-factorial cache (up to 2 new cells per row, filled through
         # a temporary) take up to 6 cells per row; this also caps the tail sum
-        _require_budget(6 * (m_max + 1), f"m_max={m_max}", f"before reaching tail {epsilon_tail} (mean={mu})")
+        _require_budget(6 * (m_max + 1), "m_max", m_max, f"before reaching tail {epsilon_tail} (mean={mu})")
         mass = _poisson_tail(mu, m_max, math.exp(log_poisson_weight(mu, m_max)))
         if mass <= epsilon_tail:
             return mu, m_max, mass
@@ -395,40 +399,6 @@ def coherent_outcome_distribution(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     Poisson tail past the window, summed directly, as residual."""
     mu, m_max, mass = _coherent_window(alpha, beta, epsilon_tail)
     return OutcomeDistribution(OutcomeTable(np.exp(log_poisson_table(mu, m_max))), mass)
-
-
-def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
-    """2 sum_{K > k_max} P_K(K) log2(K + 1), summed directly.
-
-    K is n + X with n geometric, weights (1 - eta^2) eta^(2n), and X
-    Poisson(mean_b), so P_K(K + 1) = (1 - eta^2) Pois(K + 1) + eta^2 P_K(K)
-    <= r P_K(K) with r = eta^2 + mean_b / (K + 1), falling in K.  The sum
-    runs until r < 1 and the geometric bound on what is left,
-    sum_{j >= 1} r^j P_K(K) (log2(K + 1) + j / ((K + 1) ln 2)), is below
-    2^-60 of the sum; that bound is then added, so the result bounds the
-    whole tail.  As log2(K + 1) >= 1 there, it also bounds the joint mass
-    of the outcomes outside the window [0, k_max]^2.  It is the
-    residual_bound of an entanglement report; windows are sized by
-    _outside_mass.
-    """
-    e2 = eta * eta
-    pois = np.exp(log_poisson_table(mean_b, k_max)).tolist()
-    p_k = 0.0
-    for pois_k in pois:
-        p_k = (1.0 - e2) * pois_k + e2 * p_k
-    k, pois_k, terms, total = k_max, pois[-1], [], 0.0
-    while True:
-        k += 1
-        pois_k *= mean_b / k
-        p_k = (1.0 - e2) * pois_k + e2 * p_k
-        log_rank = math.log2(k + 1)
-        terms.append(p_k * log_rank)
-        total += terms[-1]
-        r = e2 + mean_b / (k + 1)
-        if r < 1.0:
-            rest = p_k * r / (1.0 - r) * (log_rank + 1.0 / ((1.0 - r) * (k + 1) * LN2))
-            if rest <= 2.0**-60 * total:
-                return 2.0 * (math.fsum(terms) + rest)
 
 
 def _poisson_tail(mean: float, k: int, pois_k: float) -> float:
@@ -446,26 +416,53 @@ def _poisson_tail(mean: float, k: int, pois_k: float) -> float:
             return tail + term * r / (1.0 - r)
 
 
-def _outside_mass(eta: float, mean_b: float, k_max: int) -> float:
-    """Joint mass of the pair outcomes outside the window [0, k_max]^2,
-    summed directly rather than taken as 1 - sum P, so it has no float64
-    floor; k_max >= mean_b, as every window top is.
+def _outside_weights(eta: float, mean_b: float, k_max: int) -> np.ndarray:
+    """P(n, O) for n = 0..k_max: the mass of the pair outcomes outside the
+    window O = [0, k_max]^2 at photon number n, summed directly rather than
+    taken as 1 - sum P, so it has no float64 floor; k_max >= mean_b, as
+    every window top is.
 
     (K, L) = (n + X, n + Y) with n geometric, weights w_n = (1 - eta^2)
     eta^(2n), and X, Y iid Poisson(mean_b), so an outcome lies outside
-    unless X, Y <= k_max - n:
-
-        sum_{n <= k_max} w_n U(k_max - n) (2 - U(k_max - n)) + eta^(2 (k_max + 1))
-
-    with U(j) = P(X > j), formed as suffix sums of the Poisson table from
-    its small end, starting from the tail past k_max (_poisson_tail).
+    unless X, Y <= k_max - n: P(n, O) = w_n U(k_max - n) (2 - U(k_max - n))
+    (and w_n for n > k_max), with U(j) = P(X > j) formed as suffix sums of
+    the Poisson table from the tail past k_max (_poisson_tail).
     """
     e2 = eta * eta
     pois = np.exp(log_poisson_table(mean_b, k_max))
     tail = _poisson_tail(mean_b, k_max, float(pois[-1]))
     upper = np.cumsum(np.concatenate([[tail], pois[:0:-1]]))  # U(k_max - n)
     weights = (1.0 - e2) * e2 ** np.arange(k_max + 1)
-    return math.fsum((weights * upper * (2.0 - upper)).tolist()) + e2 ** (k_max + 1)
+    return weights * upper * (2.0 - upper)
+
+
+def _outside_mass(eta: float, mean_b: float, k_max: int) -> float:
+    """Joint mass of the pair outcomes outside the window [0, k_max]^2."""
+    return math.fsum(_outside_weights(eta, mean_b, k_max).tolist()) + (eta * eta) ** (k_max + 1)
+
+
+def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
+    """P h(M / P), the residual_bound of an entanglement report, with
+    P = sum_n P(n, O) and M = sum_n n P(n, O) (_outside_weights; past k_max
+    both sums are geometric) and h(m) = log2(1 + m) + m log2(1 + 1/m), the
+    entropy of the geometric law of mean m.
+
+    As E_avg = H(n | K, L), the outcomes outside the window O add
+    P H(n | K, L, O) <= P H(n | O) <= P h(E[n | O]), as the geometric law
+    has the largest entropy of any law on n >= 0 with a given mean (Cover
+    and Thomas, ch. 12).  This bounds the truncation only, not the rounding
+    of E_avg's own sum.  At eta = 0 every outcome is a product state and
+    the bound is 0.
+    """
+    e2 = eta * eta
+    inside = _outside_weights(eta, mean_b, k_max)
+    past = e2 ** (k_max + 1)
+    mass = math.fsum(inside.tolist()) + past
+    moment = math.fsum((np.arange(k_max + 1) * inside).tolist()) + past * (k_max + 1 + e2 / (1.0 - e2))
+    if moment == 0.0:
+        return 0.0  # the outside mass, if any, lies at n = 0
+    m = max(moment / mass, np.finfo(float).tiny)  # h rises with m, and 1/m stays finite
+    return mass * (math.log1p(m) + m * math.log1p(1.0 / m)) / math.log(2.0)
 
 
 def _pair_windows(eta: float, mean_b: float, epsilon_tail: float, grids: int) -> Iterator[tuple[int, float]]:
@@ -477,7 +474,7 @@ def _pair_windows(eta: float, mean_b: float, epsilon_tail: float, grids: int) ->
     context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
     mu = mean_b + eta * eta / (1.0 - eta * eta)
     for k_max in _window_sizes(mu):
-        _require_budget(grids * (k_max + 1) ** 2, f"k_max={k_max}", context)
+        _require_budget(grids * (k_max + 1) ** 2, "k_max", k_max, context)
         mass = _outside_mass(eta, mean_b, k_max)
         if mass <= epsilon_tail:
             yield k_max, mass
@@ -600,7 +597,7 @@ def _coherent_overlaps(quot: complex, m_max: int) -> np.ndarray:
     lo, hi = np.minimum(lo, m_all), np.minimum(hi, m_all)
     width = int((hi - lo).max()) + 1
     context = f"for a fidelity band of {width} photon numbers (|alpha/beta|^2={s})"
-    _require_budget((m_max + 1) * width, f"m_max={m_max}", context)
+    _require_budget((m_max + 1) * width, "m_max", m_max, context)
     lf = log_factorial_table(m_max)
     log_norm = 0.5 * (lf - times_m(s + math.log1p(s)))
 
@@ -636,13 +633,15 @@ def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPS
 
 def _pair_factor(eta: float, mean_b: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """G[X, n] = (eta sqrt(X/|beta|^2))^n sqrt(Pois(|beta|^2, X - n)) for
-    X = 0..k_max and n = 0..X (0 for n > X), the factor of
+    X = 0..k_max and n = 0..n_top (0 for n > X), the factor of
     overlap[K, L] = sqrt(1 - eta^2) sum_n G[K, n] G[L, n], with each row
     divided by its largest entry; returns (scaled G, ln of those entries).
-    With eta = 0 only n = 0 survives.  |beta|^2 must be positive.  Built in
-    one array, in place."""
+    n_top = min(k_max, ceil(_BAND_LOG_CUT / (-2 ln eta))): by Cauchy-Schwarz
+    the photon numbers left out change the mean fidelity by at most
+    2 eta^(n_top + 1) <= 2 e^-40.  With eta = 0 only n = 0 survives.
+    |beta|^2 must be positive.  Built in one array, in place."""
     half = 0.5 * log_poisson_table(mean_b, k_max)
-    n_top = k_max if eta > 0.0 else 0
+    n_top = min(k_max, math.ceil(_BAND_LOG_CUT / (-2.0 * math.log(eta)))) if eta > 0.0 else 0
     g = np.zeros((k_max + 1, n_top + 1))
     if n_top:
         # row X = 0 holds only n = 0, so its ratio is never used

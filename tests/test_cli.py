@@ -253,6 +253,15 @@ class TestPointCommand:
         assert err.startswith("error: outcome window k_max=") and err.count("\n") == 1
         assert "grid budget" in err
 
+    def test_huge_window_error_is_short(self, capsys):
+        """|beta|^2 = 1e300 is finite; its window top of 301 digits and byte
+        count of over 600 print as %.3e."""
+        code = main(["point", "--eta", "0.5", "--beta", "1e150"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: outcome window k_max=1.000e+300 needs 3.200e+601 bytes")
+        assert len(err) < 200 and err.count("\n") == 1
+
     @pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "1e200"])
     def test_unrepresentable_beta_fails_cleanly(self, capsys, beta):
         code = main(["point", "--eta", "0.5", f"--beta={beta}"])

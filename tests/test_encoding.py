@@ -234,9 +234,9 @@ class TestCoherentOutcomeDistribution:
         windows = []
         original = encoding._require_budget
 
-        def counted(cells, window, context):
-            windows.append(window)
-            return original(cells, window, context)
+        def counted(*args):
+            windows.append(args)
+            return original(*args)
 
         monkeypatch.setattr(encoding, "_require_budget", counted)
         with pytest.raises(RuntimeError, match="below float64 resolution"):
@@ -433,11 +433,10 @@ class TestOutsideMass:
         assert encoding._outside_mass(eta, mean_b, k_max) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("eta,mean_b,k_max", [(0.5, 4.0, 21), (0.9, 1.0, 24), (0.2, 64.0, 129), (0.0, 9.0, 33)])
-    def test_lies_between_the_marginal_tail_and_the_entropy_bound(self, eta, mean_b, k_max):
+    def test_is_at_least_the_marginal_tail(self, eta, mean_b, k_max):
         """An outcome outside the window has K > k_max or L > k_max, so the
         joint mass is at least the marginal tail sum_{K > k_max} P_K(K) (1 -
-        sum over K <= k_max at 30 digits) and at most twice it, which
-        _outside_entropy_bound bounds in turn."""
+        sum over K <= k_max at 30 digits)."""
         with mp.workdps(30):
             e2 = mp.mpf(eta) ** 2
             pois = [mp.exp(-mean_b) * mp.mpf(mean_b) ** j / mp.factorial(j) for j in range(k_max + 1)]
@@ -445,7 +444,6 @@ class TestOutsideMass:
             marginal = float(1 - inside)
         mass = encoding._outside_mass(eta, mean_b, k_max)
         assert marginal <= mass * (1.0 + 1e-12)
-        assert mass <= encoding._outside_entropy_bound(eta, mean_b, k_max)
 
     @pytest.mark.parametrize("eta,beta", [(0.5, 0.7), (0.8, 0.5), (0.3, 0.5), (0.9, 1.0), (0.5, 2.0), (0.6, 1.2)])
     def test_agrees_with_the_grid_residual(self, eta, beta):
@@ -455,6 +453,20 @@ class TestOutsideMass:
         mass = encoding._outside_mass(eta, beta * beta, k_max)
         assert mass > 1e-8
         assert mass == pytest.approx(residual, rel=0.0, abs=1e-13)
+
+
+class TestOutsideEntropyBound:
+    @pytest.mark.parametrize("eta,mean_b,k_max", [(0.0, 9.0, 33), (0.0, 0.0, 0)])
+    def test_is_zero_without_squeezing(self, eta, mean_b, k_max):
+        """At eta = 0 the outside mass P lies at n = 0, so M = 0 (and at
+        |beta|^2 = 0 also P = 0): the bound is exactly 0, with no 0/0."""
+        assert encoding._outside_entropy_bound(eta, mean_b, k_max) == 0.0
+
+    def test_stays_finite_when_the_outside_mean_is_subnormal(self):
+        """At eta = 1e-155 the outside photon-number mean M / P, about
+        5e-310, is subnormal, so 1 / (M / P) would overflow to inf."""
+        bound = encoding._outside_entropy_bound(1e-155, 4.0, 21)
+        assert 0.0 < bound < 1e-300
 
 
 class TestWindowRule:
@@ -625,6 +637,14 @@ class TestGridBudget:
             mean_coherent_approx_fidelity(3.0, 10.0)
         assert summed == [] and tables == []
 
+    @pytest.mark.parametrize("call", [coherent_outcome_distribution, pair_outcome_distribution])
+    def test_huge_window_error_is_short(self, call):
+        """|beta| = 1e150 has a finite mean 1e300, whose first window top
+        has 301 digits and its byte count over 600: both print as %.3e."""
+        with pytest.raises(RuntimeError, match=r"window [mk]_max=1\.000e\+300 needs \d\.\d{3}e\+\d+ bytes") as info:
+            call(0.0, 1e150)
+        assert len(str(info.value)) < 200
+
     def test_coherent_table_fails_before_allocating_past_the_budget(self, monkeypatch):
         """At beta = 300 the window holds 92 401 outcomes.  Building the
         table with the log-factorial cache one entry short, so that it
@@ -719,6 +739,18 @@ class TestApproxFidelities:
     def test_pair_fidelity_matches_per_outcome_recomputation(self, eta, beta):
         expected = _pair_fidelity_reference(eta, beta)
         assert mean_pair_approx_fidelity(eta, beta) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("eta,beta", [(0.5, 14.0), (0.3, 3.0)])
+    def test_pair_fidelity_leaves_out_only_negligible_photon_numbers(self, monkeypatch, eta, beta):
+        """G keeps only n <= ceil(_BAND_LOG_CUT / (-2 ln eta)), n <= 58 at
+        eta = 0.5, of a window of 300; at (0.5, 14) (window about 310) and
+        (0.3, 3) the full width gives the same bits."""
+        n_top = math.ceil(encoding._BAND_LOG_CUT / (-2.0 * math.log(eta)))
+        assert encoding._pair_factor(eta, beta * beta, 300)[0].shape == (301, n_top + 1)
+        cut = mean_pair_approx_fidelity(eta, beta)
+        monkeypatch.setattr(encoding, "_BAND_LOG_CUT", 1e6)
+        assert encoding._pair_factor(eta, beta * beta, 300)[0].shape == (301, 301)
+        assert mean_pair_approx_fidelity(eta, beta) == cut
 
     def test_pair_fidelity_needs_no_probability_table(self, monkeypatch):
         expected = mean_pair_approx_fidelity(0.5, 3.0)

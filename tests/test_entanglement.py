@@ -74,6 +74,7 @@ class TestAverageEntanglement:
         assert report.E_exact == 0.0
         assert report.E_avg == 0.0
         assert report.fraction_lost == 0.0
+        assert report.residual_bound == 0.0
 
     def test_tiny_ancilla_reads_out_the_pair(self):
         """As beta -> 0 the measurement reveals n itself: almost every
@@ -97,15 +98,23 @@ class TestAverageEntanglement:
         probs = report.support.probabilities
         assert float(probs.sum()) + report.residual == pytest.approx(1.0, abs=1e-10)
         assert 0.0 <= report.residual <= 1e-10
-        # 2 sum_{K > k_max} P_K(K) log2(K + 1), with P_K(K) summed term by
-        # term from the geometric and Poisson laws it convolves
-        e2, mean_b = 0.45**2, 2.5**2
-        lp = log_poisson_table(mean_b, report.window + 400)
-        outside = [
-            math.fsum((1.0 - e2) * e2**n * math.exp(lp[k - n]) for n in range(k + 1)) * math.log2(k + 1)
-            for k in range(report.window, lp.size)
-        ]
-        assert report.residual_bound == pytest.approx(2.0 * math.fsum(outside), rel=1e-9, abs=0.0)
+        # P h(M / P) with h(m) = log2(1 + m) + m log2(1 + 1/m), P and M the
+        # outside mass and its photon-number moment: P(n, O) = w_n for n past
+        # the window, else w_n P((X, Y) outside [0, k_max - n]^2) = w_n U (2 - U)
+        # with the Poisson tail U = P(X > k_max - n) summed term by term
+        k_max = report.window - 1
+        with mp.workdps(30):
+            e2, mean_b = mp.mpf(0.45) ** 2, mp.mpf(2.5) ** 2
+            pois = [mp.exp(-mean_b) * mean_b**j / mp.factorial(j) for j in range(k_max + 400)]
+            upper = [mp.fsum(pois[j + 1 :]) for j in range(k_max + 1)]
+            outside = [
+                (1 - e2) * e2**n * (upper[k_max - n] * (2 - upper[k_max - n]) if n <= k_max else 1)
+                for n in range(k_max + 400)
+            ]
+            mass = mp.fsum(outside)
+            m = mp.fsum(n * p for n, p in enumerate(outside)) / mass
+            expected = float(mass * (mp.log1p(m) + m * mp.log1p(1 / m)) / mp.log(2))
+        assert report.residual_bound == pytest.approx(expected, rel=1e-9, abs=0.0)
         # a window with no float-resolved residual still leaves a tail
         assert report.residual == 0.0
         assert report.residual_bound > 0.0
@@ -113,21 +122,27 @@ class TestAverageEntanglement:
     @pytest.mark.parametrize("eta,beta,finer_tail", [(0.5, 12.0, 1e-14), (0.2, 8.0, 1e-13)])
     def test_residual_bound_covers_a_wider_window(self, eta, beta, finer_tail):
         """What a wider window adds to E_avg stays within the default
-        window's bound.  At (0.2, 8) a tail of 1e-14 is below what the
-        summed residual resolves, so 1e-13 widens the window instead."""
+        window's bound, which it nearly meets.  At (0.2, 8) a tail of 1e-14
+        is below what the summed residual resolves, so 1e-13 widens the
+        window instead."""
         default = average_entanglement(eta, beta)
         wider = average_entanglement(eta, beta, epsilon_tail=finer_tail)
         assert wider.window > default.window
-        assert 0.0 < wider.E_avg - default.E_avg <= default.residual_bound
+        added = wider.E_avg - default.E_avg
+        assert 0.0 < added <= default.residual_bound <= 1.05 * added
 
-    @pytest.mark.parametrize("eta,beta", [(0.3, 1.0), (0.5, 1.5)])
+    @pytest.mark.parametrize("eta,beta", [(0.3, 1.0), (0.5, 1.5), (0.05, 1.0), (0.7, 0.5)])
     def test_residual_bound_is_a_bound(self, eta, beta):
         """E_avg summed at 30 digits over a window twice the report's, where
         the outcomes left out hold far less than 1e-13, lies between the
-        report's E_avg and E_avg + residual_bound."""
+        report's E_avg and E_avg + residual_bound, and the part of that sum
+        outside the report's window is at most residual_bound."""
         report = average_entanglement(eta, beta)
-        truth = _mp_average_entanglement(eta, beta * beta, 2 * report.window)
+        inside = _mp_average_entanglement(eta, beta * beta, report.window)
+        outside = _mp_average_entanglement(eta, beta * beta, 2 * report.window, start=report.window)
+        truth = inside + outside
         assert report.E_avg - 1e-13 <= truth <= report.E_avg + report.residual_bound + 1e-13
+        assert 0.0 < outside <= report.residual_bound
 
     @pytest.mark.parametrize("eta,beta", [(0.3, 3.0), (0.5, 3.0), (0.9, 12.0)])
     def test_loss_is_a_mutual_information(self, eta, beta):
@@ -199,16 +214,17 @@ class TestAverageEntanglement:
         assert budgeted <= peak <= budgeted + 4 * 8 * np.getbufsize() + 64 * 8 * size
 
 
-def _mp_average_entanglement(eta, mean_b, window):
-    """sum_{K, L < window} (P log2 P - sum_n t_n log2 t_n) at 30 digits, with
-    t_n(K, L) = (1 - eta^2) eta^(2n) Pois(K - n) Pois(L - n) and P = sum_n
-    t_n, summed over L <= K and doubled off the diagonal."""
+def _mp_average_entanglement(eta, mean_b, window, start=0):
+    """sum (P log2 P - sum_n t_n log2 t_n) over K, L < window with
+    max(K, L) >= start, at 30 digits, with t_n(K, L) = (1 - eta^2) eta^(2n)
+    Pois(K - n) Pois(L - n) and P = sum_n t_n, summed over L <= K and
+    doubled off the diagonal."""
     with mp.workdps(30):
         eta, mean_b = mp.mpf(eta), mp.mpf(mean_b)
         log_w = [mp.log1p(-eta * eta) + 2 * n * mp.log(eta) for n in range(window)]
         log_p = [-mean_b + j * mp.log(mean_b) - mp.loggamma(j + 1) for j in range(window)]
         total = []
-        for k in range(window):
+        for k in range(start, window):
             for l in range(k + 1):
                 logs = [log_w[n] + log_p[k - n] + log_p[l - n] for n in range(l + 1)]
                 terms = [mp.exp(x) for x in logs]
