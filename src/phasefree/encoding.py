@@ -16,8 +16,9 @@ halves are measured jointly with two ancillas |beta>, outcomes K and L,
 Every reference-phase factor collects into a single global phase, which is
 why the encoded states need no phase standard.  Magnitudes are evaluated on
 the log scale throughout; the quotient alpha/beta (or eta/beta^2) is taken
-once and powered as log-magnitude plus phase so that large photon numbers
-never overflow and small quotients never underflow.
+as ln|alpha| - ln|beta| (or ln eta - 2 ln|beta|) plus a phase and powered
+in that form, so that neither a tiny |beta| nor a large photon number
+overflows and small quotients never underflow.
 
 Outcome statistics follow from the same amplitudes:
 
@@ -27,16 +28,12 @@ Outcome statistics follow from the same amplitudes:
 enumerated over a window [0, k_max] whose unenumerated tail mass is
 reported, never ignored.  One rule sizes every window: the distinct tops
 k_max = ceil(mu + w sqrt(mu)), w = 8, 16, 32, ..., are tried in turn, and
-a table is built only on a top whose outside mass, summed directly from
-the Poisson (and geometric) laws rather than taken as 1 - sum P, is at
-most epsilon_tail.  The walk has no length limit: it ends at the tail,
-or at a top whose arrays would exceed _GRID_BUDGET_BYTES, which fails
-before allocating.  That mass is the coherent table's residual (its
-entries carry the rounding of log_poisson_table).  The pair table reports
-the float64 1 - sum P, which resolves no tail much below 1e-14: a pair
-table whose residual is over the tail while the mass is within half of it
-fails as stalled; in between, they differ by rounding and the next top is
-tried.
+each table is built once, on the first top whose outside mass, summed
+directly from the Poisson (and geometric) laws rather than taken as
+1 - sum P, is at most epsilon_tail.  That mass is the table's residual,
+so a tail below float64 resolution is met like any other.  The walk has
+no length limit: it ends at the tail, or at a top whose arrays would
+exceed _GRID_BUDGET_BYTES, which fails before allocating.
 
 The n-th summand of P(K, L) vanishes for K < n or L < n and underflows to
 exactly 0.0 far from the Poisson peak, so each slice n is computed only on
@@ -60,8 +57,7 @@ einsum loop rather than a threaded BLAS.  The fidelity of outcome (K, L)
 is (1 - eta'^2) overlap^2 / P(K, L), so the P-weighted mean is the sum of
 (1 - eta'^2) overlap^2 over the outcomes with eta' < 1 and needs no
 probability table.  Each fidelity runs on the first top the
-window rule admits and underestimates by at most the mass outside it; as
-neither forms 1 - sum P, a tail below float64 resolution stalls neither.
+window rule admits and underestimates by at most the mass outside it.
 """
 
 from __future__ import annotations
@@ -109,7 +105,7 @@ _BAND_LOG_CUT = 80.0
 # Cells per row chunk of a banded (rows, width) array: 2 MiB of float64.
 _BAND_CHUNK_CELLS = 1 << 18
 
-# Most bytes one round of the outcome grid may allocate for A, B and the two
+# Most bytes the outcome grid may allocate for A, B and the two
 # slice buffers, the pair fidelity for its _PAIR_FIDELITY_GRIDS arrays or the
 # coherent table with its temporaries, and most cells (8 bytes each) the
 # coherent fidelity pass may compute; a window that needs more fails first.
@@ -203,10 +199,11 @@ class OutcomeDistribution:
     """Probability table over measurement outcomes with explicit tail mass.
 
     support maps an outcome (int M, or an (int K, int L) pair) to its
-    probability; residual is, for the coherent table, the mass of the
-    outcomes left unenumerated, a directly summed Poisson tail (its entries
-    carry the rounding of log_poisson_table: 1 - sum P - residual is 3.4e-11
-    at mean 1.8e5), and for the pair table the float64 1 - sum P, near 1e-14.
+    probability; residual is the mass of the outcomes left unenumerated,
+    summed directly from the Poisson (and geometric) laws, at most the tail
+    asked for.  The entries carry the rounding of log_poisson_table, so
+    1 - sum P - residual is not 0: 3.4e-11 at the coherent mean 1.8e5, below
+    1e-13 on the pair tables of the reference sweeps.
     """
 
     support: OutcomeTable
@@ -254,21 +251,22 @@ def _require_tail(epsilon_tail: float) -> float:
     return epsilon_tail
 
 
-def _series_state(quot: complex, log_denominator: np.ndarray) -> tuple[np.ndarray, float]:
+def _series_state(log_quot: float, phase: float, log_denominator: np.ndarray) -> tuple[np.ndarray, float]:
     """Normalized coefficients c_n proportional to quot^n / sqrt(exp(log_denominator[n])),
+    with ln |quot| = log_quot (LOG_ZERO for quot = 0) and arg quot = phase,
     built as log-magnitude plus phase, and the log of their normalizer
     sum_n |quot|^(2n) / exp(log_denominator[n])."""
     coeffs = np.zeros(log_denominator.size, dtype=complex)
-    if quot == 0:
+    if log_quot == LOG_ZERO:
         coeffs[0] = 1.0
         return _frozen(coeffs), float(-log_denominator[0])
 
     n = np.arange(log_denominator.size)
-    log_mag = n * math.log(abs(quot)) - 0.5 * log_denominator
+    log_mag = n * log_quot - 0.5 * log_denominator
     norm_log = log_sum_exp(2.0 * log_mag)
     mags = np.exp(log_mag - 0.5 * norm_log)
     mags /= math.sqrt(math.fsum((mags * mags).tolist()))
-    return _frozen(mags * np.exp(1j * cmath.phase(quot) * n)), float(norm_log)
+    return _frozen(mags * np.exp(1j * phase * n)), float(norm_log)
 
 
 def encode_coherent(alpha, beta, M: int) -> EncodedCoherentState:
@@ -279,7 +277,8 @@ def encode_coherent(alpha, beta, M: int) -> EncodedCoherentState:
     M = _require_outcome(M, "M")
 
     lf = log_factorial_table(M)
-    coeffs, norm_log = _series_state(alpha / beta, lf + lf[::-1])
+    log_quot = (math.log(abs(alpha)) if alpha else LOG_ZERO) - math.log(abs(beta))
+    coeffs, norm_log = _series_state(log_quot, cmath.phase(alpha) - cmath.phase(beta), lf + lf[::-1])
     return EncodedCoherentState(M, coeffs, norm_log)
 
 
@@ -303,18 +302,21 @@ def encode_pair(eta: float, beta, K: int, L: int) -> EncodedPairState:
     lf = log_factorial_table(max(K, L))
     lf_k = lf[K::-1][: n_top + 1]  # ln((K-n)!) for n = 0..n_top
     lf_l = lf[L::-1][: n_top + 1]
-    coeffs, norm_log = _series_state(eta / (beta * beta), lf_k + lf_l)
+    log_quot = (math.log(eta) if eta else LOG_ZERO) - 2.0 * math.log(abs(beta))
+    coeffs, norm_log = _series_state(log_quot, -2.0 * cmath.phase(beta), lf_k + lf_l)
     return EncodedPairState(K, L, coeffs, norm_log)
 
 
 def pair_approx_param(eta: float, beta, K: int, L: int) -> float:
     """Squeezing magnitude eta' = eta sqrt(K L) / |beta|^2 of the two-mode
-    squeezed state the encoded pair approaches when |beta| is large."""
+    squeezed state the encoded pair approaches when |beta| is large; inf
+    where |beta|^2 is too small for the quotient, if eta K L > 0."""
     eta = _require_eta(eta)
     beta = _require_ancilla(beta)
     K = _require_outcome(K, "K")
     L = _require_outcome(L, "L")
-    return eta * math.sqrt(float(K) * float(L)) / abs(beta) ** 2
+    # divided by |beta| twice, as |beta|^2 may underflow to 0
+    return eta * math.sqrt(float(K) * float(L)) / abs(beta) / abs(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +467,18 @@ def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
     return mass * (math.log1p(m) + m * math.log1p(1.0 / m)) / math.log(2.0)
 
 
-def _pair_windows(eta: float, mean_b: float, epsilon_tail: float, grids: int) -> Iterator[tuple[int, float]]:
-    """(k_max, mass) for each top of _window_sizes, in growing order, whose
-    directly summed outside mass (_outside_mass) is at most epsilon_tail.
-    Every top is first checked against the grid budget for grids window
-    arrays, so one that would not fit fails before its caller allocates;
-    that error is the only end of the walk."""
+def _pair_window(eta: float, mean_b: float, epsilon_tail: float, grids: int) -> tuple[int, float]:
+    """(k_max, mass): the first top of _window_sizes whose directly summed
+    outside mass (_outside_mass) is at most epsilon_tail.  Every top is
+    first checked against the grid budget for grids window arrays, so one
+    that would not fit fails before its caller allocates."""
     context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
     mu = mean_b + eta * eta / (1.0 - eta * eta)
     for k_max in _window_sizes(mu):
         _require_budget(grids * (k_max + 1) ** 2, "k_max", k_max, context)
         mass = _outside_mass(eta, mean_b, k_max)
         if mass <= epsilon_tail:
-            yield k_max, mass
+            return k_max, mass
 
 
 def _pair_window_grid(
@@ -486,73 +487,60 @@ def _pair_window_grid(
     epsilon_tail: float,
     with_entropy: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, float, int]:
-    """Joint probability grid A[K, L] over an adaptively grown square window,
-    plus (optionally) the companion accumulator B = sum_n t_n ln(t_n) needed
-    for per-outcome Schmidt entropies.  Returns (A, B, residual, k_max).
+    """Joint probability grid A[K, L] over the window of _pair_window, plus
+    (optionally) the companion accumulator B = sum_n t_n ln(t_n) needed for
+    per-outcome Schmidt entropies.  Returns (A, B, mass, k_max), with mass
+    the directly summed probability outside the window, at most
+    epsilon_tail; each grid is built once.
 
     Each slice n is summed on its live square [lo, hi)^2 only: every summand
     outside it has a log below _EXP_ZERO_LOG, being exactly zero for K < n
     or L < n and cut where even its row's largest cell lies below that.
     For n > 0 the square also drops its leading rows (and columns) whose
     summands are below _NEGLIGIBLE_LOG relative to t_0 in every live
-    column, which changes no bit of A or B.
-
-    The grid is built only on the tops of _pair_windows, whose directly
-    summed outside mass is at most epsilon_tail.  The residual 1 - sum A is
-    float64 noise near 1e-14, so a top it leaves above epsilon_tail while
-    that mass is at most epsilon_tail / 2 has stalled: a wider window cannot
-    lower it.  Between the two, the mass and the float sum disagree only by
-    rounding, and the next top is tried."""
-    lw0 = math.log1p(-eta * eta)
+    column, which changes no bit of A or B."""
     grids = 4 if with_entropy else 3  # A, B and the scratch of the logs and of the terms
-    for k_max, mass in _pair_windows(eta, mean_b, epsilon_tail, grids):
-        a_grid = np.zeros((k_max + 1, k_max + 1))
-        b_grid = np.zeros_like(a_grid) if with_entropy else None
-        log_scratch = np.empty(a_grid.size)
-        term_scratch = np.empty(a_grid.size)
-        lp = log_poisson_table(mean_b, k_max)
-        row0 = 0.5 * lw0 + lp  # ln t_0(K, L) = row0[K] + row0[L]
-        for n in range(k_max + 1 if eta > 0.0 else 1):
-            lw = lw0 + 2.0 * n * math.log(eta) if n > 0 else lw0
-            # splitting the weight over both factors keeps the grid exactly
-            # symmetric under K <-> L (float addition is commutative)
-            shifted = 0.5 * lw + lp[: k_max + 1 - n]  # index K - n
-            live = np.flatnonzero(shifted + shifted.max() >= _EXP_ZERO_LOG)
-            if not live.size:
-                break  # shifted.max() does not rise with n, so no later slice is live
-            start, stop = int(live[0]), int(live[-1]) + 1
-            if n > 0:
-                # ln t_n - ln t_0 = d[K] + d[L], with d[K] = n ln eta +
-                # ln(K! / ((K - n)! mean_b^n)) rising with K, so the negligible
-                # rows are a prefix of the block and d[top] is its largest value
-                lo, top = n + start, n + stop - 1
-                d_top = shifted[stop - 1] - row0[top]
-                if shifted[start] - row0[lo] + d_top < _NEGLIGIBLE_LOG:
-                    d = shifted[start:stop] - row0[lo : top + 1]
-                    cut = start + int(np.searchsorted(d, _NEGLIGIBLE_LOG - d_top))
-                    # row0 is unimodal, so its least value on a range of rows
-                    # lies at an end: t_0 >= e^_NORMAL_LOG on every dropped cell
-                    if min(row0[lo], row0[n + cut - 1]) + min(row0[lo], row0[top]) >= _NORMAL_LOG:
-                        start = cut
-            row = shifted[start:stop]
-            m = stop - start
-            lo, hi = n + start, n + stop
-            log_block = np.add(row[:, None], row[None, :], out=log_scratch[: m * m].reshape(m, m))
-            # log_block is finite, so a term that underflows adds -0.0 to B
-            term = np.exp(log_block, out=term_scratch[: m * m].reshape(m, m))
-            a_grid[lo:hi, lo:hi] += term
-            if with_entropy:
-                term *= log_block
-                b_grid[lo:hi, lo:hi] += term
-        residual = max(0.0, 1.0 - float(a_grid.sum()))
-        if residual <= epsilon_tail:
-            return a_grid, b_grid, residual, k_max
-        if mass <= 0.5 * epsilon_tail:
-            raise RuntimeError(
-                f"outcome window stalled at residual {residual!r}: tail {epsilon_tail} "
-                f"is below float64 resolution (eta={eta}, mean={mean_b})"
-            )
-    raise AssertionError("unreachable: _pair_windows ends only by raising")
+    k_max, mass = _pair_window(eta, mean_b, epsilon_tail, grids)
+    lw0 = math.log1p(-eta * eta)
+    a_grid = np.zeros((k_max + 1, k_max + 1))
+    b_grid = np.zeros_like(a_grid) if with_entropy else None
+    log_scratch = np.empty(a_grid.size)
+    term_scratch = np.empty(a_grid.size)
+    lp = log_poisson_table(mean_b, k_max)
+    row0 = 0.5 * lw0 + lp  # ln t_0(K, L) = row0[K] + row0[L]
+    for n in range(k_max + 1 if eta > 0.0 else 1):
+        lw = lw0 + 2.0 * n * math.log(eta) if n > 0 else lw0
+        # splitting the weight over both factors keeps the grid exactly
+        # symmetric under K <-> L (float addition is commutative)
+        shifted = 0.5 * lw + lp[: k_max + 1 - n]  # index K - n
+        live = np.flatnonzero(shifted + shifted.max() >= _EXP_ZERO_LOG)
+        if not live.size:
+            break  # shifted.max() does not rise with n, so no later slice is live
+        start, stop = int(live[0]), int(live[-1]) + 1
+        if n > 0:
+            # ln t_n - ln t_0 = d[K] + d[L], with d[K] = n ln eta +
+            # ln(K! / ((K - n)! mean_b^n)) rising with K, so the negligible
+            # rows are a prefix of the block and d[top] is its largest value
+            lo, top = n + start, n + stop - 1
+            d_top = shifted[stop - 1] - row0[top]
+            if shifted[start] - row0[lo] + d_top < _NEGLIGIBLE_LOG:
+                d = shifted[start:stop] - row0[lo : top + 1]
+                cut = start + int(np.searchsorted(d, _NEGLIGIBLE_LOG - d_top))
+                # row0 is unimodal, so its least value on a range of rows
+                # lies at an end: t_0 >= e^_NORMAL_LOG on every dropped cell
+                if min(row0[lo], row0[n + cut - 1]) + min(row0[lo], row0[top]) >= _NORMAL_LOG:
+                    start = cut
+        row = shifted[start:stop]
+        m = stop - start
+        lo, hi = n + start, n + stop
+        log_block = np.add(row[:, None], row[None, :], out=log_scratch[: m * m].reshape(m, m))
+        # log_block is finite, so a term that underflows adds -0.0 to B
+        term = np.exp(log_block, out=term_scratch[: m * m].reshape(m, m))
+        a_grid[lo:hi, lo:hi] += term
+        if with_entropy:
+            term *= log_block
+            b_grid[lo:hi, lo:hi] += term
+    return a_grid, b_grid, mass, k_max
 
 
 def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:
@@ -562,8 +550,8 @@ def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EP
     epsilon_tail = _require_tail(epsilon_tail)
     mean_b = abs(_require_amplitude(beta, "beta")) ** 2
 
-    a_grid, _, residual, _ = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=False)
-    return OutcomeDistribution(OutcomeTable(a_grid), residual)
+    a_grid, _, mass, _ = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=False)
+    return OutcomeDistribution(OutcomeTable(a_grid), mass)
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +559,19 @@ def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EP
 # ---------------------------------------------------------------------------
 
 
-def _coherent_overlaps(quot: complex, m_max: int) -> np.ndarray:
+def _coherent_overlaps(log_q: float, m_max: int) -> np.ndarray:
     """overlap[M] = |<alpha'|encoded M>| for M = 0..m_max, with
-    quot = alpha/beta nonzero.
+    log_q = ln |alpha/beta| finite.
 
-    The phases of both states are n arg(quot), so the overlap is
+    The phases of both states are n arg(alpha/beta), so the overlap is
     sum_n |a_n| |c_n|: |a_n|^2 is Poisson(M s) at n and |c_n|^2 is
-    Binomial(M, s/(1+s)) at n, s = |quot|^2, whose normalizer
+    Binomial(M, s/(1+s)) at n, s = |alpha/beta|^2, whose normalizer
     sum_n s^n / (n! (M-n)!) is (1+s)^M / M!.  By Cauchy-Schwarz the terms
     outside the Poisson(M s) band sum to at most sqrt(2 exp(-_BAND_LOG_CUT)).
     """
-    log_s = 2.0 * math.log(abs(quot))
-    s = abs(quot) * abs(quot)  # inf when |quot|^2 overflows
+    log_s = 2.0 * log_q
+    with np.errstate(over="ignore"):
+        s = float(np.exp(log_s))  # inf when |alpha/beta|^2 overflows
     m_all = np.arange(m_max + 1)
 
     def times_m(value: float) -> np.ndarray:
@@ -623,11 +612,13 @@ def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     alpha = _require_amplitude(alpha, "alpha")
     mu, m_max, _ = _coherent_window(alpha, beta, epsilon_tail)
 
-    quot = alpha / beta
-    # at quot = 0 the vacuum on both sides for every M; the band pass runs
+    # at alpha = 0 the vacuum on both sides for every M; the band pass runs
     # before the table, so that one over the budget fails first, and by
     # Cauchy-Schwarz only float noise can push a fidelity above 1
-    fid = np.ones(m_max + 1) if quot == 0 else np.minimum(_coherent_overlaps(quot, m_max) ** 2, 1.0)
+    if alpha == 0:
+        fid = np.ones(m_max + 1)
+    else:  # ln |alpha/beta| taken apart, as alpha/beta may overflow
+        fid = np.minimum(_coherent_overlaps(math.log(abs(alpha)) - math.log(abs(beta)), m_max) ** 2, 1.0)
     return min(float((np.exp(log_poisson_table(mu, m_max)) * fid).sum()), 1.0)
 
 
@@ -667,8 +658,8 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
 
     The fidelity of outcome (K, L) is (1 - eta'^2) overlap^2 / P(K, L), so
     the weighted sum is that of (1 - eta'^2) overlap^2 and needs no
-    probability table.  It runs over the first top of _pair_windows, the
-    first whose directly summed outside mass is at most epsilon_tail; the
+    probability table.  It runs over the window of _pair_window, the first
+    top whose directly summed outside mass is at most epsilon_tail; the
     outcomes outside contribute zero, so the result underestimates by at
     most that mass.
     """
@@ -681,7 +672,7 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
         # probability 1 - eta^2, admits an approximant (eta' = 0, exact)
         return 1.0 - eta * eta
 
-    k_max, _ = next(_pair_windows(eta, mean_b, epsilon_tail, _PAIR_FIDELITY_GRIDS))
+    k_max, _ = _pair_window(eta, mean_b, epsilon_tail, _PAIR_FIDELITY_GRIDS)
     # overlap[K, L] = sum_n sqrt(t_n) eta'^n with t_n the summands of
     # P(K, L), in the factorised form sqrt(1 - eta^2) sum_n G[K, n] G[L, n]
     g, shift = _pair_factor(eta, mean_b, k_max)

@@ -65,13 +65,15 @@ class EntanglementReport:
 
     The enumerated outcomes are [0, window)^2, and support holds their
     probabilities P(K, L), the same table as pair_outcome_distribution's.
-    residual_bound caps what the outcomes outside the window could add to
-    E_avg: P h(M / P), with P their mass, M its photon-number moment
-    sum_n n P(n, outside) and h(m) the entropy of the geometric law of mean
-    m, the largest of any law on n >= 0 with that mean.  It is exactly 0 at
-    eta = 0.  It covers truncation only: the rounding of E_avg's own sum is
-    separate (at (0.1, 12) the 1e-13 window adds 5e-18 more than the bound,
-    within one ulp of E_avg).
+    residual is the float64 1 - sum P: that table's directly summed residual,
+    at most the tail, up to the rounding of sum P.  residual_bound caps what
+    the outcomes outside the window could add to E_avg: P h(M / P), with P
+    their mass, M its photon-number moment sum_n n P(n, outside) and h(m)
+    the entropy of the geometric law of mean m, the largest of any law on
+    n >= 0 with that mean.  It is exactly 0 at eta = 0.  It covers
+    truncation only.  E_avg carries an absolute rounding error of up to
+    about 1e-15 (the per-outcome log2 A - B / (A ln 2) rounds to a few
+    1e-17), and is capped at E_exact.
     """
 
     eta: float
@@ -116,7 +118,9 @@ def average_entanglement(
     epsilon_tail = _require_tail(epsilon_tail)
     mean_b = abs(beta) ** 2
 
-    a_grid, b_grid, residual, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
+    a_grid, b_grid, _, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
+    # the CSV's residual column, which both reference sweeps pin
+    residual = max(0.0, 1.0 - float(a_grid.sum()))
     if eta == 0.0 or mean_b == 0.0:
         # every outcome is a product state, or (with |beta|^2 underflowed)
         # an (n, n) outcome with a single Schmidt term
@@ -135,6 +139,8 @@ def average_entanglement(
         e_avg = float(np.multiply(entropies, a_grid, out=entropies).sum())
 
     e_exact = tmss_entanglement(eta)
+    # a local protocol cannot raise entanglement: only float noise can lift E_avg past E_exact
+    e_avg = min(e_avg, e_exact)
     fraction_lost = (e_exact - e_avg) / e_exact if e_exact > 0.0 else 0.0
     return EntanglementReport(
         eta=eta,

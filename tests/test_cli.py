@@ -93,6 +93,19 @@ class TestSweepCommand:
         assert main([*argv, "--csv", str(csv_path)]) == 0
         assert csv_path.read_bytes() == reference.read_bytes()
 
+    @pytest.mark.parametrize("name", ["sweep_default.csv", "sweep_strong_seed0.csv"])
+    def test_reference_residuals_are_the_summed_outside_mass(self, name):
+        """The residual column is the float64 1 - sum P; on every reference
+        row it is the directly summed mass outside the window to 1e-13
+        (7.8e-14 apart at (0.1, 10))."""
+        reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / name
+        rows = [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in reference.read_text().splitlines()[1:]]
+        assert rows
+        for row in rows:
+            eta, beta = float(row["eta"]), float(row["beta"])
+            mass = encoding._outside_mass(eta, beta**2, int(row["window_K"]) - 1)
+            assert float(row["residual"]) == pytest.approx(mass, rel=0.0, abs=1e-13), (eta, beta)
+
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
         paths = [tmp_path / f"run{i}.csv" for i in range(3)]
         for path, threads in zip(paths, ("1", "1", "3")):
@@ -200,6 +213,23 @@ class TestPointCommand:
         code = main(["point", "--eta", "0", "--beta", "1e-15", "--epsilon-tail", "1e-100"])
         assert code == 0
         assert "window         4 x 4" in capsys.readouterr().out
+
+    def test_tail_below_float64_resolution(self, capsys):
+        """A tail of 1e-17 is below what the float64 1 - sum P resolves;
+        the window is the first whose directly summed outside mass meets
+        it."""
+        code = main(["point", "--eta", "0.5", "--beta", "2", "--epsilon-tail", "1e-17"])
+        assert code == 0
+        assert "window         39 x 39" in capsys.readouterr().out
+
+    def test_underflowing_beta_squared_point(self, capsys):
+        """|beta|^2 = 1e-400 underflows to 0: the report and its top
+        contributions print, each (n, n) outcome with 0 ebits."""
+        code = main(["point", "--eta", "0.5", "--beta", "1e-200"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "E_avg          0\n" in out
+        assert "(   1,   1)  0.1875  0\n" in out
 
     def test_oracle_flag_reports_tiny_deviation(self, capsys):
         code = main(["point", "--eta", "0.5", "--beta", "1", "--oracle"])

@@ -80,6 +80,13 @@ class TestEncodeCoherent:
         with pytest.raises(ValueError, match="alpha"):
             encode_coherent(alpha, 1.0, 2)
 
+    def test_tiny_beta_puts_every_photon_in_the_signal(self):
+        """At |beta| = 1e-320 the quotient alpha/beta overflows; its log
+        does not, and the state is |M; M> up to a subnormal."""
+        state = encode_coherent(1.0, 1e-320, 2)
+        assert np.all(np.isfinite(state.coeffs))
+        np.testing.assert_allclose(state.coeffs, [0.0, 0.0, 1.0], atol=1e-300)
+
 
 class TestCoherentApproxParam:
     def test_matched_outcome_returns_alpha(self):
@@ -147,6 +154,12 @@ class TestPairApproxParam:
 
     def test_direct_formula(self):
         assert pair_approx_param(0.3, 10.0, 90, 110) == pytest.approx(0.3 * math.sqrt(9900.0) / 100.0)
+
+    def test_underflowing_beta_squared(self):
+        """|beta|^2 = 1e-400 underflows: eta' is inf where K L > 0 and 0
+        where K L = 0, with no division by zero."""
+        assert pair_approx_param(0.5, 1e-200, 1, 1) == math.inf
+        assert pair_approx_param(0.5, 1e-200, 0, 3) == 0.0
 
     def test_zero_outcome(self):
         assert pair_approx_param(0.3, 10.0, 0, 100) == 0.0
@@ -225,23 +238,6 @@ class TestCoherentOutcomeDistribution:
         """Each |.|^2 is finite, but their sum overflows to inf."""
         with pytest.raises(ValueError, match=r"\|alpha\|\^2 \+ \|beta\|\^2 must be finite, got inf"):
             call(1e154, 1e154)
-
-    def test_stalled_residual_fails_within_a_few_rounds(self, monkeypatch):
-        """At (0.2, 8.0) the float64 residual 1 - sum P(K, L) stops near
-        5e-14 from k_max = 193, so a tail of 1e-14 is unreachable: the first
-        round that shows the stall raises, instead of doubling up to the
-        grid budget.  Each round checks its budget once."""
-        windows = []
-        original = encoding._require_budget
-
-        def counted(*args):
-            windows.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(encoding, "_require_budget", counted)
-        with pytest.raises(RuntimeError, match="below float64 resolution"):
-            pair_outcome_distribution(0.2, 8.0, 1e-14)
-        assert len(windows) <= 4
 
 
 class TestPairOutcomeDistribution:
@@ -449,10 +445,9 @@ class TestOutsideMass:
     def test_agrees_with_the_grid_residual(self, eta, beta):
         """On a first window round whose outside mass (1e-8 to 1e-2) is far
         above the float64 noise of 1 - sum P, both give the same mass."""
-        _, _, residual, k_max = _pair_window_grid(eta, beta * beta, 0.5, False)
-        mass = encoding._outside_mass(eta, beta * beta, k_max)
-        assert mass > 1e-8
-        assert mass == pytest.approx(residual, rel=0.0, abs=1e-13)
+        a_grid, _, mass, k_max = _pair_window_grid(eta, beta * beta, 0.5, False)
+        assert mass == encoding._outside_mass(eta, beta * beta, k_max) > 1e-8
+        assert mass == pytest.approx(1.0 - float(a_grid.sum()), rel=0.0, abs=1e-13)
 
 
 class TestOutsideEntropyBound:
@@ -496,19 +491,47 @@ class TestWindowRule:
         dist = coherent_outcome_distribution(0, 0.3)
         assert built == [10] and dist.support.probabilities.size == 11
 
-    def test_a_near_tie_grows_instead_of_stalling(self):
+    def test_a_near_tie_takes_the_first_admitted_top(self):
         """At (0, |beta| = 1e-3) and a tail of 1e-12 the mass outside top 1,
-        9.999993e-13, meets the tail while the float residual 1.00009e-12
-        does not.  The mass is over half the tail, so that is rounding, not
-        a stall: the window grows to top 2, whose residual is 0."""
-        epsilon_tail, mean_b = 1e-12, 1e-3**2
-        mass = encoding._outside_mass(0.0, mean_b, 1)
-        assert 0.5 * epsilon_tail < mass <= epsilon_tail
-        _, _, residual, k_max = _pair_window_grid(0.0, mean_b, 10 * epsilon_tail, False)
-        assert k_max == 1 and residual > epsilon_tail
-        dist = pair_outcome_distribution(0.0, 1e-3, epsilon_tail)
-        assert dist.support.probabilities.shape == (3, 3)
-        assert dist.residual == 0.0
+        9.999993e-13, meets the tail, while the float64 1 - sum P, 1.00009e-12,
+        does not: the table is the 2 x 2 window of top 1, with that mass as
+        its residual."""
+        dist = pair_outcome_distribution(0.0, 1e-3, 1e-12)
+        assert dist.support.probabilities.shape == (2, 2)
+        assert dist.residual == encoding._outside_mass(0.0, 1e-3**2, 1)
+        assert dist.residual == pytest.approx(9.999993e-13, rel=1e-7, abs=0.0)
+        assert 1.0 - float(dist.support.probabilities.sum()) > 1e-12
+
+    @pytest.mark.parametrize("eta,beta,epsilon_tail", [(0.2, 8.0, 1e-14), (0.5, 2.0, 1e-17), (0.0, 1e-3, 1e-12)])
+    def test_each_pair_table_is_built_once(self, monkeypatch, eta, beta, epsilon_tail):
+        """Tails at or below what the float64 1 - sum P resolves: the table,
+        the report and the fidelity each size one window, the same one, and
+        the table and the report allocate a single A grid on it; the
+        table's residual is the directly summed mass, within the tail."""
+        windows, factors = [], []
+
+        def sized(*args, original=encoding._pair_window):
+            windows.append(original(*args))
+            return windows[-1]
+
+        def factored(eta, mean_b, k_max, original=encoding._pair_factor):
+            factors.append(k_max)
+            return original(eta, mean_b, k_max)
+
+        monkeypatch.setattr(encoding, "_pair_window", sized)
+        monkeypatch.setattr(encoding, "_pair_factor", factored)
+        counting = _GridCountingNumpy()
+        monkeypatch.setattr(encoding, "np", counting)
+        dist = pair_outcome_distribution(eta, beta, epsilon_tail)
+        report = average_entanglement(eta, beta, epsilon_tail)
+        size = report.window
+        assert counting.grids == [(size, size)] * 2
+        monkeypatch.setattr(encoding, "np", np)
+        mean_pair_approx_fidelity(eta, beta, epsilon_tail)
+        k_max, mass = windows[0]
+        assert windows == [(k_max, mass)] * 3 and factors == [k_max]
+        assert dist.support.probabilities.shape == (size, size) and size == k_max + 1
+        assert dist.residual == mass <= epsilon_tail
 
 
 class _GridCountingNumpy:
@@ -559,9 +582,9 @@ class TestOutcomeGridKernel:
         lie just above the floor are in play; at (0.1, 12) and (0.2, 8) most
         cells of the later slices are negligible; at (0.5, 0.3) t_0 exceeds
         e^-1 at (0, 0)."""
-        ref_a, ref_b, ref_residual, ref_k_max = _full_grid_reference(eta, beta * beta)
-        a_grid, b_grid, residual, k_max = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, True)
-        assert (k_max, residual) == (ref_k_max, ref_residual)
+        ref_a, ref_b, _, ref_k_max = _full_grid_reference(eta, beta * beta)
+        a_grid, b_grid, mass, k_max = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, True)
+        assert k_max == ref_k_max and mass <= DEFAULT_EPSILON_TAIL
         assert a_grid.tobytes() == ref_a.tobytes()
         assert b_grid.tobytes() == ref_b.tobytes()
         a_only, b_none, _, _ = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, False)
@@ -628,7 +651,7 @@ class TestGridBudget:
         monkeypatch.setattr(encoding, "log_poisson_table", lambda *args: tables.append(args))
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 8 * 194 - 1)
         with pytest.raises(RuntimeError, match=r"m_max=193 needs \d+ bytes, over the grid budget"):
-            encoding._coherent_overlaps(0.3, 193)
+            encoding._coherent_overlaps(math.log(0.3), 193)
         for call in (coherent_outcome_distribution, mean_coherent_approx_fidelity):
             with pytest.raises(RuntimeError, match="m_max=193 needs 9312 bytes, over the grid budget"):
                 call(3.0, 10.0)
@@ -697,6 +720,12 @@ class TestApproxFidelities:
         assert type(value) is float
         assert 1.0 - 1e-12 <= value <= 1.0
 
+    def test_coherent_fidelity_at_a_tiny_beta(self):
+        """At |beta| = 1e-320 every M >= 1 overlap vanishes, so the fidelity
+        is P(M = 0) = e^-1, not NaN."""
+        value = mean_coherent_approx_fidelity(1.0, 1e-320)
+        assert value == pytest.approx(math.exp(-1.0), rel=1e-12)
+
     def test_coherent_fidelity_near_one_at_large_beta(self):
         assert mean_coherent_approx_fidelity(0.5, 8.0) > 0.999
 
@@ -712,12 +741,12 @@ class TestApproxFidelities:
         """At |q| = 0.3 and m_max = 3000 the band is 446 photon numbers wide,
         so the default chunks of 2^18 cells split the 3001 rows six ways;
         chunks of one row or of seven give the same bits."""
-        q = 0.3 * cmath.exp(0.4j)
-        default = encoding._coherent_overlaps(q, 3000)
+        log_q = math.log(0.3)
+        default = encoding._coherent_overlaps(log_q, 3000)
         assert 5 * encoding._BAND_CHUNK_CELLS < 3001 * 446 <= 6 * encoding._BAND_CHUNK_CELLS
         for rows in (1, 7):
             monkeypatch.setattr(encoding, "_BAND_CHUNK_CELLS", rows * 446)
-            assert encoding._coherent_overlaps(q, 3000).tobytes() == default.tobytes()
+            assert encoding._coherent_overlaps(log_q, 3000).tobytes() == default.tobytes()
 
     def test_coherent_fidelity_matches_per_outcome_recomputation(self):
         """The banded pass against the overlap of each encode_coherent state
@@ -766,10 +795,11 @@ class TestApproxFidelities:
         assert value == pytest.approx(mean_coherent_approx_fidelity(0.7, 7.0), abs=1e-10)
 
     def test_pair_fidelity_reaches_a_tail_below_float64_resolution(self):
-        """The outcome table stalls at a tail of 1e-17; the fidelity's window
-        is sized by the directly summed outside mass and gets there."""
-        with pytest.raises(RuntimeError, match="stalled"):
-            pair_outcome_distribution(0.5, 2.0, epsilon_tail=1e-17)
+        """A tail of 1e-17 lies below the float64 resolution of 1 - sum P;
+        the outcome table and the fidelity both take the window of the
+        directly summed outside mass, 39 x 39, and get there."""
+        dist = pair_outcome_distribution(0.5, 2.0, epsilon_tail=1e-17)
+        assert dist.support.probabilities.shape == (39, 39) and dist.residual <= 1e-17
         value = mean_pair_approx_fidelity(0.5, 2.0, epsilon_tail=1e-17)
         assert value == pytest.approx(mean_pair_approx_fidelity(0.5, 2.0), abs=1e-10)
 
