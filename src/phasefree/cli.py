@@ -27,7 +27,8 @@ CSV_HEADER = "eta,beta,E_exact,E_avg,fraction_lost,residual,window_K,window_L"
 _DEFAULT_ETAS = "0.1:0.5:0.1"
 _DEFAULT_BETAS = "1:12:1"
 
-# A range is expanded into a list, so its length is capped before expansion.
+# A range is expanded into a list, so its length is capped before expansion;
+# a sweep lists every (eta, beta) pair, so the product of both is capped too.
 MAX_GRID_POINTS = 10_000
 
 # point --oracle compares the outcomes K, L <= _ORACLE_OUTCOMES.  Each
@@ -88,6 +89,9 @@ def _cmd_sweep(args) -> int:
     try:
         etas = parse_grid(args.etas)
         betas = parse_grid(args.betas)
+        points = len(etas) * len(betas)
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"the sweep has {points} (eta, beta) points, more than the limit of {MAX_GRID_POINTS}")
         reports = entanglement_sweep(etas, betas, args.epsilon_tail, max_workers=args.threads)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

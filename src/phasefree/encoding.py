@@ -117,6 +117,11 @@ _GRID_BUDGET_BYTES = 1 << 30
 # factor G and the overlaps G G^T, then the overlaps and eta'.
 _PAIR_FIDELITY_GRIDS = 2
 
+# float64 cells per row of max(K, L) (or M) that building an encoded state
+# may hold at once: 12 for the log-factorial slice and the passes of
+# _series_state, plus up to 2 for doubling the log-factorial cache.
+_STATE_CELLS_PER_ROW = 14
+
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -276,6 +281,7 @@ def encode_coherent(alpha, beta, M: int) -> EncodedCoherentState:
     alpha = _require_amplitude(alpha, "alpha")
     M = _require_outcome(M, "M")
 
+    _require_budget(_STATE_CELLS_PER_ROW * (M + 1), "M", M, f"for the encoded state of outcome M={M}")
     lf = log_factorial_table(M)
     log_quot = (math.log(abs(alpha)) if alpha else LOG_ZERO) - math.log(abs(beta))
     coeffs, norm_log = _series_state(log_quot, cmath.phase(alpha) - cmath.phase(beta), lf + lf[::-1])
@@ -299,6 +305,8 @@ def encode_pair(eta: float, beta, K: int, L: int) -> EncodedPairState:
     L = _require_outcome(L, "L")
 
     n_top = min(K, L)
+    context = f"for the encoded state of outcome (K, L) = ({K}, {L})"
+    _require_budget(_STATE_CELLS_PER_ROW * (max(K, L) + 1), "max(K, L)", max(K, L), context)
     lf = log_factorial_table(max(K, L))
     lf_k = lf[K::-1][: n_top + 1]  # ln((K-n)!) for n = 0..n_top
     lf_l = lf[L::-1][: n_top + 1]
@@ -418,11 +426,11 @@ def _poisson_tail(mean: float, k: int, pois_k: float) -> float:
             return tail + term * r / (1.0 - r)
 
 
-def _outside_weights(eta: float, mean_b: float, k_max: int) -> np.ndarray:
+def _outside_weights(eta: float, mean_b: float, lp: np.ndarray) -> np.ndarray:
     """P(n, O) for n = 0..k_max: the mass of the pair outcomes outside the
     window O = [0, k_max]^2 at photon number n, summed directly rather than
-    taken as 1 - sum P, so it has no float64 floor; k_max >= mean_b, as
-    every window top is.
+    taken as 1 - sum P, so it has no float64 floor; lp is the window's
+    log_poisson_table(mean_b, k_max), with k_max >= mean_b as every top.
 
     (K, L) = (n + X, n + Y) with n geometric, weights w_n = (1 - eta^2)
     eta^(2n), and X, Y iid Poisson(mean_b), so an outcome lies outside
@@ -431,23 +439,23 @@ def _outside_weights(eta: float, mean_b: float, k_max: int) -> np.ndarray:
     the Poisson table from the tail past k_max (_poisson_tail).
     """
     e2 = eta * eta
-    pois = np.exp(log_poisson_table(mean_b, k_max))
-    tail = _poisson_tail(mean_b, k_max, float(pois[-1]))
+    pois = np.exp(lp)
+    tail = _poisson_tail(mean_b, lp.size - 1, float(pois[-1]))
     upper = np.cumsum(np.concatenate([[tail], pois[:0:-1]]))  # U(k_max - n)
-    weights = (1.0 - e2) * e2 ** np.arange(k_max + 1)
+    weights = (1.0 - e2) * e2 ** np.arange(lp.size)
     return weights * upper * (2.0 - upper)
 
 
-def _outside_mass(eta: float, mean_b: float, k_max: int) -> float:
-    """Joint mass of the pair outcomes outside the window [0, k_max]^2."""
-    return math.fsum(_outside_weights(eta, mean_b, k_max).tolist()) + (eta * eta) ** (k_max + 1)
+def _outside_mass(eta: float, outside: np.ndarray) -> float:
+    """Joint mass of the pair outcomes outside a window, from its _outside_weights."""
+    return math.fsum(outside.tolist()) + (eta * eta) ** outside.size
 
 
-def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
+def _outside_entropy_bound(eta: float, outside: np.ndarray) -> float:
     """P h(M / P), the residual_bound of an entanglement report, with
-    P = sum_n P(n, O) and M = sum_n n P(n, O) (_outside_weights; past k_max
-    both sums are geometric) and h(m) = log2(1 + m) + m log2(1 + 1/m), the
-    entropy of the geometric law of mean m.
+    P = sum_n P(n, O) and M = sum_n n P(n, O) (outside, the window's
+    _outside_weights; past k_max both sums are geometric) and h(m) =
+    log2(1 + m) + m log2(1 + 1/m), the entropy of the geometric law of mean m.
 
     As E_avg = H(n | K, L), the outcomes outside the window O add
     P H(n | K, L, O) <= P H(n | O) <= P h(E[n | O]), as the geometric law
@@ -457,28 +465,28 @@ def _outside_entropy_bound(eta: float, mean_b: float, k_max: int) -> float:
     the bound is 0.
     """
     e2 = eta * eta
-    inside = _outside_weights(eta, mean_b, k_max)
-    past = e2 ** (k_max + 1)
-    mass = math.fsum(inside.tolist()) + past
-    moment = math.fsum((np.arange(k_max + 1) * inside).tolist()) + past * (k_max + 1 + e2 / (1.0 - e2))
+    past = e2**outside.size
+    mass = _outside_mass(eta, outside)
+    moment = math.fsum((np.arange(outside.size) * outside).tolist()) + past * (outside.size + e2 / (1.0 - e2))
     if moment == 0.0:
         return 0.0  # the outside mass, if any, lies at n = 0
     m = max(moment / mass, np.finfo(float).tiny)  # h rises with m, and 1/m stays finite
     return mass * (math.log1p(m) + m * math.log1p(1.0 / m)) / math.log(2.0)
 
 
-def _pair_window(eta: float, mean_b: float, epsilon_tail: float, grids: int) -> tuple[int, float]:
-    """(k_max, mass): the first top of _window_sizes whose directly summed
-    outside mass (_outside_mass) is at most epsilon_tail.  Every top is
-    first checked against the grid budget for grids window arrays, so one
-    that would not fit fails before its caller allocates."""
+def _pair_window(eta: float, mean_b: float, epsilon_tail: float, grids: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lp, outside): log_poisson_table(mean_b, k_max) and its
+    _outside_weights on the first top k_max of _window_sizes whose
+    _outside_mass is at most epsilon_tail, built once per top; each top is
+    first budgeted for grids window arrays, failing before any allocation."""
     context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
     mu = mean_b + eta * eta / (1.0 - eta * eta)
     for k_max in _window_sizes(mu):
         _require_budget(grids * (k_max + 1) ** 2, "k_max", k_max, context)
-        mass = _outside_mass(eta, mean_b, k_max)
-        if mass <= epsilon_tail:
-            return k_max, mass
+        lp = log_poisson_table(mean_b, k_max)
+        outside = _outside_weights(eta, mean_b, lp)
+        if _outside_mass(eta, outside) <= epsilon_tail:
+            return lp, outside
 
 
 def _pair_window_grid(
@@ -486,12 +494,12 @@ def _pair_window_grid(
     mean_b: float,
     epsilon_tail: float,
     with_entropy: bool,
-) -> tuple[np.ndarray, np.ndarray | None, float, int]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, int]:
     """Joint probability grid A[K, L] over the window of _pair_window, plus
     (optionally) the companion accumulator B = sum_n t_n ln(t_n) needed for
-    per-outcome Schmidt entropies.  Returns (A, B, mass, k_max), with mass
-    the directly summed probability outside the window, at most
-    epsilon_tail; each grid is built once.
+    per-outcome Schmidt entropies.  Returns (A, B, outside, k_max), with
+    outside the window's _outside_weights, whose _outside_mass is at most
+    epsilon_tail; each grid is built once, from the window's Poisson table.
 
     Each slice n is summed on its live square [lo, hi)^2 only: every summand
     outside it has a log below _EXP_ZERO_LOG, being exactly zero for K < n
@@ -500,13 +508,13 @@ def _pair_window_grid(
     summands are below _NEGLIGIBLE_LOG relative to t_0 in every live
     column, which changes no bit of A or B."""
     grids = 4 if with_entropy else 3  # A, B and the scratch of the logs and of the terms
-    k_max, mass = _pair_window(eta, mean_b, epsilon_tail, grids)
+    lp, outside = _pair_window(eta, mean_b, epsilon_tail, grids)
+    k_max = lp.size - 1
     lw0 = math.log1p(-eta * eta)
     a_grid = np.zeros((k_max + 1, k_max + 1))
     b_grid = np.zeros_like(a_grid) if with_entropy else None
     log_scratch = np.empty(a_grid.size)
     term_scratch = np.empty(a_grid.size)
-    lp = log_poisson_table(mean_b, k_max)
     row0 = 0.5 * lw0 + lp  # ln t_0(K, L) = row0[K] + row0[L]
     for n in range(k_max + 1 if eta > 0.0 else 1):
         lw = lw0 + 2.0 * n * math.log(eta) if n > 0 else lw0
@@ -540,7 +548,7 @@ def _pair_window_grid(
         if with_entropy:
             term *= log_block
             b_grid[lo:hi, lo:hi] += term
-    return a_grid, b_grid, mass, k_max
+    return a_grid, b_grid, outside, k_max
 
 
 def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:
@@ -550,8 +558,8 @@ def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EP
     epsilon_tail = _require_tail(epsilon_tail)
     mean_b = abs(_require_amplitude(beta, "beta")) ** 2
 
-    a_grid, _, mass, _ = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=False)
-    return OutcomeDistribution(OutcomeTable(a_grid), mass)
+    a_grid, _, outside, _ = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=False)
+    return OutcomeDistribution(OutcomeTable(a_grid), _outside_mass(eta, outside))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +630,7 @@ def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPS
     return min(float((np.exp(log_poisson_table(mu, m_max)) * fid).sum()), 1.0)
 
 
-def _pair_factor(eta: float, mean_b: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_factor(eta: float, mean_b: float, lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G[X, n] = (eta sqrt(X/|beta|^2))^n sqrt(Pois(|beta|^2, X - n)) for
     X = 0..k_max and n = 0..n_top (0 for n > X), the factor of
     overlap[K, L] = sqrt(1 - eta^2) sum_n G[K, n] G[L, n], with each row
@@ -630,13 +638,13 @@ def _pair_factor(eta: float, mean_b: float, k_max: int) -> tuple[np.ndarray, np.
     n_top = min(k_max, ceil(_BAND_LOG_CUT / (-2 ln eta))): by Cauchy-Schwarz
     the photon numbers left out change the mean fidelity by at most
     2 eta^(n_top + 1) <= 2 e^-40.  With eta = 0 only n = 0 survives.
-    |beta|^2 must be positive.  Built in one array, in place."""
-    half = 0.5 * log_poisson_table(mean_b, k_max)
-    n_top = min(k_max, math.ceil(_BAND_LOG_CUT / (-2.0 * math.log(eta)))) if eta > 0.0 else 0
-    g = np.zeros((k_max + 1, n_top + 1))
+    lp = log_poisson_table(mean_b, k_max), |beta|^2 > 0.  Built in one array, in place."""
+    half = 0.5 * lp
+    n_top = min(lp.size - 1, math.ceil(_BAND_LOG_CUT / (-2.0 * math.log(eta)))) if eta > 0.0 else 0
+    g = np.zeros((lp.size, n_top + 1))
     if n_top:
         # row X = 0 holds only n = 0, so its ratio is never used
-        ratio = math.log(eta) + 0.5 * (np.log(np.maximum(np.arange(k_max + 1), 1)) - math.log(mean_b))
+        ratio = math.log(eta) + 0.5 * (np.log(np.maximum(np.arange(lp.size), 1)) - math.log(mean_b))
         np.multiply.outer(ratio, np.arange(n_top + 1), out=g)
     # g[X, n] += half[X - n], LOG_ZERO for n > X, read through a strided view
     padded = np.concatenate([np.full(n_top, LOG_ZERO), half])
@@ -672,10 +680,10 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
         # probability 1 - eta^2, admits an approximant (eta' = 0, exact)
         return 1.0 - eta * eta
 
-    k_max, _ = _pair_window(eta, mean_b, epsilon_tail, _PAIR_FIDELITY_GRIDS)
+    lp, _ = _pair_window(eta, mean_b, epsilon_tail, _PAIR_FIDELITY_GRIDS)
     # overlap[K, L] = sum_n sqrt(t_n) eta'^n with t_n the summands of
     # P(K, L), in the factorised form sqrt(1 - eta^2) sum_n G[K, n] G[L, n]
-    g, shift = _pair_factor(eta, mean_b, k_max)
+    g, shift = _pair_factor(eta, mean_b, lp)
     terms = np.einsum("kn,ln->kl", g, g)
     del g
     # ln((1 - eta^2) overlap^2), -inf where the overlap is 0
@@ -689,7 +697,7 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
     # eta' = sqrt(K) sqrt(L) eta/|beta|^2, clipped to 1 where there is no
     # approximant, so that ln(1 - eta'^2) is -inf there; eta/|beta|^2 is
     # capped at the largest float so that eta' = 0 wherever K L = 0
-    factor = np.sqrt(np.arange(k_max + 1.0))
+    factor = np.sqrt(np.arange(float(lp.size)))
     eta_prime = np.multiply.outer(factor, factor)
     with np.errstate(over="ignore", divide="ignore"):
         eta_prime *= min(eta / mean_b, _FLOAT_MAX)

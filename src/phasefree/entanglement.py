@@ -19,11 +19,9 @@ are q_n = t_n / P, so
 
     P * E = P log2 P - sum_n t_n log2 t_n
 
-and both accumulators are built slice by slice in n.  Each slice is
-computed only on its live block, the square of outcomes K, L >= n where
-t_n can be nonzero in float64; outside it t_n is exactly 0.0.  A slice
-n > 0 also skips the outcomes where t_n < 2^-66 t_0, which changes no bit
-of either accumulator (see encoding._NEGLIGIBLE_LOG).  The per-outcome
+and both accumulators are built slice by slice in n by
+encoding._pair_window_grid; the encoding module says which cells each
+slice skips and why that changes no bit.  The per-outcome
 entropies exist only while E_avg is summed; a report keeps the
 probabilities alone.  That E_avg equals the P-weighted sum of the
 encode/entropy composition is pinned by tests.
@@ -97,6 +95,9 @@ def tmss_entanglement(eta: float) -> float:
     r = math.atanh(eta)
     ch2 = math.cosh(r) ** 2
     sh2 = math.sinh(r) ** 2
+    if sh2 == 0.0:
+        # eta below about 1e-162: sinh^2 r underflows, and 0 log2 0 = 0
+        return ch2 * math.log2(ch2)
     return ch2 * math.log2(ch2) - sh2 * math.log2(sh2)
 
 
@@ -118,7 +119,7 @@ def average_entanglement(
     epsilon_tail = _require_tail(epsilon_tail)
     mean_b = abs(beta) ** 2
 
-    a_grid, b_grid, _, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
+    a_grid, b_grid, outside, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
     # the CSV's residual column, which both reference sweeps pin
     residual = max(0.0, 1.0 - float(a_grid.sum()))
     if eta == 0.0 or mean_b == 0.0:
@@ -149,7 +150,7 @@ def average_entanglement(
         E_avg=e_avg,
         fraction_lost=fraction_lost,
         residual=residual,
-        residual_bound=_outside_entropy_bound(eta, mean_b, k_max),
+        residual_bound=_outside_entropy_bound(eta, outside),
         window=k_max + 1,
         support=OutcomeTable(a_grid),
     )

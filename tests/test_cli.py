@@ -13,6 +13,7 @@ import phasefree
 from phasefree import encoding, entanglement
 from phasefree.cli import CSV_HEADER, MAX_GRID_POINTS, _most_probable, main, parse_grid
 from phasefree.entanglement import average_entanglement
+from phasefree.numerics import log_poisson_table
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -103,7 +104,8 @@ class TestSweepCommand:
         assert rows
         for row in rows:
             eta, beta = float(row["eta"]), float(row["beta"])
-            mass = encoding._outside_mass(eta, beta**2, int(row["window_K"]) - 1)
+            lp = log_poisson_table(beta**2, int(row["window_K"]) - 1)
+            mass = encoding._outside_mass(eta, encoding._outside_weights(eta, beta**2, lp))
             assert float(row["residual"]) == pytest.approx(mass, rel=0.0, abs=1e-13), (eta, beta)
 
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
@@ -180,8 +182,41 @@ class TestSweepCommand:
         assert "1000000001 points" in err
         assert not target.exists()
 
+    def test_sweep_point_count_is_capped(self, tmp_path, capsys, monkeypatch):
+        """Each range fits the limit, but 10 000 etas times 2 betas make
+        20 000 points: rejected before any point runs."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(entanglement, "average_entanglement", refuse)
+        target = tmp_path / "x.csv"
+        code = main(["sweep", "--etas", "0:0.9999:0.0001", "--betas", "1,2", "--csv", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "20000 (eta, beta) points" in err and str(MAX_GRID_POINTS) in err
+        assert not target.exists()
+
+    def test_tiny_eta_sweep(self, tmp_path):
+        """At eta = 1e-170 sinh^2 r underflows to 0; those rows report no
+        entanglement instead of failing."""
+        csv_path = tmp_path / "tiny.csv"
+        code = main(["sweep", "--etas", "0.5,1e-170", "--betas", "1e-200,3", "--csv", str(csv_path)])
+        assert code == 0
+        rows = [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in csv_path.read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        for row in rows:
+            e_exact, e_avg, lost = float(row["E_exact"]), float(row["E_avg"]), float(row["fraction_lost"])
+            assert 0.0 <= e_avg <= e_exact and 0.0 <= lost <= 1.0
+        assert all(row["E_exact"] == row["E_avg"] == row["fraction_lost"] == "0" for row in rows[2:])
+
 
 class TestPointCommand:
+    def test_tiny_eta_point(self, capsys):
+        assert main(["point", "--eta", "1e-200", "--beta", "2"]) == 0
+        assert "E_exact        0\n" in capsys.readouterr().out
+
     def test_prints_report_fields(self, capsys):
         code = main(["point", "--eta", "0.5", "--beta", "1"])
         assert code == 0

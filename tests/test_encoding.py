@@ -418,6 +418,11 @@ def _mp_pair_probability(eta, mean_b, k, l):
     return mp.fsum((1 - e2) * e2**n * pois(k - n) * pois(l - n) for n in range(min(k, l) + 1))
 
 
+def _outside(eta, mean_b, k_max):
+    """_outside_weights of the window [0, k_max]^2."""
+    return encoding._outside_weights(eta, mean_b, log_poisson_table(mean_b, k_max))
+
+
 class TestOutsideMass:
     def test_matches_an_mpmath_sum(self):
         """The mass outside [0, 20]^2 at (0.5, |beta|^2 = 4), about 7e-8,
@@ -426,7 +431,7 @@ class TestOutsideMass:
         with mp.workdps(30):
             inside = mp.fsum(_mp_pair_probability(eta, mean_b, k, l) for k in range(k_max + 1) for l in range(k_max + 1))
             expected = float(1 - inside)
-        assert encoding._outside_mass(eta, mean_b, k_max) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert encoding._outside_mass(eta, _outside(eta, mean_b, k_max)) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("eta,mean_b,k_max", [(0.5, 4.0, 21), (0.9, 1.0, 24), (0.2, 64.0, 129), (0.0, 9.0, 33)])
     def test_is_at_least_the_marginal_tail(self, eta, mean_b, k_max):
@@ -438,15 +443,16 @@ class TestOutsideMass:
             pois = [mp.exp(-mean_b) * mp.mpf(mean_b) ** j / mp.factorial(j) for j in range(k_max + 1)]
             inside = mp.fsum((1 - e2) * e2**n * pois[k - n] for k in range(k_max + 1) for n in range(k + 1))
             marginal = float(1 - inside)
-        mass = encoding._outside_mass(eta, mean_b, k_max)
+        mass = encoding._outside_mass(eta, _outside(eta, mean_b, k_max))
         assert marginal <= mass * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("eta,beta", [(0.5, 0.7), (0.8, 0.5), (0.3, 0.5), (0.9, 1.0), (0.5, 2.0), (0.6, 1.2)])
     def test_agrees_with_the_grid_residual(self, eta, beta):
         """On a first window round whose outside mass (1e-8 to 1e-2) is far
         above the float64 noise of 1 - sum P, both give the same mass."""
-        a_grid, _, mass, k_max = _pair_window_grid(eta, beta * beta, 0.5, False)
-        assert mass == encoding._outside_mass(eta, beta * beta, k_max) > 1e-8
+        a_grid, _, outside, k_max = _pair_window_grid(eta, beta * beta, 0.5, False)
+        mass = encoding._outside_mass(eta, outside)
+        assert mass == encoding._outside_mass(eta, _outside(eta, beta * beta, k_max)) > 1e-8
         assert mass == pytest.approx(1.0 - float(a_grid.sum()), rel=0.0, abs=1e-13)
 
 
@@ -455,12 +461,12 @@ class TestOutsideEntropyBound:
     def test_is_zero_without_squeezing(self, eta, mean_b, k_max):
         """At eta = 0 the outside mass P lies at n = 0, so M = 0 (and at
         |beta|^2 = 0 also P = 0): the bound is exactly 0, with no 0/0."""
-        assert encoding._outside_entropy_bound(eta, mean_b, k_max) == 0.0
+        assert encoding._outside_entropy_bound(eta, _outside(eta, mean_b, k_max)) == 0.0
 
     def test_stays_finite_when_the_outside_mean_is_subnormal(self):
         """At eta = 1e-155 the outside photon-number mean M / P, about
         5e-310, is subnormal, so 1 / (M / P) would overflow to inf."""
-        bound = encoding._outside_entropy_bound(1e-155, 4.0, 21)
+        bound = encoding._outside_entropy_bound(1e-155, _outside(1e-155, 4.0, 21))
         assert 0.0 < bound < 1e-300
 
 
@@ -498,7 +504,7 @@ class TestWindowRule:
         its residual."""
         dist = pair_outcome_distribution(0.0, 1e-3, 1e-12)
         assert dist.support.probabilities.shape == (2, 2)
-        assert dist.residual == encoding._outside_mass(0.0, 1e-3**2, 1)
+        assert dist.residual == encoding._outside_mass(0.0, _outside(0.0, 1e-3**2, 1))
         assert dist.residual == pytest.approx(9.999993e-13, rel=1e-7, abs=0.0)
         assert 1.0 - float(dist.support.probabilities.sum()) > 1e-12
 
@@ -514,9 +520,9 @@ class TestWindowRule:
             windows.append(original(*args))
             return windows[-1]
 
-        def factored(eta, mean_b, k_max, original=encoding._pair_factor):
-            factors.append(k_max)
-            return original(eta, mean_b, k_max)
+        def factored(eta, mean_b, lp, original=encoding._pair_factor):
+            factors.append(lp.size - 1)
+            return original(eta, mean_b, lp)
 
         monkeypatch.setattr(encoding, "_pair_window", sized)
         monkeypatch.setattr(encoding, "_pair_factor", factored)
@@ -528,10 +534,46 @@ class TestWindowRule:
         assert counting.grids == [(size, size)] * 2
         monkeypatch.setattr(encoding, "np", np)
         mean_pair_approx_fidelity(eta, beta, epsilon_tail)
-        k_max, mass = windows[0]
-        assert windows == [(k_max, mass)] * 3 and factors == [k_max]
+        lp, outside = windows[0]
+        k_max, mass = lp.size - 1, encoding._outside_mass(eta, outside)
+        window = (lp.tobytes(), outside.tobytes())
+        assert [(l.tobytes(), o.tobytes()) for l, o in windows] == [window] * 3 and factors == [k_max]
         assert dist.support.probabilities.shape == (size, size) and size == k_max + 1
         assert dist.residual == mass <= epsilon_tail
+
+    @pytest.mark.parametrize(
+        "call",
+        [average_entanglement, pair_outcome_distribution, mean_pair_approx_fidelity],
+        ids=["report", "pair-table", "pair-fidelity"],
+    )
+    def test_pair_poisson_table_is_built_once(self, monkeypatch, call):
+        """At (0.5, 12) the first top, 241, meets the tail: the window's
+        Poisson table is built once and serves the outside weights, the
+        grid (or the fidelity's factor) and the residual bound."""
+        built = []
+        original = encoding.log_poisson_table
+
+        def counted(mean, k_max):
+            built.append(k_max)
+            return original(mean, k_max)
+
+        monkeypatch.setattr(encoding, "log_poisson_table", counted)
+        call(0.5, 12.0)
+        assert built == [241]
+
+    @pytest.mark.parametrize(
+        "eta,beta,epsilon_tail,pinned",
+        [
+            (0.5, 12.0, 1e-10, ("0x1.13c7c15a26df7p+0", "0x1.6c40000000000p-43", "0x1.353014af298d7p-42", "0x1.fffd6db96d2a1p-1")),
+            (0.9081, 7.006, 1e-10, ("0x1.ac075cbf988bdp+1", "0x0.0p+0", "0x1.497ad85506070p-62", "0x1.c221767761c86p-2")),
+            (0.2, 8.0, 1e-14, ("0x1.01710c81083e4p-2", "0x1.c600000000000p-45", "0x1.03b8257839c19p-127", "0x1.ffffede0d2f47p-1")),
+        ],
+    )
+    def test_report_and_fidelity_bits_are_pinned(self, eta, beta, epsilon_tail, pinned):
+        """E_avg, residual, residual_bound and the pair fidelity, bit for bit."""
+        report = average_entanglement(eta, beta, epsilon_tail)
+        fidelity = mean_pair_approx_fidelity(eta, beta, epsilon_tail)
+        assert (report.E_avg.hex(), report.residual.hex(), report.residual_bound.hex(), fidelity.hex()) == pinned
 
 
 class _GridCountingNumpy:
@@ -583,8 +625,8 @@ class TestOutcomeGridKernel:
         cells of the later slices are negligible; at (0.5, 0.3) t_0 exceeds
         e^-1 at (0, 0)."""
         ref_a, ref_b, _, ref_k_max = _full_grid_reference(eta, beta * beta)
-        a_grid, b_grid, mass, k_max = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, True)
-        assert k_max == ref_k_max and mass <= DEFAULT_EPSILON_TAIL
+        a_grid, b_grid, outside, k_max = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, True)
+        assert k_max == ref_k_max and encoding._outside_mass(eta, outside) <= DEFAULT_EPSILON_TAIL
         assert a_grid.tobytes() == ref_a.tobytes()
         assert b_grid.tobytes() == ref_b.tobytes()
         a_only, b_none, _, _ = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, False)
@@ -693,6 +735,44 @@ class TestGridBudget:
         assert dist.support.probabilities.size == m_max + 1
         assert 4 * 8 * (m_max + 1) < built <= budgeted
 
+    @pytest.mark.parametrize(
+        "build,top,outcome",
+        [
+            (lambda n: encode_pair(0.5, 1.0, n, n), r"max\(K, L\)", r"outcome \(K, L\) = \({n}, {n}\)"),
+            (lambda n: encode_coherent(1.0, 1.0, n), "M", "outcome M={n}"),
+        ],
+        ids=["encode_pair", "encode_coherent"],
+    )
+    def test_encoded_states_fail_before_allocating_past_the_budget(self, monkeypatch, build, top, outcome):
+        """An encoded state takes up to 14 cells per row of max(K, L) (or
+        M), the last 2 for doubling the log-factorial cache.  With the cache
+        one entry short, a budget of exactly that builds the state (its peak
+        is those arrays plus a few KiB of Python objects); one byte less
+        raises, naming the outcome, before the cache grows or any array
+        exists.  The default budget refuses outcomes of 10^9."""
+        n = 20_000
+        budgeted = 14 * 8 * (n + 1)
+        monkeypatch.setattr(numerics, "_log_factorials", numerics.log_factorial_table(n - 1))
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted - 1)
+        tracemalloc.start()
+        try:
+            match = rf"{top}={n} needs {budgeted} bytes, over the grid budget.*{outcome.format(n=n)}$"
+            with pytest.raises(RuntimeError, match=match):
+                build(n)
+            refused = tracemalloc.get_traced_memory()[1]
+            cache_size = numerics._log_factorials.size
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted)
+            build(n)
+            built = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused < 8 * n and cache_size == n
+        assert 12 * 8 * (n + 1) < built <= budgeted + 8 * 1024
+        monkeypatch.undo()
+        with pytest.raises(RuntimeError, match=rf"{top}={10**9} needs \d+ bytes.*{outcome.format(n=10**9)}$"):
+            build(10**9)
+
 
 class TestApproxFidelities:
     @pytest.mark.parametrize("eta,beta", [(0.95, 0.3), (0.9, 1.0), (0.95, 8.0), (0.5, 1e-200), (0.5, 1e-100)])
@@ -775,10 +855,10 @@ class TestApproxFidelities:
         eta = 0.5, of a window of 300; at (0.5, 14) (window about 310) and
         (0.3, 3) the full width gives the same bits."""
         n_top = math.ceil(encoding._BAND_LOG_CUT / (-2.0 * math.log(eta)))
-        assert encoding._pair_factor(eta, beta * beta, 300)[0].shape == (301, n_top + 1)
+        assert encoding._pair_factor(eta, beta * beta, log_poisson_table(beta * beta, 300))[0].shape == (301, n_top + 1)
         cut = mean_pair_approx_fidelity(eta, beta)
         monkeypatch.setattr(encoding, "_BAND_LOG_CUT", 1e6)
-        assert encoding._pair_factor(eta, beta * beta, 300)[0].shape == (301, 301)
+        assert encoding._pair_factor(eta, beta * beta, log_poisson_table(beta * beta, 300))[0].shape == (301, 301)
         assert mean_pair_approx_fidelity(eta, beta) == cut
 
     def test_pair_fidelity_needs_no_probability_table(self, monkeypatch):
@@ -806,7 +886,9 @@ class TestApproxFidelities:
     @staticmethod
     def _pair_fidelity_window(eta, mean_b):
         mu = mean_b + eta * eta / (1.0 - eta * eta)
-        return next(k for k in _window_sizes(mu) if encoding._outside_mass(eta, mean_b, k) <= DEFAULT_EPSILON_TAIL)
+        return next(
+            k for k in _window_sizes(mu) if encoding._outside_mass(eta, _outside(eta, mean_b, k)) <= DEFAULT_EPSILON_TAIL
+        )
 
     @pytest.mark.parametrize("eta", [0.5, 0.0])
     def test_pair_fidelity_memory_is_what_it_budgets(self, eta):

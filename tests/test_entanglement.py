@@ -43,6 +43,12 @@ class TestTmssEntanglement:
         with pytest.raises(ValueError):
             tmss_entanglement(eta)
 
+    @pytest.mark.parametrize("eta", [5e-324, 1e-300, 1e-162, 1e-160])
+    def test_tiny_eta_is_finite(self, eta):
+        """Below about 1e-162 sinh^2 r underflows to 0, and 0 log2 0 is 0."""
+        value = tmss_entanglement(eta)
+        assert math.isfinite(value) and value >= 0.0
+
 
 class TestEntropyOfEntanglement:
     def test_product_state(self):
