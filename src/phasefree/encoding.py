@@ -35,13 +35,15 @@ so a tail below float64 resolution is met like any other.  The walk has
 no length limit: it ends at the tail, or at a top whose arrays would
 exceed _GRID_BUDGET_BYTES, which fails before allocating.
 
-The n-th summand of P(K, L) vanishes for K < n or L < n and underflows to
-exactly 0.0 far from the Poisson peak, so each slice n is computed only on
-one square live block of the window.  A slice n > 0 also drops the leading
-rows and columns of that block where t_n < 2^-66 t_0 (with t_n the n-th
-summand), terms that round away (see _NEGLIGIBLE_LOG); at weak squeezing
-and large |beta| that is most of the block.  Every bit of the result is
-that of the full window.
+The n-th summand t_n of P(K, L) vanishes for K < n or L < n and
+underflows to exactly 0.0 far from the Poisson peak, so slice n lives on
+one square block of the window.  A slice n > 0 also drops the leading rows
+and columns of that block where t_n < 2^-66 t_0, terms that round away (see
+_NEGLIGIBLE_LOG); at weak squeezing and large |beta| that is most of the
+block.  The grid is symmetric, so only its upper triangle is summed, in row
+strips: each strip takes all the slices that meet it as one (slices, rows,
+columns) block, reduced over the slices in n order, and the lower triangle
+is its mirror.  Every bit of the result is that of the full window.
 
 The approximant fidelities are array passes, not loops over outcomes.  For
 the coherent encoding the phases cancel, so the overlap with |alpha'> for
@@ -86,16 +88,24 @@ DEFAULT_EPSILON_TAIL = 1e-10
 # outcome-grid cells whose log lies below this are never computed.
 _EXP_ZERO_LOG = -746.0
 
-# A slice n > 0 of the outcome grid skips the cells where t_n < 2^-66 t_0
-# while t_0 >= e^-700, a normal float.  A and B are summed in n order from
+# A slice n > 0 of the outcome grid skips the cells where t_n < 2^-66 t_0.
+# Where t_0 >= e^-700, a normal float: A and B are summed in n order from
 # terms of one sign, so at slice n |A| >= t_0 and |B| >= t_0 |ln t_0| >= t_0
 # (t_0 <= e^-2 once K, L >= 1, as Pois(mu, k) <= 1/e for k >= 1).  A term
 # that does not underflow to 0 has |ln t_n| < 746 < 2^10, so each skipped
 # A or B term is below 2^-56 of its running sum, while half an ulp of that
 # sum exceeds 2^-54 of it: the term rounds away and every bit of A and B is
-# kept, with a factor 4 to spare for the rounding of the logs.
+# kept, with a factor 4 to spare for the rounding of the logs.  Where
+# t_0 < e^-700, a skipped t_n is below e^-745.7 and exp rounds it to 0.
 _NEGLIGIBLE_LOG = -66.0 * math.log(2.0)
-_NORMAL_LOG = -700.0
+
+# Log held where a slice has no summand (K < n, or a Poisson weight of 0):
+# finite, so its exp is 0 and t ln t is -0.0, with no NaN.
+_LOG_SENTINEL = -1e300
+
+# Cells of one (slices, rows, columns) block of the outcome-grid sum, and of
+# one row chunk of the entropy reduction; see _block_cells.
+_STRIP_BLOCK_CELLS = 1 << 16
 
 # Photon-number bands cut a Poisson law where each tail holds at most
 # exp(-_BAND_LOG_CUT) ~ 2e-35 of its mass: far below float64 resolution,
@@ -105,22 +115,27 @@ _BAND_LOG_CUT = 80.0
 # Cells per row chunk of a banded (rows, width) array: 2 MiB of float64.
 _BAND_CHUNK_CELLS = 1 << 18
 
-# Most bytes the outcome grid may allocate for A, B and the two
-# slice buffers, the pair fidelity for its _PAIR_FIDELITY_GRIDS arrays or the
-# coherent table with its temporaries, and most cells (8 bytes each) the
-# coherent fidelity pass may compute; a window that needs more fails first.
-# Every window walk checks each top against it, which ends a walk that
-# does not reach its tail.
+# Most bytes the outcome grid may allocate for A, B and its two scratch
+# buffers (the logs and the terms of its strip blocks), the pair fidelity
+# for its _PAIR_FIDELITY_GRIDS arrays or the coherent table with its
+# temporaries, and most cells (8 bytes each) the coherent fidelity pass may
+# compute; a window that needs more fails first.  Every window walk checks
+# each top against it, which ends a walk that does not reach its tail.
 _GRID_BUDGET_BYTES = 1 << 30
 
 # (window x window) float64 arrays the pair fidelity holds at once: the
 # factor G and the overlaps G G^T, then the overlaps and eta'.
 _PAIR_FIDELITY_GRIDS = 2
 
-# float64 cells per row of max(K, L) (or M) that building an encoded state
-# may hold at once: 12 for the log-factorial slice and the passes of
-# _series_state, plus up to 2 for doubling the log-factorial cache.
-_STATE_CELLS_PER_ROW = 14
+# float64 cells that building an encoded state may hold at once, per row of
+# max(K, L) and per row of min(K, L) (both M for the coherent state): the
+# log-factorial slice and the doubling of its cache grow with the first, the
+# passes of _series_state with the second.  With the cache one entry short,
+# tracemalloc measures at most 4 (max + 1) + 10 (min + 1) cells, plus 1.2
+# KiB, at max(K, L) = 20 000, 40 000 and 80 000 with min(K, L) from 0 to
+# max(K, L); (20 000, 10 000) needs the most of the max term, 3.7 per row.
+_STATE_CELLS_PER_MAX_ROW = 4
+_STATE_CELLS_PER_MIN_ROW = 10
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -281,7 +296,8 @@ def encode_coherent(alpha, beta, M: int) -> EncodedCoherentState:
     alpha = _require_amplitude(alpha, "alpha")
     M = _require_outcome(M, "M")
 
-    _require_budget(_STATE_CELLS_PER_ROW * (M + 1), "M", M, f"for the encoded state of outcome M={M}")
+    cells = (_STATE_CELLS_PER_MAX_ROW + _STATE_CELLS_PER_MIN_ROW) * (M + 1)
+    _require_budget(cells, "M", M, f"for the encoded state of outcome M={M}")
     lf = log_factorial_table(M)
     log_quot = (math.log(abs(alpha)) if alpha else LOG_ZERO) - math.log(abs(beta))
     coeffs, norm_log = _series_state(log_quot, cmath.phase(alpha) - cmath.phase(beta), lf + lf[::-1])
@@ -306,7 +322,8 @@ def encode_pair(eta: float, beta, K: int, L: int) -> EncodedPairState:
 
     n_top = min(K, L)
     context = f"for the encoded state of outcome (K, L) = ({K}, {L})"
-    _require_budget(_STATE_CELLS_PER_ROW * (max(K, L) + 1), "max(K, L)", max(K, L), context)
+    cells = _STATE_CELLS_PER_MAX_ROW * (max(K, L) + 1) + _STATE_CELLS_PER_MIN_ROW * (n_top + 1)
+    _require_budget(cells, "max(K, L)", max(K, L), context)
     lf = log_factorial_table(max(K, L))
     lf_k = lf[K::-1][: n_top + 1]  # ln((K-n)!) for n = 0..n_top
     lf_l = lf[L::-1][: n_top + 1]
@@ -501,54 +518,120 @@ def _pair_window_grid(
     outside the window's _outside_weights, whose _outside_mass is at most
     epsilon_tail; each grid is built once, from the window's Poisson table.
 
-    Each slice n is summed on its live square [lo, hi)^2 only: every summand
-    outside it has a log below _EXP_ZERO_LOG, being exactly zero for K < n
-    or L < n and cut where even its row's largest cell lies below that.
-    For n > 0 the square also drops its leading rows (and columns) whose
-    summands are below _NEGLIGIBLE_LOG relative to t_0 in every live
-    column, which changes no bit of A or B."""
+    Slice n holds every summand that neither underflows nor rounds away on
+    its square [cut_n, hi_n)^2 (_slice_squares).  The upper triangle is
+    summed in row strips [k0, k1): each takes the slices whose squares meet
+    its rows, in n order, as (slices, rows, columns) blocks on the columns
+    from k0 to the right edge of those squares, and the lower triangle is
+    its mirror.  A summand that a block holds outside the squares is exactly
+    0 or rounds away, so every bit of A and B is that of the full window."""
     grids = 4 if with_entropy else 3  # A, B and the scratch of the logs and of the terms
     lp, outside = _pair_window(eta, mean_b, epsilon_tail, grids)
-    k_max = lp.size - 1
-    lw0 = math.log1p(-eta * eta)
-    a_grid = np.zeros((k_max + 1, k_max + 1))
+    size = lp.size
+    a_grid = np.zeros((size, size))
     b_grid = np.zeros_like(a_grid) if with_entropy else None
     log_scratch = np.empty(a_grid.size)
     term_scratch = np.empty(a_grid.size)
-    row0 = 0.5 * lw0 + lp  # ln t_0(K, L) = row0[K] + row0[L]
-    for n in range(k_max + 1 if eta > 0.0 else 1):
-        lw = lw0 + 2.0 * n * math.log(eta) if n > 0 else lw0
-        # splitting the weight over both factors keeps the grid exactly
-        # symmetric under K <-> L (float addition is commutative)
-        shifted = 0.5 * lw + lp[: k_max + 1 - n]  # index K - n
-        live = np.flatnonzero(shifted + shifted.max() >= _EXP_ZERO_LOG)
-        if not live.size:
-            break  # shifted.max() does not rise with n, so no later slice is live
-        start, stop = int(live[0]), int(live[-1]) + 1
-        if n > 0:
-            # ln t_n - ln t_0 = d[K] + d[L], with d[K] = n ln eta +
-            # ln(K! / ((K - n)! mean_b^n)) rising with K, so the negligible
-            # rows are a prefix of the block and d[top] is its largest value
-            lo, top = n + start, n + stop - 1
-            d_top = shifted[stop - 1] - row0[top]
-            if shifted[start] - row0[lo] + d_top < _NEGLIGIBLE_LOG:
-                d = shifted[start:stop] - row0[lo : top + 1]
-                cut = start + int(np.searchsorted(d, _NEGLIGIBLE_LOG - d_top))
-                # row0 is unimodal, so its least value on a range of rows
-                # lies at an end: t_0 >= e^_NORMAL_LOG on every dropped cell
-                if min(row0[lo], row0[n + cut - 1]) + min(row0[lo], row0[top]) >= _NORMAL_LOG:
-                    start = cut
-        row = shifted[start:stop]
-        m = stop - start
-        lo, hi = n + start, n + stop
-        log_block = np.add(row[:, None], row[None, :], out=log_scratch[: m * m].reshape(m, m))
-        # log_block is finite, so a term that underflows adds -0.0 to B
-        term = np.exp(log_block, out=term_scratch[: m * m].reshape(m, m))
-        a_grid[lo:hi, lo:hi] += term
-        if with_entropy:
-            term *= log_block
-            b_grid[lo:hi, lo:hi] += term
-    return a_grid, b_grid, outside, k_max
+    # ln t_n(K, L) = v[n, K] + v[n, L] with v[n, K] = half[n] + lp[K - n],
+    # half[n] = ln(w_n) / 2, read through a strided view of lp behind size - 1
+    # sentinels; splitting the weight over both factors keeps the grid
+    # exactly symmetric under K <-> L (float addition is commutative)
+    lw0 = math.log1p(-eta * eta)
+    half = 0.5 * (lw0 + 2.0 * np.arange(size) * math.log(eta) if eta > 0.0 else np.full(1, lw0))
+    padded = np.concatenate([np.full(size - 1, _LOG_SENTINEL), np.maximum(lp, _LOG_SENTINEL)])
+    item = padded.itemsize
+    lp_view = np.lib.stride_tricks.as_strided(padded[size - 1 :], (half.size, size), (-item, item), writeable=False)
+    block = _block_cells(size)
+    cut, hi = _slice_squares(half, lp, lp_view, log_scratch, term_scratch, block)
+
+    for k0, k1 in _row_strips(cut, hi, size, block):
+        touch = np.flatnonzero((cut < k1) & (hi > k0))
+        if not touch.size:
+            continue
+        n_lo, n_hi, rows = int(touch[0]), int(touch[-1]) + 1, k1 - k0
+        min_end = min(size, max(k1, k0 + 2))  # two columns at least: see _add_slices
+        step = max(1, block // (rows * (max(hi[n_lo:n_hi].max(), min_end) - k0)))
+        for n0 in range(n_lo, n_hi, step):
+            n1 = min(n0 + step, n_hi)
+            l1 = max(int(hi[n0:n1].max()), min_end)
+            v = np.add(half[n0:n1, None], lp_view[n0:n1, k0:l1], out=term_scratch[: (n1 - n0) * (l1 - k0)].reshape(n1 - n0, -1))
+            logs = np.add(v[:, :rows, None], v[:, None, :], out=log_scratch[: v.size * rows].reshape(n1 - n0, rows, -1))
+            if with_entropy:
+                terms = np.exp(logs, out=term_scratch[: logs.size].reshape(logs.shape))
+                # the logs are finite, so a term that underflows adds -0.0 to B
+                _add_slices(np.multiply(logs, terms, out=logs), b_grid[k0:k1, k0:l1])
+                _add_slices(terms, a_grid[k0:k1, k0:l1])
+            else:
+                _add_slices(np.exp(logs, out=logs), a_grid[k0:k1, k0:l1])
+        for grid in (a_grid, b_grid)[: 1 + with_entropy]:
+            grid[k1:, k0:k1] = grid[k0:k1, k1:].T
+    return a_grid, b_grid, outside, size - 1
+
+
+def _slice_squares(half, lp, lp_view, log_scratch, term_scratch, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cut, hi): slice n of the outcome grid, up to its last live n, holds
+    every summand that neither underflows nor rounds away on the square
+    [cut_n, hi_n)^2.
+
+    Outside the rows [lo_n, hi_n) even the slice's largest log v[n, L] brings
+    a row below _EXP_ZERO_LOG.  The rows [lo_n, cut_n) hold t_n < 2^-66 t_0
+    (_NEGLIGIBLE_LOG) in every live column: ln t_n - ln t_0 = d[K] + d[L],
+    and d[K] = v[n, K] - v[0, K] rises with K, so d[hi_n - 1] is its largest
+    live value.  The table of v is built about block cells of slices at a
+    time, in the two scratch buffers."""
+    size = lp.size
+    # the largest log of slice n is 2 top[n], which falls with n
+    top = half + np.maximum.accumulate(lp)[size - 1 - np.arange(half.size)]
+    n_live = int(np.count_nonzero(top + top >= _EXP_ZERO_LOG))
+    row0, cut, hi = half[0] + lp_view[0], np.empty(n_live, dtype=np.intp), np.empty(n_live, dtype=np.intp)
+    step = max(1, block // size)
+    for n0 in range(0, n_live, step):
+        n1 = min(n0 + step, n_live)
+        v = np.add(half[n0:n1, None], lp_view[n0:n1], out=log_scratch[: (n1 - n0) * size].reshape(-1, size))
+        mask, mask_reversed = term_scratch.view(np.bool_)[: 2 * v.size].reshape(2, -1, size)
+        live_from = (_EXP_ZERO_LOG - top[n0:n1])[:, None]
+        lo = np.greater_equal(v, live_from, out=mask).argmax(axis=1)
+        hi[n0:n1] = size - np.greater_equal(v[:, ::-1], live_from, out=mask_reversed).argmax(axis=1)
+        rows = np.arange(n1 - n0)
+        d = np.subtract(v, row0, out=v)
+        first = np.greater_equal(d, (_NEGLIGIBLE_LOG - d[rows, hi[n0:n1] - 1])[:, None], out=mask).argmax(axis=1)
+        # a slice keeps no row where d never reaches the cut
+        cut[n0:n1] = np.where(mask[rows, first], np.clip(first, lo, hi[n0:n1]), hi[n0:n1])
+    return cut, hi
+
+
+def _block_cells(size: int) -> int:
+    """Cells of one block on a window of size^2 outcomes: _STRIP_BLOCK_CELLS,
+    but at most half the window, so that a grid and its entropy reduction
+    touch at most one window of scratch between them, not the two grids the
+    budget counts."""
+    return max(1, min(_STRIP_BLOCK_CELLS, size * size // 2))
+
+
+def _add_slices(terms: np.ndarray, acc: np.ndarray) -> None:
+    """acc += terms[0] + terms[1] + ..., added one slice at a time in order,
+    as a loop of acc += terms[i] would; terms is C-contiguous (slices, rows,
+    cols) with rows * cols >= 2, and is overwritten."""
+    # numpy reduces over the outer axis plane by plane, in order; were a
+    # plane a single cell, the slice axis would be the innermost and numpy
+    # would sum it pairwise
+    terms[0] += acc
+    np.add.reduce(terms, axis=0, out=acc)
+
+
+def _row_strips(cut: np.ndarray, hi: np.ndarray, size: int, block: int) -> Iterator[tuple[int, int]]:
+    """Row strips [k0, k1) that cover the window, each of about block
+    summands, a row holding the slices whose squares [cut, hi) contain it;
+    the last row is never a strip of its own, so that every block is at
+    least two columns wide."""
+    count = np.cumsum(np.bincount(cut, minlength=size + 1) - np.bincount(hi, minlength=size + 1))[:size]
+    work = np.cumsum(count * (size - np.arange(size)))
+    ends = np.searchsorted(work, block * np.arange(1, int(work[-1]) // block + 1), side="right")
+    bounds = {0, size, *ends.tolist()}
+    if size > 1:
+        bounds.discard(size - 1)  # the last row joins the strip before it
+    bounds = sorted(bounds)
+    return zip(bounds[:-1], bounds[1:])
 
 
 def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> OutcomeDistribution:

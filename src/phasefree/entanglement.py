@@ -19,12 +19,12 @@ are q_n = t_n / P, so
 
     P * E = P log2 P - sum_n t_n log2 t_n
 
-and both accumulators are built slice by slice in n by
-encoding._pair_window_grid; the encoding module says which cells each
-slice skips and why that changes no bit.  The per-outcome
-entropies exist only while E_avg is summed; a report keeps the
-probabilities alone.  That E_avg equals the P-weighted sum of the
-encode/entropy composition is pinned by tests.
+and both accumulators are built by encoding._pair_window_grid, which adds
+the slices n in order, all of a row strip of the upper triangle at once;
+the encoding module says which cells a strip skips and why that changes
+no bit.  The per-outcome entropies exist only while E_avg is summed; a
+report keeps the probabilities alone.  That E_avg equals the P-weighted
+sum of the encode/entropy composition is pinned by tests.
 
 Outcomes outside the window are not enumerated; residual_bound caps what
 they could add to E_avg.  With n geometric and (K, L) = (n + X, n + Y),
@@ -48,6 +48,7 @@ from .encoding import (
     DEFAULT_EPSILON_TAIL,
     EncodedPairState,
     OutcomeTable,
+    _block_cells,
     _outside_entropy_bound,
     _pair_window_grid,
     _require_ancilla,
@@ -128,16 +129,20 @@ def average_entanglement(
         e_avg = 0.0
     else:
         # a cell with A = 0 has B = +-0, so its entropy comes out 0 as well;
-        # max(log2 A - B / (LN2 A), 0) is formed in place, so that with A
-        # and B the report holds the four grids its budget counts
-        safe = np.where(a_grid > 0.0, a_grid, 1.0)
-        entropies = np.log2(safe)
-        np.divide(b_grid, np.multiply(safe, LN2, out=safe), out=b_grid)
-        np.maximum(np.subtract(entropies, b_grid, out=entropies), 0.0, out=entropies)
+        # max(log2 A - B / (LN2 A), 0) A is formed into B a few rows at a
+        # time, so that the reduction holds A, B and two row chunks
+        rows = max(1, _block_cells(k_max + 1) // (k_max + 1))
+        for r0 in range(0, k_max + 1, rows):
+            a, b = a_grid[r0 : r0 + rows], b_grid[r0 : r0 + rows]
+            safe = np.where(a > 0.0, a, 1.0)
+            entropies = np.log2(safe)
+            np.divide(b, np.multiply(safe, LN2, out=safe), out=b)
+            np.maximum(np.subtract(entropies, b, out=entropies), 0.0, out=entropies)
+            np.multiply(entropies, a, out=b)
         # min(K, L) == 0 admits a single Schmidt term; pin the float noise
-        entropies[0, :] = 0.0
-        entropies[:, 0] = 0.0
-        e_avg = float(np.multiply(entropies, a_grid, out=entropies).sum())
+        b_grid[0, :] = 0.0
+        b_grid[:, 0] = 0.0
+        e_avg = float(b_grid.sum())
 
     e_exact = tmss_entanglement(eta)
     # a local protocol cannot raise entanglement: only float noise can lift E_avg past E_exact

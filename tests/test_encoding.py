@@ -604,6 +604,8 @@ class TestOutcomeGridKernel:
             (0.1, 12.0),
             (0.2, 8.0),
             (0.5, 0.3),
+            (0.05, 20.0),
+            (0.02, 6.0),
         ],
         ids=[
             "one-doubling-round",
@@ -615,6 +617,8 @@ class TestOutcomeGridKernel:
             "weak-squeezing-cut",
             "mid-beta-cut",
             "small-mean",
+            "cut-below-normal-t0",
+            "few-live-slices",
         ],
     )
     def test_bit_identical_to_full_grid_loop(self, eta, beta):
@@ -623,7 +627,11 @@ class TestOutcomeGridKernel:
         window has grown far past the Poisson peak, so cells whose summands
         lie just above the floor are in play; at (0.1, 12) and (0.2, 8) most
         cells of the later slices are negligible; at (0.5, 0.3) t_0 exceeds
-        e^-1 at (0, 0)."""
+        e^-1 at (0, 0).  At (0.5, 1e-200) |beta|^2 underflows to 0, so ln Pois
+        is -inf off n = K = L, where a NaN in B would show (and its
+        RuntimeWarning fails the test).  At (0.05, 20) t_0 < e^-700 on cells
+        whose later summands the 2^-66 cut drops, which exp rounds to 0; at
+        (0.02, 6) only a few slices are live at all."""
         ref_a, ref_b, _, ref_k_max = _full_grid_reference(eta, beta * beta)
         a_grid, b_grid, outside, k_max = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, True)
         assert k_max == ref_k_max and encoding._outside_mass(eta, outside) <= DEFAULT_EPSILON_TAIL
@@ -659,6 +667,42 @@ class TestOutcomeGridKernel:
         cut = cells()
         monkeypatch.setattr(encoding, "_NEGLIGIBLE_LOG", -math.inf)
         assert 2 * cut <= cells()
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (9, 1, 2), (64, 1, 2), (17, 3, 5), (300, 1, 3), (300, 2, 1)])
+    def test_strip_blocks_add_their_slices_in_order(self, shape):
+        """The reduction of a (slices, rows, columns) block equals acc +=
+        terms[n] for n in order, bit for bit, also on a block one row high and
+        two columns wide.  From 17 slices on, the data tell the orders apart:
+        numpy's pairwise sum, its order when the slice axis is the innermost
+        (as for a block one cell wide), differs from it in some last bit."""
+        rng = np.random.default_rng(list(shape))
+        terms, acc = rng.random(shape), rng.random(shape[1:])
+        expected = acc.copy()
+        for plane in terms:
+            expected += plane
+        first = terms[0] + acc
+        pairwise = np.add.reduce(np.concatenate([first[None], terms[1:]]).reshape(shape[0], -1).T.copy(), axis=1)
+        encoding._add_slices(terms, acc)
+        assert acc.tobytes() == expected.tobytes()
+        assert shape[0] < 17 or pairwise.tobytes() != expected.tobytes()
+
+    @pytest.mark.parametrize("eta,beta", [(0.9315, 9.252), (0.9081, 7.006)])
+    @pytest.mark.parametrize("with_entropy", [True, False], ids=["with-B", "A-only"])
+    def test_memory_is_what_it_budgets(self, eta, beta, with_entropy):
+        """The traced peak of the grid is the window arrays it budgets (A, B
+        and two scratch buffers; three without B) plus numpy's broadcasting
+        buffers (np.getbufsize() cells per operand) and O(window) vectors: the
+        tables that size the squares of the slices and the row strips are
+        built inside the scratch buffers, a few slices at a time."""
+        _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, with_entropy)  # grow the log-factorial cache
+        tracemalloc.start()
+        try:
+            size = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, with_entropy)[3] + 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budgeted = (4 if with_entropy else 3) * 8 * size * size
+        assert budgeted <= peak <= budgeted + 4 * 8 * np.getbufsize() + 64 * 8 * size
 
 
 class TestGridBudget:
@@ -772,6 +816,43 @@ class TestGridBudget:
         monkeypatch.undo()
         with pytest.raises(RuntimeError, match=rf"{top}={10**9} needs \d+ bytes.*{outcome.format(n=10**9)}$"):
             build(10**9)
+
+    def test_lopsided_pair_state_fails_before_allocating_past_the_budget(self, monkeypatch):
+        """encode_pair counts 4 cells per row of max(K, L) and 10 per row of
+        min(K, L), the rows that _series_state runs on.  At (20 000, 5 000),
+        with the log-factorial cache one entry short, a budget of exactly
+        that builds the state; one byte less raises, before the cache grows
+        or any array exists.  An outcome (10^7, 0) fits the default budget."""
+        K, L = 20_000, 5_000
+        budgeted = 8 * (4 * (K + 1) + 10 * (L + 1))
+        monkeypatch.setattr(numerics, "_log_factorials", numerics.log_factorial_table(K - 1))
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match=rf"max\(K, L\)={K} needs {budgeted} bytes, over the grid budget"):
+                encode_pair(0.5, 1.0, K, L)
+            refused = tracemalloc.get_traced_memory()[1]
+            cache_size = numerics._log_factorials.size
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted)
+            state = encode_pair(0.5, 1.0, K, L)
+            built = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused < 8 * K and cache_size == K
+        assert state.schmidt_coeffs.size == L + 1
+        assert 8 * (3 * (K + 1) + 11 * (L + 1)) < built <= budgeted + 8 * 1024
+
+        class WithinBudget(Exception):
+            pass
+
+        def table_after_the_budget_check(n_max):
+            raise WithinBudget(n_max)
+
+        monkeypatch.undo()
+        monkeypatch.setattr(encoding, "log_factorial_table", table_after_the_budget_check)
+        with pytest.raises(WithinBudget):
+            encode_pair(0.5, 1.0, 10**7, 0)
 
 
 class TestApproxFidelities:

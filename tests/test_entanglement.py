@@ -213,9 +213,10 @@ class TestAverageEntanglement:
     @pytest.mark.parametrize("eta,beta", [(0.5, 14.0), (0.9, 12.0)])
     def test_memory_is_what_it_budgets(self, eta, beta):
         """At windows of 310 and 345 the peak is the 4 window arrays the
-        grid budget counts (A, B and the two slice buffers, then A, B and
-        the two grids of the entropy reduction), plus numpy's broadcasting
-        buffers (np.getbufsize() cells per operand) and O(window) vectors."""
+        grid budget counts (A, B and the two scratch buffers; the entropy
+        reduction then holds A, B and two row chunks), plus numpy's
+        broadcasting buffers (np.getbufsize() cells per operand) and
+        O(window) vectors."""
         size = average_entanglement(eta, beta).window  # grow the log-factorial cache
         tracemalloc.start()
         try:
