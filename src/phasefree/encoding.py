@@ -41,9 +41,11 @@ one square block of the window.  A slice n > 0 also drops the leading rows
 and columns of that block where t_n < 2^-66 t_0, terms that round away (see
 _NEGLIGIBLE_LOG); at weak squeezing and large |beta| that is most of the
 block.  The grid is symmetric, so only its upper triangle is summed, in row
-strips: each strip takes all the slices that meet it as one (slices, rows,
-columns) block, reduced over the slices in n order, and the lower triangle
-is its mirror.  Every bit of the result is that of the full window.
+strips over the rows some slice lives on: each strip takes all the slices
+that meet it as (slices, rows, columns) blocks of a bounded size, reduced
+over the slices in n order, and the lower triangle is its mirror.  Every
+bit of the result is that of the full window, and the grid holds A (and
+B) and two buffers of one block.
 
 The approximant fidelities are array passes, not loops over outcomes.  For
 the coherent encoding the phases cancel, so the overlap with |alpha'> for
@@ -103,8 +105,8 @@ _NEGLIGIBLE_LOG = -66.0 * math.log(2.0)
 # finite, so its exp is 0 and t ln t is -0.0, with no NaN.
 _LOG_SENTINEL = -1e300
 
-# Cells of one (slices, rows, columns) block of the outcome-grid sum, and of
-# one row chunk of the entropy reduction; see _block_cells.
+# Most cells of one (slices, rows, columns) block of the outcome-grid sum,
+# and of one row chunk of the entropy reduction; see _block_cells.
 _STRIP_BLOCK_CELLS = 1 << 16
 
 # Photon-number bands cut a Poisson law where each tail holds at most
@@ -115,12 +117,12 @@ _BAND_LOG_CUT = 80.0
 # Cells per row chunk of a banded (rows, width) array: 2 MiB of float64.
 _BAND_CHUNK_CELLS = 1 << 18
 
-# Most bytes the outcome grid may allocate for A, B and its two scratch
-# buffers (the logs and the terms of its strip blocks), the pair fidelity
-# for its _PAIR_FIDELITY_GRIDS arrays or the coherent table with its
-# temporaries, and most cells (8 bytes each) the coherent fidelity pass may
-# compute; a window that needs more fails first.  Every window walk checks
-# each top against it, which ends a walk that does not reach its tail.
+# Most bytes the outcome grid may allocate for A, B and two strip-block
+# buffers, the pair fidelity for its _PAIR_FIDELITY_GRIDS arrays or the
+# coherent table with its temporaries, and most cells (8 bytes each) the
+# coherent fidelity pass may compute; a window that needs more fails first.
+# Every window walk checks each top against it, which ends a walk that does
+# not reach its tail.
 _GRID_BUDGET_BYTES = 1 << 30
 
 # (window x window) float64 arrays the pair fidelity holds at once: the
@@ -134,8 +136,12 @@ _PAIR_FIDELITY_GRIDS = 2
 # tracemalloc measures at most 4 (max + 1) + 10 (min + 1) cells, plus 1.2
 # KiB, at max(K, L) = 20 000, 40 000 and 80 000 with min(K, L) from 0 to
 # max(K, L); (20 000, 10 000) needs the most of the max term, 3.7 per row.
+# Below about 16 000 rows numpy makes a new array for every temporary of
+# the complex passes (it reuses one only from 256 KiB), one cell more per
+# row: at K = L = 500, 1 000 and 5 000 the state takes 15.9, 15.5 and 15.1
+# cells per row, under 15 (n + 1) cells plus 4.1 KiB from n = 100 on.
 _STATE_CELLS_PER_MAX_ROW = 4
-_STATE_CELLS_PER_MIN_ROW = 10
+_STATE_CELLS_PER_MIN_ROW = 11
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -491,15 +497,16 @@ def _outside_entropy_bound(eta: float, outside: np.ndarray) -> float:
     return mass * (math.log1p(m) + m * math.log1p(1.0 / m)) / math.log(2.0)
 
 
-def _pair_window(eta: float, mean_b: float, epsilon_tail: float, grids: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_window(eta: float, mean_b: float, epsilon_tail: float, grids: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """(lp, outside): log_poisson_table(mean_b, k_max) and its
     _outside_weights on the first top k_max of _window_sizes whose
     _outside_mass is at most epsilon_tail, built once per top; each top is
-    first budgeted for grids window arrays, failing before any allocation."""
+    first budgeted for grids window arrays and blocks arrays of _block_cells,
+    failing before any allocation."""
     context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
     mu = mean_b + eta * eta / (1.0 - eta * eta)
     for k_max in _window_sizes(mu):
-        _require_budget(grids * (k_max + 1) ** 2, "k_max", k_max, context)
+        _require_budget(grids * (k_max + 1) ** 2 + blocks * _block_cells(k_max + 1), "k_max", k_max, context)
         lp = log_poisson_table(mean_b, k_max)
         outside = _outside_weights(eta, mean_b, lp)
         if _outside_mass(eta, outside) <= epsilon_tail:
@@ -520,18 +527,19 @@ def _pair_window_grid(
 
     Slice n holds every summand that neither underflows nor rounds away on
     its square [cut_n, hi_n)^2 (_slice_squares).  The upper triangle is
-    summed in row strips [k0, k1): each takes the slices whose squares meet
-    its rows, in n order, as (slices, rows, columns) blocks on the columns
-    from k0 to the right edge of those squares, and the lower triangle is
-    its mirror.  A summand that a block holds outside the squares is exactly
-    0 or rounds away, so every bit of A and B is that of the full window."""
-    grids = 4 if with_entropy else 3  # A, B and the scratch of the logs and of the terms
-    lp, outside = _pair_window(eta, mean_b, epsilon_tail, grids)
+    summed in row strips [k0, k1) over the rows those squares cover: each
+    takes the slices whose squares meet its rows, in n order, as (slices,
+    rows, columns) blocks on the columns from k0 to the right edge of those
+    squares, and the lower triangle is its mirror.  A summand that a block
+    holds outside the squares, or that no block holds, is exactly 0 or
+    rounds away, so every bit of A and B is that of the full window."""
+    grids = 2 if with_entropy else 1
+    # two buffers of a block; a report's entropy reduction then takes two row
+    # chunks of at most a block
+    lp, outside = _pair_window(eta, mean_b, epsilon_tail, grids, 2)
     size = lp.size
     a_grid = np.zeros((size, size))
     b_grid = np.zeros_like(a_grid) if with_entropy else None
-    log_scratch = np.empty(a_grid.size)
-    term_scratch = np.empty(a_grid.size)
     # ln t_n(K, L) = v[n, K] + v[n, L] with v[n, K] = half[n] + lp[K - n],
     # half[n] = ln(w_n) / 2, read through a strided view of lp behind size - 1
     # sentinels; splitting the weight over both factors keeps the grid
@@ -542,69 +550,76 @@ def _pair_window_grid(
     item = padded.itemsize
     lp_view = np.lib.stride_tricks.as_strided(padded[size - 1 :], (half.size, size), (-item, item), writeable=False)
     block = _block_cells(size)
-    cut, hi = _slice_squares(half, lp, lp_view, log_scratch, term_scratch, block)
+    log_scratch, term_scratch = np.empty(block), np.empty(block)  # the logs, and v then the terms
+    cut, hi = _slice_squares(half, padded[size - 1 :])
 
     for k0, k1 in _row_strips(cut, hi, size, block):
         touch = np.flatnonzero((cut < k1) & (hi > k0))
-        if not touch.size:
-            continue
-        n_lo, n_hi, rows = int(touch[0]), int(touch[-1]) + 1, k1 - k0
+        n_lo, n_hi = int(touch[0]), int(touch[-1]) + 1
         min_end = min(size, max(k1, k0 + 2))  # two columns at least: see _add_slices
-        step = max(1, block // (rows * (max(hi[n_lo:n_hi].max(), min_end) - k0)))
-        for n0 in range(n_lo, n_hi, step):
-            n1 = min(n0 + step, n_hi)
+        # no block holds more than block cells: one row of one slice fits, as size <= block
+        width = max(int(hi[n_lo:n_hi].max()), min_end) - k0
+        rows = min(k1 - k0, block // width)
+        step = block // (rows * width)
+        for r0, n0 in itertools.product(range(k0, k1, rows), range(n_lo, n_hi, step)):
+            r1, n1 = min(r0 + rows, k1), min(n0 + step, n_hi)
             l1 = max(int(hi[n0:n1].max()), min_end)
             v = np.add(half[n0:n1, None], lp_view[n0:n1, k0:l1], out=term_scratch[: (n1 - n0) * (l1 - k0)].reshape(n1 - n0, -1))
-            logs = np.add(v[:, :rows, None], v[:, None, :], out=log_scratch[: v.size * rows].reshape(n1 - n0, rows, -1))
+            logs = np.add(v[:, r0 - k0 : r1 - k0, None], v[:, None, :], out=log_scratch[: v.size * (r1 - r0)].reshape(n1 - n0, r1 - r0, -1))
             if with_entropy:
                 terms = np.exp(logs, out=term_scratch[: logs.size].reshape(logs.shape))
                 # the logs are finite, so a term that underflows adds -0.0 to B
-                _add_slices(np.multiply(logs, terms, out=logs), b_grid[k0:k1, k0:l1])
-                _add_slices(terms, a_grid[k0:k1, k0:l1])
+                _add_slices(np.multiply(logs, terms, out=logs), b_grid[r0:r1, k0:l1])
+                _add_slices(terms, a_grid[r0:r1, k0:l1])
             else:
-                _add_slices(np.exp(logs, out=logs), a_grid[k0:k1, k0:l1])
-        for grid in (a_grid, b_grid)[: 1 + with_entropy]:
+                _add_slices(np.exp(logs, out=logs), a_grid[r0:r1, k0:l1])
+        for grid in (a_grid, b_grid)[:grids]:
             grid[k1:, k0:k1] = grid[k0:k1, k1:].T
     return a_grid, b_grid, outside, size - 1
 
 
-def _slice_squares(half, lp, lp_view, log_scratch, term_scratch, block: int) -> tuple[np.ndarray, np.ndarray]:
+def _slice_squares(half: np.ndarray, lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cut, hi): slice n of the outcome grid, up to its last live n, holds
     every summand that neither underflows nor rounds away on the square
-    [cut_n, hi_n)^2.
+    [cut_n, hi_n)^2; lp is the window's Poisson table floored at
+    _LOG_SENTINEL, as the grid reads it.
 
     Outside the rows [lo_n, hi_n) even the slice's largest log v[n, L] brings
-    a row below _EXP_ZERO_LOG.  The rows [lo_n, cut_n) hold t_n < 2^-66 t_0
+    a row below _EXP_ZERO_LOG: lp[K - n] falls below a floor.  lp rises to
+    its mode and falls after it, so lo_n and hi_n come from one search on
+    each monotone half; a row within rounding of the floor holds only
+    summands that exp rounds to 0.  The rows [lo_n, cut_n) hold t_n < 2^-66 t_0
     (_NEGLIGIBLE_LOG) in every live column: ln t_n - ln t_0 = d[K] + d[L],
     and d[K] = v[n, K] - v[0, K] rises with K, so d[hi_n - 1] is its largest
-    live value.  The table of v is built about block cells of slices at a
-    time, in the two scratch buffers."""
+    live value, and cut_n, the first live row where d reaches the rest of
+    the cut, is bisected for, all slices at once."""
     size = lp.size
+    rising = np.maximum.accumulate(lp)
+    falling = np.maximum.accumulate(lp[::-1])[::-1]
     # the largest log of slice n is 2 top[n], which falls with n
-    top = half + np.maximum.accumulate(lp)[size - 1 - np.arange(half.size)]
-    n_live = int(np.count_nonzero(top + top >= _EXP_ZERO_LOG))
-    row0, cut, hi = half[0] + lp_view[0], np.empty(n_live, dtype=np.intp), np.empty(n_live, dtype=np.intp)
-    step = max(1, block // size)
-    for n0 in range(0, n_live, step):
-        n1 = min(n0 + step, n_live)
-        v = np.add(half[n0:n1, None], lp_view[n0:n1], out=log_scratch[: (n1 - n0) * size].reshape(-1, size))
-        mask, mask_reversed = term_scratch.view(np.bool_)[: 2 * v.size].reshape(2, -1, size)
-        live_from = (_EXP_ZERO_LOG - top[n0:n1])[:, None]
-        lo = np.greater_equal(v, live_from, out=mask).argmax(axis=1)
-        hi[n0:n1] = size - np.greater_equal(v[:, ::-1], live_from, out=mask_reversed).argmax(axis=1)
-        rows = np.arange(n1 - n0)
-        d = np.subtract(v, row0, out=v)
-        first = np.greater_equal(d, (_NEGLIGIBLE_LOG - d[rows, hi[n0:n1] - 1])[:, None], out=mask).argmax(axis=1)
-        # a slice keeps no row where d never reaches the cut
-        cut[n0:n1] = np.where(mask[rows, first], np.clip(first, lo, hi[n0:n1]), hi[n0:n1])
+    top = half + rising[size - 1 - np.arange(half.size)]
+    n = np.arange(np.count_nonzero(top + top >= _EXP_ZERO_LOG))
+    floor = (_EXP_ZERO_LOG - top[n]) - half[n]
+    hi = np.minimum(n + np.searchsorted(-falling, -floor, side="right"), size)
+    lo = np.minimum(n + np.searchsorted(rising, floor), hi)
+
+    def d(k):
+        # on a closed range k may be n - 1, and lp[-1] a value that is not used
+        return (half[n] + lp[k - n]) - (half[0] + lp[k])
+
+    rest, cut, end = _NEGLIGIBLE_LOG - d(hi - 1), lo, hi
+    while (open_ := cut < end).any():
+        mid = (cut + end - 1) // 2
+        below = d(mid) < rest
+        cut, end = np.where(open_ & below, mid + 1, cut), np.where(open_ & ~below, mid, end)
     return cut, hi
 
 
 def _block_cells(size: int) -> int:
-    """Cells of one block on a window of size^2 outcomes: _STRIP_BLOCK_CELLS,
-    but at most half the window, so that a grid and its entropy reduction
-    touch at most one window of scratch between them, not the two grids the
-    budget counts."""
+    """Most cells of one block on a window of size^2 outcomes:
+    _STRIP_BLOCK_CELLS, but at most half the window, so that the block
+    buffers stay small beside the grids of a small window.  It is at least
+    size, so that one row of one slice fits."""
     return max(1, min(_STRIP_BLOCK_CELLS, size * size // 2))
 
 
@@ -620,17 +635,19 @@ def _add_slices(terms: np.ndarray, acc: np.ndarray) -> None:
 
 
 def _row_strips(cut: np.ndarray, hi: np.ndarray, size: int, block: int) -> Iterator[tuple[int, int]]:
-    """Row strips [k0, k1) that cover the window, each of about block
-    summands, a row holding the slices whose squares [cut, hi) contain it;
-    the last row is never a strip of its own, so that every block is at
-    least two columns wide."""
+    """Row strips [k0, k1) that cover the rows where some square [cut, hi)
+    lies, from the first such row to the last, each of about block
+    summands, a row holding the slices whose squares contain it; the last
+    row of the window is never a strip of its own, so that every block is
+    at least two columns wide."""
     count = np.cumsum(np.bincount(cut, minlength=size + 1) - np.bincount(hi, minlength=size + 1))[:size]
     work = np.cumsum(count * (size - np.arange(size)))
-    ends = np.searchsorted(work, block * np.arange(1, int(work[-1]) // block + 1), side="right")
-    bounds = {0, size, *ends.tolist()}
-    if size > 1:
-        bounds.discard(size - 1)  # the last row joins the strip before it
-    bounds = sorted(bounds)
+    # the first row where work rises, the rows where it passes each multiple
+    # of block, and the row after the last one where it rises
+    ends = np.searchsorted(work, block * np.arange(int(work[-1]) // block + 1), side="right")
+    bounds = sorted({*ends.tolist(), int(np.searchsorted(work, work[-1])) + 1})
+    if len(bounds) > 2 and bounds[-2] == size - 1:
+        del bounds[-2]  # the last row joins the strip before it
     return zip(bounds[:-1], bounds[1:])
 
 
@@ -763,7 +780,7 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
         # probability 1 - eta^2, admits an approximant (eta' = 0, exact)
         return 1.0 - eta * eta
 
-    lp, _ = _pair_window(eta, mean_b, epsilon_tail, _PAIR_FIDELITY_GRIDS)
+    lp, _ = _pair_window(eta, mean_b, epsilon_tail, _PAIR_FIDELITY_GRIDS, 0)
     # overlap[K, L] = sum_n sqrt(t_n) eta'^n with t_n the summands of
     # P(K, L), in the factorised form sqrt(1 - eta^2) sum_n G[K, n] G[L, n]
     g, shift = _pair_factor(eta, mean_b, lp)

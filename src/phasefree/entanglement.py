@@ -139,6 +139,7 @@ def average_entanglement(
             np.divide(b, np.multiply(safe, LN2, out=safe), out=b)
             np.maximum(np.subtract(entropies, b, out=entropies), 0.0, out=entropies)
             np.multiply(entropies, a, out=b)
+            del safe, entropies  # freed before the next chunk is made
         # min(K, L) == 0 admits a single Schmidt term; pin the float noise
         b_grid[0, :] = 0.0
         b_grid[:, 0] = 0.0

@@ -310,7 +310,8 @@ class TestPointCommand:
 
     def test_window_past_the_grid_budget_fails_cleanly(self, capsys, monkeypatch):
         # the first window whose outside mass meets 1e-17 is k_max = 38, and
-        # its four grids take 4 * 39^2 * 8 = 48 672 bytes
+        # its two grids and two block buffers take (2 * 39^2 + 2 * 760) * 8
+        # = 36 496 bytes
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 30_000)
         code = main(["point", "--eta", "0.5", "--beta", "2", "--epsilon-tail", "1e-17"])
         assert code == 2
@@ -324,7 +325,7 @@ class TestPointCommand:
         code = main(["point", "--eta", "0.5", "--beta", "1e150"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: outcome window k_max=1.000e+300 needs 3.200e+601 bytes")
+        assert err.startswith("error: outcome window k_max=1.000e+300 needs 1.600e+601 bytes")
         assert len(err) < 200 and err.count("\n") == 1
 
     @pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "1e200"])

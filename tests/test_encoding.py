@@ -686,14 +686,15 @@ class TestOutcomeGridKernel:
         assert acc.tobytes() == expected.tobytes()
         assert shape[0] < 17 or pairwise.tobytes() != expected.tobytes()
 
-    @pytest.mark.parametrize("eta,beta", [(0.9315, 9.252), (0.9081, 7.006)])
+    @pytest.mark.parametrize("eta,beta", [(0.9315, 9.252), (0.9081, 7.006), (0.5, 40.0)])
     @pytest.mark.parametrize("with_entropy", [True, False], ids=["with-B", "A-only"])
     def test_memory_is_what_it_budgets(self, eta, beta, with_entropy):
-        """The traced peak of the grid is the window arrays it budgets (A, B
-        and two scratch buffers; three without B) plus numpy's broadcasting
-        buffers (np.getbufsize() cells per operand) and O(window) vectors: the
-        tables that size the squares of the slices and the row strips are
-        built inside the scratch buffers, a few slices at a time."""
+        """The traced peak of the grid is at least the window arrays it keeps
+        (A and B; A alone without B) and at most those plus the two block
+        buffers it budgets (_block_cells each: the logs, and v then the
+        terms), numpy's broadcasting buffers (np.getbufsize() cells per
+        operand) and O(window) vectors.  At (0.5, 40), window 1922, one
+        window-sized scratch array would already break the bound."""
         _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, with_entropy)  # grow the log-factorial cache
         tracemalloc.start()
         try:
@@ -701,30 +702,54 @@ class TestOutcomeGridKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        budgeted = (4 if with_entropy else 3) * 8 * size * size
-        assert budgeted <= peak <= budgeted + 4 * 8 * np.getbufsize() + 64 * 8 * size
+        grids = 2 if with_entropy else 1
+        windows = grids * 8 * size * size
+        budgeted = windows + 2 * 8 * encoding._block_cells(size)
+        assert windows <= peak <= budgeted + 4 * 8 * np.getbufsize() + 64 * 8 * size
 
 
 class TestGridBudget:
     def test_fails_before_allocating_past_the_budget(self, monkeypatch):
         """At a tail of 1e-17 the window tops run 21, 38, ...; the outside
-        mass first meets it at 38, whose 3 (4 with B) grids of 39^2 cells do
-        not fit a budget of 30 000 bytes, so that top raises before any grid
-        is allocated."""
-        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 30_000)
+        mass first meets it at 38, whose grid of 39^2 cells (two with B) and
+        two block buffers of 760 cells do not fit a budget of 20 000 bytes,
+        so that top raises before any grid is allocated."""
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 20_000)
         counting = _GridCountingNumpy()
         monkeypatch.setattr(encoding, "np", counting)
-        with pytest.raises(RuntimeError, match=r"k_max=38 needs 36504 bytes, over the grid budget of 30000 bytes"):
+        with pytest.raises(RuntimeError, match=r"k_max=38 needs 24328 bytes, over the grid budget of 20000 bytes"):
             pair_outcome_distribution(0.5, 2.0, epsilon_tail=1e-17)
-        with pytest.raises(RuntimeError, match=r"k_max=38 needs 48672 bytes"):
+        with pytest.raises(RuntimeError, match=r"k_max=38 needs 36496 bytes"):
             average_entanglement(0.5, 2.0, epsilon_tail=1e-17)
         assert counting.grids == []
 
     def test_default_windows_fit(self, monkeypatch):
         """A budget of exactly the default round's bytes still computes it."""
         k_max = _pair_window_grid(0.5, 4.0, DEFAULT_EPSILON_TAIL, True)[3]
-        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 4 * 8 * (k_max + 1) ** 2)
+        budgeted = 8 * (2 * (k_max + 1) ** 2 + 2 * encoding._block_cells(k_max + 1))
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted)
         assert _pair_window_grid(0.5, 4.0, DEFAULT_EPSILON_TAIL, True)[3] == k_max
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted - 1)
+        with pytest.raises(RuntimeError, match=rf"k_max={k_max} needs {budgeted} bytes"):
+            _pair_window_grid(0.5, 4.0, DEFAULT_EPSILON_TAIL, True)
+
+    def test_a_report_at_beta_80_fits(self, monkeypatch):
+        """(0.5, 80) has window top 7041: its two grids and two block buffers
+        take 794 484 800 bytes, within the budget of 1 GiB, which its first
+        top is checked against before anything is built."""
+
+        class Budgeted(Exception):
+            pass
+
+        def table_after_the_budget_check(mean, k_max):
+            raise Budgeted(k_max)
+
+        monkeypatch.setattr(encoding, "log_poisson_table", table_after_the_budget_check)
+        with pytest.raises(Budgeted, match="^7041$"):
+            average_entanglement(0.5, 80.0)
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 794_484_799)
+        with pytest.raises(RuntimeError, match="k_max=7041 needs 794484800 bytes"):
+            average_entanglement(0.5, 80.0)
 
     def test_coherent_band_passes_fail_before_running_past_the_budget(self, monkeypatch):
         """The banded coherent fidelity pass costs rows x band cells of 8
@@ -779,6 +804,7 @@ class TestGridBudget:
         assert dist.support.probabilities.size == m_max + 1
         assert 4 * 8 * (m_max + 1) < built <= budgeted
 
+    @pytest.mark.parametrize("n", [500, 1_000, 5_000, 20_000])
     @pytest.mark.parametrize(
         "build,top,outcome",
         [
@@ -787,15 +813,15 @@ class TestGridBudget:
         ],
         ids=["encode_pair", "encode_coherent"],
     )
-    def test_encoded_states_fail_before_allocating_past_the_budget(self, monkeypatch, build, top, outcome):
-        """An encoded state takes up to 14 cells per row of max(K, L) (or
-        M), the last 2 for doubling the log-factorial cache.  With the cache
+    def test_encoded_states_fail_before_allocating_past_the_budget(self, monkeypatch, build, top, outcome, n):
+        """An encoded state takes up to 15 cells per row of max(K, L) (or
+        M), 2 of them for doubling the log-factorial cache, and one that
+        numpy's temporaries take below about 16 000 rows.  With the cache
         one entry short, a budget of exactly that builds the state (its peak
         is those arrays plus a few KiB of Python objects); one byte less
         raises, naming the outcome, before the cache grows or any array
         exists.  The default budget refuses outcomes of 10^9."""
-        n = 20_000
-        budgeted = 14 * 8 * (n + 1)
+        budgeted = 15 * 8 * (n + 1)
         monkeypatch.setattr(numerics, "_log_factorials", numerics.log_factorial_table(n - 1))
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted - 1)
         tracemalloc.start()
@@ -811,20 +837,21 @@ class TestGridBudget:
             built = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert refused < 8 * n and cache_size == n
+        # raising takes about 5 KiB of Python objects: more than n cells at n = 500
+        assert refused < 8 * max(n, 1024) and cache_size == n
         assert 12 * 8 * (n + 1) < built <= budgeted + 8 * 1024
         monkeypatch.undo()
         with pytest.raises(RuntimeError, match=rf"{top}={10**9} needs \d+ bytes.*{outcome.format(n=10**9)}$"):
             build(10**9)
 
     def test_lopsided_pair_state_fails_before_allocating_past_the_budget(self, monkeypatch):
-        """encode_pair counts 4 cells per row of max(K, L) and 10 per row of
+        """encode_pair counts 4 cells per row of max(K, L) and 11 per row of
         min(K, L), the rows that _series_state runs on.  At (20 000, 5 000),
         with the log-factorial cache one entry short, a budget of exactly
         that builds the state; one byte less raises, before the cache grows
         or any array exists.  An outcome (10^7, 0) fits the default budget."""
         K, L = 20_000, 5_000
-        budgeted = 8 * (4 * (K + 1) + 10 * (L + 1))
+        budgeted = 8 * (4 * (K + 1) + 11 * (L + 1))
         monkeypatch.setattr(numerics, "_log_factorials", numerics.log_factorial_table(K - 1))
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted - 1)
         tracemalloc.start()

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from phasefree import encoding
 from phasefree.encoding import EncodedPairState, _poisson_band, encode_pair, pair_outcome_distribution
 from phasefree.entanglement import (
     average_entanglement,
@@ -212,11 +213,11 @@ class TestAverageEntanglement:
 
     @pytest.mark.parametrize("eta,beta", [(0.5, 14.0), (0.9, 12.0)])
     def test_memory_is_what_it_budgets(self, eta, beta):
-        """At windows of 310 and 345 the peak is the 4 window arrays the
-        grid budget counts (A, B and the two scratch buffers; the entropy
-        reduction then holds A, B and two row chunks), plus numpy's
-        broadcasting buffers (np.getbufsize() cells per operand) and
-        O(window) vectors."""
+        """At windows of 310 and 345 the peak is at least the 2 window arrays
+        the report keeps (A and B) and at most those plus the 2 blocks the
+        grid budget counts (the grid's two block buffers, then the two row
+        chunks of the entropy reduction), numpy's broadcasting buffers
+        (np.getbufsize() cells per operand) and O(window) vectors."""
         size = average_entanglement(eta, beta).window  # grow the log-factorial cache
         tracemalloc.start()
         try:
@@ -224,8 +225,9 @@ class TestAverageEntanglement:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        budgeted = 4 * 8 * size * size
-        assert budgeted <= peak <= budgeted + 4 * 8 * np.getbufsize() + 64 * 8 * size
+        windows = 2 * 8 * size * size
+        budgeted = windows + 2 * 8 * encoding._block_cells(size)
+        assert windows <= peak <= budgeted + 4 * 8 * np.getbufsize() + 64 * 8 * size
 
 
 def _mp_average_entanglement(eta, mean_b, window, start=0):
