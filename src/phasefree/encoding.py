@@ -137,11 +137,11 @@ _PAIR_FIDELITY_GRIDS = 2
 # KiB, at max(K, L) = 20 000, 40 000 and 80 000 with min(K, L) from 0 to
 # max(K, L); (20 000, 10 000) needs the most of the max term, 3.7 per row.
 # Below about 16 000 rows numpy makes a new array for every temporary of
-# the complex passes (it reuses one only from 256 KiB), one cell more per
-# row: at K = L = 500, 1 000 and 5 000 the state takes 15.9, 15.5 and 15.1
-# cells per row, under 15 (n + 1) cells plus 4.1 KiB from n = 100 on.
+# the complex passes (it reuses one only from 256 KiB): at K = L = 500,
+# 1 000 and 5 000 the state takes 13.9, 13.5 and 13.1 cells per row, under
+# 14 (n + 1) cells plus 2.1 KiB from n = 100 on.
 _STATE_CELLS_PER_MAX_ROW = 4
-_STATE_CELLS_PER_MIN_ROW = 11
+_STATE_CELLS_PER_MIN_ROW = 10
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -282,8 +282,8 @@ def _series_state(log_quot: float, phase: float, log_denominator: np.ndarray) ->
     with ln |quot| = log_quot (LOG_ZERO for quot = 0) and arg quot = phase,
     built as log-magnitude plus phase, and the log of their normalizer
     sum_n |quot|^(2n) / exp(log_denominator[n])."""
-    coeffs = np.zeros(log_denominator.size, dtype=complex)
     if log_quot == LOG_ZERO:
+        coeffs = np.zeros(log_denominator.size, dtype=complex)
         coeffs[0] = 1.0
         return _frozen(coeffs), float(-log_denominator[0])
 
@@ -618,9 +618,9 @@ def _slice_squares(half: np.ndarray, lp: np.ndarray) -> tuple[np.ndarray, np.nda
 def _block_cells(size: int) -> int:
     """Most cells of one block on a window of size^2 outcomes:
     _STRIP_BLOCK_CELLS, but at most half the window, so that the block
-    buffers stay small beside the grids of a small window.  It is at least
+    buffers stay small beside the grids of a small window, and at least
     size, so that one row of one slice fits."""
-    return max(1, min(_STRIP_BLOCK_CELLS, size * size // 2))
+    return max(size, min(_STRIP_BLOCK_CELLS, size * size // 2))
 
 
 def _add_slices(terms: np.ndarray, acc: np.ndarray) -> None:
@@ -643,8 +643,9 @@ def _row_strips(cut: np.ndarray, hi: np.ndarray, size: int, block: int) -> Itera
     count = np.cumsum(np.bincount(cut, minlength=size + 1) - np.bincount(hi, minlength=size + 1))[:size]
     work = np.cumsum(count * (size - np.arange(size)))
     # the first row where work rises, the rows where it passes each multiple
-    # of block, and the row after the last one where it rises
-    ends = np.searchsorted(work, block * np.arange(int(work[-1]) // block + 1), side="right")
+    # of block below its total, and the row after the last one where it
+    # rises: so every strip starts on a row that some square covers
+    ends = np.searchsorted(work, block * np.arange((int(work[-1]) - 1) // block + 1), side="right")
     bounds = sorted({*ends.tolist(), int(np.searchsorted(work, work[-1])) + 1})
     if len(bounds) > 2 and bounds[-2] == size - 1:
         del bounds[-2]  # the last row joins the strip before it

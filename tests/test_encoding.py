@@ -668,6 +668,32 @@ class TestOutcomeGridKernel:
         monkeypatch.setattr(encoding, "_NEGLIGIBLE_LOG", -math.inf)
         assert 2 * cut <= cells()
 
+    @pytest.mark.parametrize(
+        "cut,hi,size,block",
+        [([0], [16], 20, 200), ([0], [16], 20, 100), ([3], [20], 20, 17), ([2, 5], [9, 12], 30, 64), ([0], [1], 1, 1)],
+    )
+    def test_row_strips_start_on_covered_rows(self, cut, hi, size, block):
+        """The strips tile the rows from the first one a square [cut, hi)
+        covers to the last, and each starts on a covered row, also when the
+        summed work is an exact multiple of the block (the first two cases)."""
+        cut, hi = np.array(cut), np.array(hi)
+        strips = list(encoding._row_strips(cut, hi, size, block))
+        assert strips[0][0] == cut.min() and strips[-1][1] in (hi.max(), size)
+        assert all(k1 == next_k0 for (_, k1), (next_k0, _) in zip(strips, strips[1:]))
+        assert all(((cut <= k0) & (k0 < hi)).any() for k0, _ in strips)
+
+    def test_strips_end_on_the_last_covered_row(self):
+        """At eta = 0, |beta| = 1.35e-10 and a tail of 1e-230 the window is
+        20 outcomes, slice 0 lives on rows 0..15 and its summed work is
+        exactly one block: the report is computed, and A is the product of
+        the Poisson weights."""
+        report = average_entanglement(0.0, 1.35e-10, epsilon_tail=1e-230)
+        assert report.window == 20 and report.E_avg == 0.0 and report.residual == 0.0
+        mean_b = 1.35e-10**2
+        a_grid, _, _, k_max = _pair_window_grid(0.0, mean_b, 1e-230, True)
+        lp = log_poisson_table(mean_b, k_max)
+        assert a_grid.tobytes() == np.exp(np.add.outer(lp, lp)).tobytes()
+
     @pytest.mark.parametrize("shape", [(1, 1, 2), (9, 1, 2), (64, 1, 2), (17, 3, 5), (300, 1, 3), (300, 2, 1)])
     def test_strip_blocks_add_their_slices_in_order(self, shape):
         """The reduction of a (slices, rows, columns) block equals acc +=
@@ -814,14 +840,15 @@ class TestGridBudget:
         ids=["encode_pair", "encode_coherent"],
     )
     def test_encoded_states_fail_before_allocating_past_the_budget(self, monkeypatch, build, top, outcome, n):
-        """An encoded state takes up to 15 cells per row of max(K, L) (or
-        M), 2 of them for doubling the log-factorial cache, and one that
-        numpy's temporaries take below about 16 000 rows.  With the cache
-        one entry short, a budget of exactly that builds the state (its peak
-        is those arrays plus a few KiB of Python objects); one byte less
-        raises, naming the outcome, before the cache grows or any array
-        exists.  The default budget refuses outcomes of 10^9."""
-        budgeted = 15 * 8 * (n + 1)
+        """An encoded state takes up to 14 cells per row of max(K, L) (or
+        M), 2 of them for doubling the log-factorial cache; that holds also
+        below about 16 000 rows, where numpy makes a new array for every
+        temporary.  With the cache one entry short, a budget of exactly that
+        builds the state (its peak is those arrays plus a few KiB of Python
+        objects); one byte less raises, naming the outcome, before the cache
+        grows or any array exists.  The default budget refuses outcomes of
+        10^9."""
+        budgeted = 14 * 8 * (n + 1)
         monkeypatch.setattr(numerics, "_log_factorials", numerics.log_factorial_table(n - 1))
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted - 1)
         tracemalloc.start()
@@ -845,13 +872,13 @@ class TestGridBudget:
             build(10**9)
 
     def test_lopsided_pair_state_fails_before_allocating_past_the_budget(self, monkeypatch):
-        """encode_pair counts 4 cells per row of max(K, L) and 11 per row of
+        """encode_pair counts 4 cells per row of max(K, L) and 10 per row of
         min(K, L), the rows that _series_state runs on.  At (20 000, 5 000),
         with the log-factorial cache one entry short, a budget of exactly
         that builds the state; one byte less raises, before the cache grows
         or any array exists.  An outcome (10^7, 0) fits the default budget."""
         K, L = 20_000, 5_000
-        budgeted = 8 * (4 * (K + 1) + 11 * (L + 1))
+        budgeted = 8 * (4 * (K + 1) + 10 * (L + 1))
         monkeypatch.setattr(numerics, "_log_factorials", numerics.log_factorial_table(K - 1))
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", budgeted - 1)
         tracemalloc.start()
@@ -868,7 +895,7 @@ class TestGridBudget:
             tracemalloc.stop()
         assert refused < 8 * K and cache_size == K
         assert state.schmidt_coeffs.size == L + 1
-        assert 8 * (3 * (K + 1) + 11 * (L + 1)) < built <= budgeted + 8 * 1024
+        assert 8 * (3 * (K + 1) + 10 * (L + 1)) < built <= budgeted + 8 * 1024
 
         class WithinBudget(Exception):
             pass
