@@ -38,15 +38,21 @@ _ORACLE_OUTCOMES = 6
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse a comma list ("0.1,0.2") or an inclusive range ("1:12:1")."""
+    """Parse a comma list ("0.1,0.2") or an inclusive range ("1:12:1"); an
+    entry that is not a number is named, with the grid text, in the error."""
     text = text.strip()
     if not text:
         raise ValueError("empty grid argument")
+    values = []
+    for field in text.split(":" if ":" in text else ","):
+        try:
+            values.append(float(field))
+        except ValueError:
+            raise ValueError(f"grid entry {field!r} of {text!r} is not a number") from None
     if ":" in text:
-        fields = text.split(":")
-        if len(fields) != 3:
+        if len(values) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(f) for f in fields)
+        start, stop, step = values
         if not all(map(math.isfinite, (start, stop, step))):
             raise ValueError(f"range fields must be finite, got {text!r}")
         if step <= 0:
@@ -58,7 +64,15 @@ def parse_grid(text: str) -> list[float]:
         if count > MAX_GRID_POINTS:
             raise ValueError(f"range {text!r} has {count} points, more than the limit of {MAX_GRID_POINTS}")
         return [start + i * step for i in range(count)]
-    return [float(f) for f in text.split(",")]
+    return values
+
+
+def _flag_grid(flag: str, text: str) -> list[float]:
+    """parse_grid(text), with the flag that gave it named in any error."""
+    try:
+        return parse_grid(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _format(value: float) -> str:
@@ -86,16 +100,12 @@ def _sweep_csv(reports) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        etas = parse_grid(args.etas)
-        betas = parse_grid(args.betas)
-        points = len(etas) * len(betas)
-        if points > MAX_GRID_POINTS:
-            raise ValueError(f"the sweep has {points} (eta, beta) points, more than the limit of {MAX_GRID_POINTS}")
-        reports = entanglement_sweep(etas, betas, args.epsilon_tail, max_workers=args.threads)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    etas = _flag_grid("--etas", args.etas)
+    betas = _flag_grid("--betas", args.betas)
+    points = len(etas) * len(betas)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"the sweep has {points} (eta, beta) points, more than the limit of {MAX_GRID_POINTS}")
+    reports = entanglement_sweep(etas, betas, args.epsilon_tail, max_workers=args.threads)
 
     csv_text = _sweep_csv(reports)
     try:
@@ -166,11 +176,7 @@ def _most_probable(probabilities: np.ndarray, count: int) -> list[tuple[int, int
 
 
 def run_point(args) -> int:
-    try:
-        report = average_entanglement(args.eta, args.beta, args.epsilon_tail)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = average_entanglement(args.eta, args.beta, args.epsilon_tail)
 
     print(f"eta            {_format(report.eta)}")
     print(f"beta           {_format(report.beta_abs)}")
@@ -187,11 +193,7 @@ def run_point(args) -> int:
         print(f"  ({k:4d},{l:4d})  {probs[k, l]:.12g}  {ebits:.12g}")
 
     if args.oracle:
-        try:
-            compared, dev_p, dev_q, dev_e = _oracle_comparison(args.eta, args.beta, report.support)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        compared, dev_p, dev_q, dev_e = _oracle_comparison(args.eta, args.beta, report.support)
         if compared == 0:
             print(f"oracle-vs-main: no outcome K, L <= {_ORACLE_OUTCOMES} has probability above 1e-12")
         else:
@@ -235,7 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, RuntimeError) as exc:
+        # a rejected input or a window over the grid budget: one line, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

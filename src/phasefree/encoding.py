@@ -44,8 +44,10 @@ block.  The grid is symmetric, so only its upper triangle is summed, in row
 strips over the rows some slice lives on: each strip takes all the slices
 that meet it as (slices, rows, columns) blocks of a bounded size, reduced
 over the slices in n order, and the lower triangle is its mirror.  Every
-bit of the result is that of the full window, and the grid holds A (and
-B) and two buffers of one block.
+bit of the result is that of the full window.  For an entanglement report
+B then becomes P(K, L) E(K, L), formed in place a few rows at a time in the
+same two buffers, so the grid holds A (and B) and two buffers of one block,
+and no other array larger than a byte mask of a row chunk.
 
 The approximant fidelities are array passes, not loops over outcomes.  For
 the coherent encoding the phases cancel, so the overlap with |alpha'> for
@@ -77,6 +79,7 @@ from typing import Iterator
 import numpy as np
 
 from .numerics import (
+    LN2,
     LOG_ZERO,
     log_factorial_table,
     log_poisson_table,
@@ -106,7 +109,8 @@ _NEGLIGIBLE_LOG = -66.0 * math.log(2.0)
 _LOG_SENTINEL = -1e300
 
 # Most cells of one (slices, rows, columns) block of the outcome-grid sum,
-# and of one row chunk of the entropy reduction; see _block_cells.
+# and of one row chunk of the P E pass that follows it in the same two
+# buffers; see _block_cells.
 _STRIP_BLOCK_CELLS = 1 << 16
 
 # Photon-number bands cut a Poisson law where each tail holds at most
@@ -519,11 +523,11 @@ def _pair_window_grid(
     epsilon_tail: float,
     with_entropy: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, int]:
-    """Joint probability grid A[K, L] over the window of _pair_window, plus
-    (optionally) the companion accumulator B = sum_n t_n ln(t_n) needed for
-    per-outcome Schmidt entropies.  Returns (A, B, outside, k_max), with
-    outside the window's _outside_weights, whose _outside_mass is at most
-    epsilon_tail; each grid is built once, from the window's Poisson table.
+    """Joint probability grid A[K, L] = P(K, L) over the window of
+    _pair_window, plus (with_entropy) the grid P(K, L) E(K, L) whose sum is
+    E_avg.  Returns (A, P E or None, outside, k_max), with outside the
+    window's _outside_weights, whose _outside_mass is at most epsilon_tail;
+    each grid is built once, from the window's Poisson table.
 
     Slice n holds every summand that neither underflows nor rounds away on
     its square [cut_n, hi_n)^2 (_slice_squares).  The upper triangle is
@@ -532,10 +536,17 @@ def _pair_window_grid(
     rows, columns) blocks on the columns from k0 to the right edge of those
     squares, and the lower triangle is its mirror.  A summand that a block
     holds outside the squares, or that no block holds, is exactly 0 or
-    rounds away, so every bit of A and B is that of the full window."""
+    rounds away, so every bit of A and B is that of the full window.
+
+    With the Schmidt weights t_n / A of outcome (K, L), A E = A log2 A -
+    sum_n t_n log2 t_n, so P E comes from A and the accumulator
+    B = sum_n t_n ln t_n as max(log2 A - B / (A ln 2), 0) A, written over B
+    in row chunks of the two block buffers once the strips are summed;
+    beside A, B and those buffers the pass allocates only the A > 0 mask of
+    a chunk, one byte a cell.  Row and column 0,
+    where min(K, L) = 0 leaves a single Schmidt term, are pinned at 0."""
     grids = 2 if with_entropy else 1
-    # two buffers of a block; a report's entropy reduction then takes two row
-    # chunks of at most a block
+    # two buffers of a block, for the strip blocks and then the P E pass
     lp, outside = _pair_window(eta, mean_b, epsilon_tail, grids, 2)
     size = lp.size
     a_grid = np.zeros((size, size))
@@ -547,8 +558,7 @@ def _pair_window_grid(
     lw0 = math.log1p(-eta * eta)
     half = 0.5 * (lw0 + 2.0 * np.arange(size) * math.log(eta) if eta > 0.0 else np.full(1, lw0))
     padded = np.concatenate([np.full(size - 1, _LOG_SENTINEL), np.maximum(lp, _LOG_SENTINEL)])
-    item = padded.itemsize
-    lp_view = np.lib.stride_tricks.as_strided(padded[size - 1 :], (half.size, size), (-item, item), writeable=False)
+    lp_view = np.lib.stride_tricks.sliding_window_view(padded, size)[::-1]
     block = _block_cells(size)
     log_scratch, term_scratch = np.empty(block), np.empty(block)  # the logs, and v then the terms
     cut, hi = _slice_squares(half, padded[size - 1 :])
@@ -566,15 +576,30 @@ def _pair_window_grid(
             l1 = max(int(hi[n0:n1].max()), min_end)
             v = np.add(half[n0:n1, None], lp_view[n0:n1, k0:l1], out=term_scratch[: (n1 - n0) * (l1 - k0)].reshape(n1 - n0, -1))
             logs = np.add(v[:, r0 - k0 : r1 - k0, None], v[:, None, :], out=log_scratch[: v.size * (r1 - r0)].reshape(n1 - n0, r1 - r0, -1))
+            terms = np.exp(logs, out=term_scratch[: logs.size].reshape(logs.shape))
             if with_entropy:
-                terms = np.exp(logs, out=term_scratch[: logs.size].reshape(logs.shape))
                 # the logs are finite, so a term that underflows adds -0.0 to B
                 _add_slices(np.multiply(logs, terms, out=logs), b_grid[r0:r1, k0:l1])
-                _add_slices(terms, a_grid[r0:r1, k0:l1])
-            else:
-                _add_slices(np.exp(logs, out=logs), a_grid[r0:r1, k0:l1])
+            _add_slices(terms, a_grid[r0:r1, k0:l1])
         for grid in (a_grid, b_grid)[:grids]:
             grid[k1:, k0:k1] = grid[k0:k1, k1:].T
+
+    if with_entropy:
+        # P E into B, block // size rows at a time; a cell with A = 0 has
+        # B = +-0, so it comes out 0
+        rows = block // size
+        for r0 in range(0, size, rows):
+            a, b = a_grid[r0 : r0 + rows], b_grid[r0 : r0 + rows]
+            safe = log_scratch[: a.size].reshape(a.shape)
+            np.copyto(safe, 1.0)
+            np.copyto(safe, a, where=a > 0.0)
+            entropies = np.log2(safe, out=term_scratch[: a.size].reshape(a.shape))
+            np.divide(b, np.multiply(safe, LN2, out=safe), out=b)
+            np.maximum(np.subtract(entropies, b, out=entropies), 0.0, out=entropies)
+            np.multiply(entropies, a, out=b)
+        # min(K, L) == 0 admits a single Schmidt term; pin the float noise
+        b_grid[0, :] = 0.0
+        b_grid[:, 0] = 0.0
     return a_grid, b_grid, outside, size - 1
 
 

@@ -17,14 +17,16 @@ The average runs on the same log-space outcome grid as the distribution:
 with t_n(K, L) the n-th summand of P(K, L), the per-outcome Schmidt weights
 are q_n = t_n / P, so
 
-    P * E = P log2 P - sum_n t_n log2 t_n
+    P * E = P log2 P - sum_n t_n log2 t_n.
 
-and both accumulators are built by encoding._pair_window_grid, which adds
-the slices n in order, all of a row strip of the upper triangle at once;
-the encoding module says which cells a strip skips and why that changes
-no bit.  The per-outcome entropies exist only while E_avg is summed; a
-report keeps the probabilities alone.  That E_avg equals the P-weighted
-sum of the encode/entropy composition is pinned by tests.
+encoding._pair_window_grid returns P and that P * E as two grids over the
+window: it adds the slices n in order, all of a row strip of the upper
+triangle at once (the encoding module says which cells a strip skips and
+why that changes no bit), then forms P * E in place in its own block
+buffers, so no float array beside the two grids and those buffers is
+allocated.  E_avg is the sum of the second grid; a report keeps the
+probabilities alone.  That E_avg equals the P-weighted sum of the
+encode/entropy composition is pinned by tests.
 
 Outcomes outside the window are not enumerated; residual_bound caps what
 they could add to E_avg.  With n geometric and (K, L) = (n + X, n + Y),
@@ -48,14 +50,13 @@ from .encoding import (
     DEFAULT_EPSILON_TAIL,
     EncodedPairState,
     OutcomeTable,
-    _block_cells,
     _outside_entropy_bound,
     _pair_window_grid,
     _require_ancilla,
     _require_eta,
     _require_tail,
 )
-from .numerics import LN2, shannon_entropy_bits
+from .numerics import shannon_entropy_bits
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,10 @@ class EntanglementReport:
     their mass, M its photon-number moment sum_n n P(n, outside) and h(m)
     the entropy of the geometric law of mean m, the largest of any law on
     n >= 0 with that mean.  It is exactly 0 at eta = 0.  It covers
-    truncation only.  E_avg carries an absolute rounding error of up to
-    about 1e-15 (the per-outcome log2 A - B / (A ln 2) rounds to a few
-    1e-17), and is capped at E_exact.
+    truncation only.  E_avg is the sum of the P E grid that
+    encoding._pair_window_grid forms in its block buffers; it carries an
+    absolute rounding error of up to about 1e-15 (each outcome's entropy
+    rounds to a few 1e-17), and is capped at E_exact.
     """
 
     eta: float
@@ -120,30 +122,12 @@ def average_entanglement(
     epsilon_tail = _require_tail(epsilon_tail)
     mean_b = abs(beta) ** 2
 
-    a_grid, b_grid, outside, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
+    a_grid, pe_grid, outside, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
     # the CSV's residual column, which both reference sweeps pin
     residual = max(0.0, 1.0 - float(a_grid.sum()))
-    if eta == 0.0 or mean_b == 0.0:
-        # every outcome is a product state, or (with |beta|^2 underflowed)
-        # an (n, n) outcome with a single Schmidt term
-        e_avg = 0.0
-    else:
-        # a cell with A = 0 has B = +-0, so its entropy comes out 0 as well;
-        # max(log2 A - B / (LN2 A), 0) A is formed into B a few rows at a
-        # time, so that the reduction holds A, B and two row chunks
-        rows = max(1, _block_cells(k_max + 1) // (k_max + 1))
-        for r0 in range(0, k_max + 1, rows):
-            a, b = a_grid[r0 : r0 + rows], b_grid[r0 : r0 + rows]
-            safe = np.where(a > 0.0, a, 1.0)
-            entropies = np.log2(safe)
-            np.divide(b, np.multiply(safe, LN2, out=safe), out=b)
-            np.maximum(np.subtract(entropies, b, out=entropies), 0.0, out=entropies)
-            np.multiply(entropies, a, out=b)
-            del safe, entropies  # freed before the next chunk is made
-        # min(K, L) == 0 admits a single Schmidt term; pin the float noise
-        b_grid[0, :] = 0.0
-        b_grid[:, 0] = 0.0
-        e_avg = float(b_grid.sum())
+    # every outcome is a product state, or (with |beta|^2 underflowed) an
+    # (n, n) outcome with a single Schmidt term
+    e_avg = 0.0 if eta == 0.0 or mean_b == 0.0 else float(pe_grid.sum())
 
     e_exact = tmss_entanglement(eta)
     # a local protocol cannot raise entanglement: only float noise can lift E_avg past E_exact

@@ -173,3 +173,14 @@ def test_criterion_7_deterministic_csv(tmp_path):
             assert code == 0
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_criterion_8_one_percent_line_at_beta_ten():
+    """The paper's "99% near beta = 10": at beta = 10 the 1% loss line lies
+    between eta = 0.63 (0.97% lost) and eta = 0.65 (1.06%).  The outcomes
+    outside the window can only raise E_avg, by at most residual_bound
+    (about 1e-12), so the crossing holds for the untruncated sum as well."""
+    with criterion(8, "1% loss line at beta = 10"):
+        below, above = entanglement_sweep([0.63, 0.65], [10.0], epsilon_tail=1e-10)
+        assert below.fraction_lost < 0.01, below.fraction_lost
+        assert 0.01 < above.fraction_lost - above.residual_bound / above.E_exact, above.fraction_lost

@@ -145,6 +145,19 @@ class TestSweepCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,text,entry", [("--etas", "0.5,", "''"), ("--betas", "1:x:1", "'x'")])
+    def test_grid_entry_error_names_the_flag_and_the_grid(self, tmp_path, capsys, flag, text, entry):
+        """A grid entry that is not a number (the empty one after a trailing
+        comma, too) fails with one error line naming the flag, the grid text
+        and the entry."""
+        target = tmp_path / "x.csv"
+        code = main(["sweep", flag, text, "--csv", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err and repr(text) in err and entry in err
+        assert not target.exists()
+
     def test_out_of_domain_eta_fails_cleanly(self, tmp_path, capsys):
         code = main(["sweep", "--etas", "1.5", "--betas", "1", "--csv", str(tmp_path / "x.csv")])
         assert code == 2

@@ -591,21 +591,33 @@ class _GridCountingNumpy:
         return np.zeros(shape, *args, **kwargs)
 
 
+def _entropy_weighted(a_grid, b_grid):
+    """P E = max(log2 A - B / (A ln 2), 0) A per outcome, with A = 1 in
+    the logs where A = 0, and 0 on row and column 0."""
+    safe = np.where(a_grid > 0.0, a_grid, 1.0)
+    entropies = np.log2(safe) - b_grid / (safe * numerics.LN2)
+    pe = np.maximum(entropies, 0.0) * a_grid
+    pe[0, :] = 0.0
+    pe[:, 0] = 0.0
+    return pe
+
+
 class TestOutcomeGridKernel:
     @pytest.mark.parametrize(
-        "eta,beta",
+        "eta,beta,epsilon_tail",
         [
-            (0.3, 3.0),
-            (0.5, 1e-200),
-            (0.0, 2.0),
-            (0.5, 12.0),
-            (0.93, 9.25),
-            (0.8, 0.05),
-            (0.1, 12.0),
-            (0.2, 8.0),
-            (0.5, 0.3),
-            (0.05, 20.0),
-            (0.02, 6.0),
+            (0.3, 3.0, DEFAULT_EPSILON_TAIL),
+            (0.5, 1e-200, DEFAULT_EPSILON_TAIL),
+            (0.0, 2.0, DEFAULT_EPSILON_TAIL),
+            (0.5, 12.0, DEFAULT_EPSILON_TAIL),
+            (0.93, 9.25, DEFAULT_EPSILON_TAIL),
+            (0.8, 0.05, DEFAULT_EPSILON_TAIL),
+            (0.1, 12.0, DEFAULT_EPSILON_TAIL),
+            (0.2, 8.0, DEFAULT_EPSILON_TAIL),
+            (0.5, 0.3, DEFAULT_EPSILON_TAIL),
+            (0.05, 20.0, DEFAULT_EPSILON_TAIL),
+            (0.02, 6.0, DEFAULT_EPSILON_TAIL),
+            (0.3, 0.1, 1e-4),
         ],
         ids=[
             "one-doubling-round",
@@ -619,11 +631,13 @@ class TestOutcomeGridKernel:
             "small-mean",
             "cut-below-normal-t0",
             "few-live-slices",
+            "row-sub-blocks",
         ],
     )
-    def test_bit_identical_to_full_grid_loop(self, eta, beta):
+    def test_bit_identical_to_full_grid_loop(self, eta, beta, epsilon_tail):
         """Skipping the cells whose summands are exactly zero, or below half
-        an ulp of their running sums, changes no bit.  At (0.8, 0.05) the
+        an ulp of their running sums, changes no bit of A, nor of P E formed
+        from A and B per outcome.  At (0.8, 0.05) the
         window has grown far past the Poisson peak, so cells whose summands
         lie just above the floor are in play; at (0.1, 12) and (0.2, 8) most
         cells of the later slices are negligible; at (0.5, 0.3) t_0 exceeds
@@ -631,13 +645,15 @@ class TestOutcomeGridKernel:
         is -inf off n = K = L, where a NaN in B would show (and its
         RuntimeWarning fails the test).  At (0.05, 20) t_0 < e^-700 on cells
         whose later summands the 2^-66 cut drops, which exp rounds to 0; at
-        (0.02, 6) only a few slices are live at all."""
-        ref_a, ref_b, _, ref_k_max = _full_grid_reference(eta, beta * beta)
-        a_grid, b_grid, outside, k_max = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, True)
-        assert k_max == ref_k_max and encoding._outside_mass(eta, outside) <= DEFAULT_EPSILON_TAIL
+        (0.02, 6) only a few slices are live at all.  At (0.3, 0.1) and a
+        tail of 1e-4 the window is 4 outcomes and a strip is summed in row
+        sub-blocks where E > 0."""
+        ref_a, ref_b, _, ref_k_max = _full_grid_reference(eta, beta * beta, epsilon_tail)
+        a_grid, pe_grid, outside, k_max = _pair_window_grid(eta, beta * beta, epsilon_tail, True)
+        assert k_max == ref_k_max and encoding._outside_mass(eta, outside) <= epsilon_tail
         assert a_grid.tobytes() == ref_a.tobytes()
-        assert b_grid.tobytes() == ref_b.tobytes()
-        a_only, b_none, _, _ = _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, False)
+        assert pe_grid.tobytes() == _entropy_weighted(ref_a, ref_b).tobytes()
+        a_only, b_none, _, _ = _pair_window_grid(eta, beta * beta, epsilon_tail, False)
         assert b_none is None and a_only.tobytes() == ref_a.tobytes()
 
 
