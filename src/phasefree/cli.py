@@ -10,8 +10,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .encoding import DEFAULT_EPSILON_TAIL, OutcomeTable, encode_pair
-from .entanglement import average_entanglement, entanglement_sweep, entropy_of_entanglement
+from .encoding import DEFAULT_EPSILON_TAIL, encode_pair
+from .entanglement import _report_and_grid, entanglement_sweep, entropy_of_entanglement
 from .oracle import (
     PAIR_GROUP_K,
     PAIR_GROUP_L,
@@ -137,11 +137,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _oracle_comparison(eta: float, beta: float, support: OutcomeTable) -> tuple[int, float, float, float]:
+def _oracle_comparison(eta: float, beta: float, probs: np.ndarray) -> tuple[int, float, float, float]:
     """Max deviation between the dense projection path and the closed-form
-    path, whose outcome probabilities are support, over the small outcomes
-    inside its window: (count, probability, Schmidt weight, ebits)."""
-    outcomes = range(min(_ORACLE_OUTCOMES + 1, len(support.probabilities)))
+    path, whose outcome probabilities P(K, L) are probs, over the small
+    outcomes inside its window: (count, probability, Schmidt weight, ebits)."""
+    outcomes = range(min(_ORACLE_OUTCOMES + 1, len(probs)))
     joint = build_joint_pair(eta, beta, 0.0, _ORACLE_OUTCOMES)
     compared = 0
     dev_p = dev_q = dev_e = 0.0
@@ -157,7 +157,7 @@ def _oracle_comparison(eta: float, beta: float, support: OutcomeTable) -> tuple[
             if dense_p < 1e-12:
                 continue
             compared += 1
-            dev_p = max(dev_p, abs(dense_p - support[(k, l)]))
+            dev_p = max(dev_p, abs(dense_p - probs[k, l]))
             dense_q = np.abs(pair_schmidt_amplitudes(after_l, k, l)) ** 2
             state = encode_pair(eta, beta, k, l)
             main_q = np.abs(state.schmidt_coeffs) ** 2
@@ -176,7 +176,7 @@ def _most_probable(probabilities: np.ndarray, count: int) -> list[tuple[int, int
 
 
 def run_point(args) -> int:
-    report = average_entanglement(args.eta, args.beta, args.epsilon_tail)
+    report, probs = _report_and_grid(args.eta, args.beta, args.epsilon_tail)
 
     print(f"eta            {_format(report.eta)}")
     print(f"beta           {_format(report.beta_abs)}")
@@ -187,13 +187,12 @@ def run_point(args) -> int:
     print(f"residual_bound {_format(report.residual_bound)}")
     print(f"window         {report.window} x {report.window}")
     print("top contributions (K, L) -> probability, ebits:")
-    probs = report.support.probabilities
     for k, l in _most_probable(probs, 10):
         ebits = entropy_of_entanglement(encode_pair(report.eta, report.beta_abs, k, l))
         print(f"  ({k:4d},{l:4d})  {probs[k, l]:.12g}  {ebits:.12g}")
 
     if args.oracle:
-        compared, dev_p, dev_q, dev_e = _oracle_comparison(args.eta, args.beta, report.support)
+        compared, dev_p, dev_q, dev_e = _oracle_comparison(args.eta, args.beta, probs)
         if compared == 0:
             print(f"oracle-vs-main: no outcome K, L <= {_ORACLE_OUTCOMES} has probability above 1e-12")
         else:

@@ -24,8 +24,8 @@ window: it adds the slices n in order, all of a row strip of the upper
 triangle at once (the encoding module says which cells a strip skips and
 why that changes no bit), then forms P * E in place in its own block
 buffers, so no float array beside the two grids and those buffers is
-allocated.  E_avg is the sum of the second grid; a report keeps the
-probabilities alone.  That E_avg equals the P-weighted sum of the
+allocated.  E_avg is the sum of the second grid; a report keeps neither
+grid, only its numbers.  That E_avg equals the P-weighted sum of the
 encode/entropy composition is pinned by tests.
 
 Outcomes outside the window are not enumerated; residual_bound caps what
@@ -40,8 +40,9 @@ directly summed outside mass and its photon-number moment.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +50,6 @@ import numpy as np
 from .encoding import (
     DEFAULT_EPSILON_TAIL,
     EncodedPairState,
-    OutcomeTable,
     _outside_entropy_bound,
     _pair_window_grid,
     _require_ancilla,
@@ -63,15 +63,17 @@ from .numerics import shannon_entropy_bits
 class EntanglementReport:
     """Entanglement accounting for one (eta, |beta|) operating point.
 
-    The enumerated outcomes are [0, window)^2, and support holds their
-    probabilities P(K, L), the same table as pair_outcome_distribution's.
-    residual is the float64 1 - sum P: that table's directly summed residual,
-    at most the tail, up to the rounding of sum P.  residual_bound caps what
-    the outcomes outside the window could add to E_avg: P h(M / P), with P
-    their mass, M its photon-number moment sum_n n P(n, outside) and h(m)
-    the entropy of the geometric law of mean m, the largest of any law on
-    n >= 0 with that mean.  It is exactly 0 at eta = 0.  It covers
-    truncation only.  E_avg is the sum of the P E grid that
+    The enumerated outcomes are [0, window)^2.  residual is the float64
+    1 - sum P over their probabilities P(K, L), the table that
+    pair_outcome_distribution returns at the same tail: that table's
+    directly summed residual, at most the tail, up to the rounding of
+    sum P.  A report holds no table; the one public path to it is
+    pair_outcome_distribution.  residual_bound caps what the outcomes
+    outside the window could add to E_avg: P h(M / P), with P their mass,
+    M its photon-number moment sum_n n P(n, outside) and h(m) the entropy
+    of the geometric law of mean m, the largest of any law on n >= 0 with
+    that mean.  It is exactly 0 at eta = 0.  It covers truncation only.
+    E_avg is the sum of the P E grid that
     encoding._pair_window_grid forms in its block buffers; it carries an
     absolute rounding error of up to about 1e-15 (each outcome's entropy
     rounds to a few 1e-17), and is capped at E_exact.
@@ -85,7 +87,6 @@ class EntanglementReport:
     residual: float
     residual_bound: float
     window: int
-    support: OutcomeTable = field(repr=False)
 
 
 def tmss_entanglement(eta: float) -> float:
@@ -116,7 +117,12 @@ def average_entanglement(
     epsilon_tail: float = DEFAULT_EPSILON_TAIL,
 ) -> EntanglementReport:
     """Outcome-averaged entanglement of the encoded pair at one operating
-    point, with its outcome probabilities and explicit tail accounting."""
+    point, with explicit tail accounting."""
+    return _report_and_grid(eta, beta, epsilon_tail)[0]
+
+
+def _report_and_grid(eta: float, beta, epsilon_tail: float) -> tuple[EntanglementReport, np.ndarray]:
+    """average_entanglement's report and the P(K, L) grid it was built from."""
     eta = _require_eta(eta)
     beta = _require_ancilla(beta)
     epsilon_tail = _require_tail(epsilon_tail)
@@ -142,8 +148,7 @@ def average_entanglement(
         residual=residual,
         residual_bound=_outside_entropy_bound(eta, outside),
         window=k_max + 1,
-        support=OutcomeTable(a_grid),
-    )
+    ), a_grid
 
 
 def entanglement_sweep(
@@ -152,15 +157,23 @@ def entanglement_sweep(
     epsilon_tail: float = DEFAULT_EPSILON_TAIL,
     max_workers: int | None = None,
 ) -> list[EntanglementReport]:
-    """One report per (eta, beta) grid point, eta-major order.  Points are
-    independent; max_workers > 1 computes them concurrently with output
-    order (and content) unchanged; None means serial."""
-    etas = list(etas)
-    betas = list(betas)
+    """One report per (eta, beta) grid point, eta-major order.  Every eta,
+    beta and the tail are checked before the first point is computed.
+    Points are independent; max_workers, None (serial) or an int >= 1,
+    computes them concurrently when above 1, with output order (and
+    content) unchanged."""
+    etas = [_require_eta(eta) for eta in etas]
+    betas = [_require_ancilla(beta) for beta in betas]
+    epsilon_tail = _require_tail(epsilon_tail)
     if not etas or not betas:
         raise ValueError("eta and beta grids must be non-empty")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be a positive number of worker threads, got {max_workers!r}")
+    if max_workers is not None:
+        try:
+            positive = operator.index(max_workers) >= 1
+        except TypeError:  # a float, even a whole one or nan
+            positive = False
+        if not positive:
+            raise ValueError(f"max_workers must be a positive number of worker threads, got {max_workers!r}")
     points = [(eta, beta) for eta in etas for beta in betas]
     if max_workers is None or max_workers <= 1:
         return [average_entanglement(eta, beta, epsilon_tail) for eta, beta in points]

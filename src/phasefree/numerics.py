@@ -89,13 +89,15 @@ def log_poisson_table(mean: float, k_max: int) -> np.ndarray:
 
 
 def log_sum_exp(terms: Sequence[float] | np.ndarray) -> float:
-    """ln(sum_i exp(t_i)) via max-shift; LOG_ZERO entries are skipped."""
+    """ln(sum_i exp(t_i)) via max-shift; LOG_ZERO entries are skipped, and a
+    +inf entry gives +inf."""
     arr = np.asarray(terms, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("log_sum_exp requires a non-empty list of terms")
     m = float(arr.max())
-    if m == LOG_ZERO:
-        return LOG_ZERO
+    if math.isinf(m):
+        # LOG_ZERO when every term is; +inf when one is, where the shift gives inf - inf
+        return m
     # fsum keeps the shifted sum exact; terms at LOG_ZERO exponentiate to 0.
     return m + math.log(math.fsum(np.exp(arr - m).tolist()))
 

@@ -12,6 +12,7 @@ import pytest
 import phasefree
 from phasefree import encoding, entanglement
 from phasefree.cli import CSV_HEADER, MAX_GRID_POINTS, _most_probable, main, parse_grid
+from phasefree.encoding import pair_outcome_distribution
 from phasefree.entanglement import average_entanglement
 from phasefree.numerics import log_poisson_table
 
@@ -242,7 +243,7 @@ class TestPointCommand:
         assert "(   1,   1)  0.126876828034  0.721928094887\n" in out
 
     def test_top_outcomes_are_sorted_by_probability(self):
-        probs = average_entanglement(0.3, 1.0).support.probabilities
+        probs = pair_outcome_distribution(0.3, 1.0).support.probabilities
         top = _most_probable(probs, 5)
         values = [probs[k, l] for k, l in top]
         assert values == sorted(values, reverse=True)

@@ -8,9 +8,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from phasefree import encoding
-from phasefree.encoding import EncodedPairState, _poisson_band, encode_pair, pair_outcome_distribution
+from phasefree import encoding, entanglement
+from phasefree.cli import _DEFAULT_BETAS, _DEFAULT_ETAS, parse_grid
+from phasefree.encoding import (
+    DEFAULT_EPSILON_TAIL,
+    EncodedPairState,
+    _poisson_band,
+    encode_pair,
+    pair_outcome_distribution,
+)
 from phasefree.entanglement import (
+    _report_and_grid,
     average_entanglement,
     entanglement_sweep,
     entropy_of_entanglement,
@@ -106,12 +114,11 @@ class TestAverageEntanglement:
         assert 0.0 <= report.fraction_lost <= 1.0
 
     def test_report_invariants(self):
-        report = average_entanglement(0.45, 2.5, epsilon_tail=1e-10)
+        report, probs = _report_and_grid(0.45, 2.5, epsilon_tail=1e-10)
         assert 0.0 <= report.E_avg <= report.E_exact + 1e-9
         assert report.fraction_lost == pytest.approx(
             (report.E_exact - report.E_avg) / report.E_exact, abs=1e-15
         )
-        probs = report.support.probabilities
         assert float(probs.sum()) + report.residual == pytest.approx(1.0, abs=1e-10)
         assert 0.0 <= report.residual <= 1e-10
         # P h(M / P) with h(m) = log2(1 + m) + m log2(1 + 1/m), P and M the
@@ -166,7 +173,7 @@ class TestAverageEntanglement:
         default window leaves no residual."""
         report = average_entanglement(eta, beta)
         assert report.residual == 0.0
-        probs = report.support.probabilities
+        probs = pair_outcome_distribution(eta, beta).support.probabilities
         probs = probs[probs > 0.0]
         h_kl = -math.fsum((probs * np.log2(probs)).tolist())
         lo, hi = (int(end) for end in _poisson_band(np.float64(beta * beta)))
@@ -185,11 +192,13 @@ class TestAverageEntanglement:
 
     def test_contributions_match_per_outcome_recomputation(self):
         """E_avg is the P-weighted sum of the encode/entropy composition over
-        the window, and the report's support is the distribution's table."""
+        the window; the report is built from the distribution's table, and
+        its residual is 1 - sum P over that table."""
         for eta, beta in [(0.4, 2.0), (0.5, 1.5), (0.3, 3.0)]:
-            report = average_entanglement(eta, beta)
-            probs = report.support.probabilities
-            assert np.array_equal(probs, pair_outcome_distribution(eta, beta).support.probabilities)
+            report, grid = _report_and_grid(eta, beta, DEFAULT_EPSILON_TAIL)
+            probs = pair_outcome_distribution(eta, beta).support.probabilities
+            assert np.array_equal(grid, probs)
+            assert report.residual == max(0.0, 1.0 - float(probs.sum()))
             direct = math.fsum(
                 probs[k, l] * entropy_of_entanglement(encode_pair(eta, beta, k, l))
                 for k, l in zip(*np.nonzero(probs))
@@ -197,11 +206,11 @@ class TestAverageEntanglement:
             assert report.E_avg == pytest.approx(direct, abs=1e-12)
 
     def test_is_deterministic(self):
-        a = average_entanglement(0.3, 3.0)
-        b = average_entanglement(0.3, 3.0)
+        a, a_grid = _report_and_grid(0.3, 3.0, DEFAULT_EPSILON_TAIL)
+        b, b_grid = _report_and_grid(0.3, 3.0, DEFAULT_EPSILON_TAIL)
         assert a.E_avg == b.E_avg
         assert a.residual == b.residual
-        np.testing.assert_array_equal(a.support.probabilities, b.support.probabilities)
+        np.testing.assert_array_equal(a_grid, b_grid)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -214,10 +223,10 @@ class TestAverageEntanglement:
     @pytest.mark.parametrize("eta,beta", [(0.5, 14.0), (0.9, 12.0)])
     def test_memory_is_what_it_budgets(self, eta, beta):
         """At windows of 310 and 345 the peak is at least the 2 window arrays
-        the report keeps (A and B) and at most those plus the 2 blocks the
-        grid budget counts (the grid's two block buffers, then the two row
-        chunks of the entropy reduction), numpy's broadcasting buffers
-        (np.getbufsize() cells per operand) and O(window) vectors."""
+        the report is built from (A and B) and at most those plus the 2
+        blocks the grid budget counts (the grid's two block buffers, then the
+        two row chunks of the entropy reduction), numpy's broadcasting
+        buffers (np.getbufsize() cells per operand) and O(window) vectors."""
         size = average_entanglement(eta, beta).window  # grow the log-factorial cache
         tracemalloc.start()
         try:
@@ -251,9 +260,12 @@ def _mp_average_entanglement(eta, mean_b, window, start=0):
 
 
 class TestReportSupport:
+    """The pair table of a report's operating point, which
+    pair_outcome_distribution returns, is a read-only Mapping."""
+
     @pytest.fixture()
     def table(self):
-        return average_entanglement(0.3, 1.0).support
+        return pair_outcome_distribution(0.3, 1.0).support
 
     def test_mapping_protocol(self, table):
         size = table.probabilities.shape[0]
@@ -296,10 +308,52 @@ class TestEntanglementSweep:
                 b.residual,
             )
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, float("nan")])
     def test_rejects_non_positive_workers(self, workers):
+        """Only None or an int >= 1 is a worker count: 1.5 would run
+        serially, and nan would start a pool of no threads that never
+        returns."""
         with pytest.raises(ValueError, match="max_workers"):
             entanglement_sweep([0.1], [1.0], max_workers=workers)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize(
+        "etas,betas,tail,name",
+        [
+            ([0.5, 1.0], [1.0, 2.0, 3.0], 1e-10, "eta"),
+            ([0.5], [1.0, 0.0], 1e-10, "beta"),
+            ([0.5], [1.0], 0.0, "epsilon_tail"),
+        ],
+        ids=["eta", "beta", "tail"],
+    )
+    def test_checks_every_input_before_the_first_point(self, monkeypatch, workers, etas, betas, tail, name):
+        """A bad eta, beta or tail anywhere in the grid fails before any
+        outcome grid is built."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return encoding._pair_window_grid(*args, **kwargs)
+
+        monkeypatch.setattr(entanglement, "_pair_window_grid", counted)
+        with pytest.raises(ValueError, match=name):
+            entanglement_sweep(etas, betas, tail, max_workers=workers)
+        assert calls == []
+
+    def test_reports_hold_no_tables(self):
+        """The 60 reports of the default sweep keep only their numbers: well
+        under 256 KiB traced, where one 242 x 242 outcome grid alone takes
+        458 KiB."""
+        etas, betas = parse_grid(_DEFAULT_ETAS), parse_grid(_DEFAULT_BETAS)
+        entanglement_sweep(etas, betas)  # grow the log-factorial cache
+        tracemalloc.start()
+        try:
+            reports = entanglement_sweep(etas, betas)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 60
+        assert held < 256 * 1024
 
     def test_rejects_empty_grids(self):
         with pytest.raises(ValueError):

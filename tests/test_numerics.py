@@ -170,6 +170,11 @@ class TestLogSumExp:
         assert log_sum_exp([LOG_ZERO, 0.0, LOG_ZERO]) == 0.0
         assert log_sum_exp([LOG_ZERO, LOG_ZERO]) == LOG_ZERO
 
+    def test_infinite_term_gives_infinity(self):
+        """A +inf term makes the sum +inf; the max-shift would form inf - inf."""
+        assert log_sum_exp([math.inf, 0.0]) == math.inf
+        assert log_sum_exp([LOG_ZERO, math.inf, math.inf]) == math.inf
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             log_sum_exp([])
