@@ -107,13 +107,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"the sweep has {points} (eta, beta) points, more than the limit of {MAX_GRID_POINTS}")
     reports = entanglement_sweep(etas, betas, args.epsilon_tail, max_workers=args.threads)
 
-    csv_text = _sweep_csv(reports)
-    try:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
-    except OSError as exc:
-        print(f"error: cannot write CSV to {args.csv}: {exc}", file=sys.stderr)
-        return 1
+    with open(args.csv, "w", encoding="ascii") as fh:
+        fh.write(_sweep_csv(reports))
 
     if args.svg is not None:
         series = []
@@ -126,12 +121,8 @@ def _cmd_sweep(args) -> int:
             x_label="beta",
             y_label="fraction of entanglement lost",
         )
-        try:
-            with open(args.svg, "w", encoding="ascii") as fh:
-                fh.write(svg_text)
-        except OSError as exc:
-            print(f"error: cannot write SVG to {args.svg}: {exc}", file=sys.stderr)
-            return 1
+        with open(args.svg, "w", encoding="ascii") as fh:
+            fh.write(svg_text)
 
     print(f"wrote {len(reports)} rows to {args.csv}")
     return 0
@@ -238,10 +229,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
-        # a rejected input or a window over the grid budget: one line, no traceback
+    except (ValueError, RuntimeError, OSError) as exc:
+        # a rejected input or a window over the grid budget exits 2, an
+        # unwritable output (its message names the path) 1: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

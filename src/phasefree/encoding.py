@@ -81,6 +81,8 @@ import numpy as np
 from .numerics import (
     LN2,
     LOG_ZERO,
+    _require_mean,
+    _require_outcome,
     log_factorial_table,
     log_poisson_table,
     log_poisson_weight,
@@ -243,13 +245,6 @@ class OutcomeDistribution:
         return math.fsum(self.support.probabilities.ravel().tolist())
 
 
-def _require_outcome(value, name: str) -> int:
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value}")
-    return value
-
-
 def _require_amplitude(value, name: str) -> complex:
     """value as a complex amplitude whose mean photon number |value|^2 is a
     finite float."""
@@ -318,8 +313,9 @@ def coherent_approx_param(alpha, beta, M: int) -> complex:
     """Amplitude alpha' = alpha sqrt(M) / beta of the coherent state the
     encoded state approaches when |beta| is large."""
     beta = _require_ancilla(beta)
+    alpha = _require_amplitude(alpha, "alpha")
     M = _require_outcome(M, "M")
-    return complex(alpha) * math.sqrt(M) / beta
+    return alpha * math.sqrt(M) / beta
 
 
 def encode_pair(eta: float, beta, K: int, L: int) -> EncodedPairState:
@@ -417,9 +413,8 @@ def _coherent_window(alpha, beta, epsilon_tail: float) -> tuple[float, int, floa
     directly summed Poisson(mu) tail mass is at most epsilon_tail; a top
     before it that does not fit the grid budget raises."""
     epsilon_tail = _require_tail(epsilon_tail)
-    mu = abs(_require_amplitude(alpha, "alpha")) ** 2 + abs(_require_amplitude(beta, "beta")) ** 2
-    if not math.isfinite(mu):
-        raise ValueError(f"|alpha|^2 + |beta|^2 must be finite, got {mu!r}")
+    alpha, beta = _require_amplitude(alpha, "alpha"), _require_amplitude(beta, "beta")
+    mu = _require_mean(abs(alpha) ** 2 + abs(beta) ** 2, "|alpha|^2 + |beta|^2")
     for m_max in _window_sizes(mu):
         # the table, the temporaries of log_poisson_table and the growth of
         # the log-factorial cache (up to 2 new cells per row, filled through

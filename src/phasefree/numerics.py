@@ -1,16 +1,18 @@
-"""Log-domain scalar kernels shared by every other module.
+"""Log-domain scalar kernels and the count and mean checks shared by every
+other module.
 
 Photon-number amplitudes involve factorials of numbers well past 100, so
 every quantity that could overflow or underflow is kept on the natural-log
 scale and only exponentiated after normalization.  A log of zero is the
-explicit sentinel ``LOG_ZERO``; ``log_sum_exp`` skips such terms instead of
-letting NaNs propagate.
+explicit sentinel ``LOG_ZERO``; ``log_sum_exp`` skips such terms, and it and
+``shannon_entropy_bits`` reject a NaN instead of letting it propagate.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -24,11 +26,29 @@ LN2 = math.log(2.0)
 _EXACT_FACTORIAL_MAX = 20
 
 
+def _require_outcome(value, name: str) -> int:
+    """value as a nonnegative int that converts to a finite float."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max!r}, the largest float")
+    return value
+
+
+def _require_mean(value, name: str) -> float:
+    """value as a finite float mean >= 0."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
 def log_factorial(n: int) -> float:
     """ln(n!) for a nonnegative integer n."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"log_factorial requires n >= 0, got {n}")
+    n = _require_outcome(n, "n")
     if n <= _EXACT_FACTORIAL_MAX:
         return math.log(math.factorial(n))
     return math.lgamma(n + 1.0)
@@ -42,18 +62,13 @@ _log_factorials = np.array([log_factorial(0)])
 def log_factorial_table(n_max: int) -> np.ndarray:
     """ln(k!) for k = 0..n_max, as a float array the caller owns."""
     global _log_factorials
-    n_max = operator.index(n_max)
-    if n_max < 0:
-        raise ValueError(f"log_factorial_table requires n_max >= 0, got {n_max}")
+    n_max = _require_outcome(n_max, "n_max")
     table = _log_factorials
     if n_max >= table.size:
         size = max(n_max + 1, 2 * table.size)
         grown = np.empty(size)
         grown[: table.size] = table
-        # above _EXACT_FACTORIAL_MAX, log_factorial(k) is math.lgamma(k + 1)
-        start = min(size, max(table.size, _EXACT_FACTORIAL_MAX + 1))
-        grown[table.size : start] = [log_factorial(k) for k in range(table.size, start)]
-        grown[start:] = np.fromiter(map(math.lgamma, range(start + 1, size + 1)), float, size - start)
+        grown[table.size :] = np.fromiter(map(log_factorial, range(table.size, size)), float, size - table.size)
         _log_factorials = table = grown
     return table[: n_max + 1].copy()
 
@@ -63,11 +78,8 @@ def log_poisson_weight(mean: float, k: int) -> float:
 
     mean == 0 degenerates to certainty at k == 0 and LOG_ZERO elsewhere.
     """
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError(f"log_poisson_weight requires k >= 0, got {k}")
-    if not mean >= 0.0:
-        raise ValueError(f"log_poisson_weight requires mean >= 0, got {mean}")
+    k = _require_outcome(k, "k")
+    mean = _require_mean(mean, "mean")
     if mean == 0.0:
         return 0.0 if k == 0 else LOG_ZERO
     return -mean + k * math.log(mean) - log_factorial(k)
@@ -75,11 +87,8 @@ def log_poisson_weight(mean: float, k: int) -> float:
 
 def log_poisson_table(mean: float, k_max: int) -> np.ndarray:
     """ln Poisson(mean) pmf for k = 0..k_max."""
-    k_max = operator.index(k_max)
-    if k_max < 0:
-        raise ValueError(f"log_poisson_table requires k_max >= 0, got {k_max}")
-    if not mean >= 0.0:
-        raise ValueError(f"log_poisson_table requires mean >= 0, got {mean}")
+    k_max = _require_outcome(k_max, "k_max")
+    mean = _require_mean(mean, "mean")
     if mean == 0.0:
         out = np.full(k_max + 1, LOG_ZERO)
         out[0] = 0.0
@@ -89,12 +98,14 @@ def log_poisson_table(mean: float, k_max: int) -> np.ndarray:
 
 
 def log_sum_exp(terms: Sequence[float] | np.ndarray) -> float:
-    """ln(sum_i exp(t_i)) via max-shift; LOG_ZERO entries are skipped, and a
-    +inf entry gives +inf."""
+    """ln(sum_i exp(t_i)) via max-shift; LOG_ZERO entries are skipped, a
+    +inf entry gives +inf, and a NaN entry raises."""
     arr = np.asarray(terms, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("log_sum_exp requires a non-empty list of terms")
     m = float(arr.max())
+    if math.isnan(m):
+        raise ValueError("log_sum_exp requires terms that are not NaN")
     if math.isinf(m):
         # LOG_ZERO when every term is; +inf when one is, where the shift gives inf - inf
         return m
@@ -111,10 +122,10 @@ def shannon_entropy_bits(probabilities: Sequence[float] | np.ndarray) -> float:
     p = np.asarray(probabilities, dtype=float).ravel()
     if p.size == 0:
         raise ValueError("shannon_entropy_bits requires at least one probability")
-    if np.any(p < 0.0):
-        raise ValueError("shannon_entropy_bits requires nonnegative probabilities")
+    if not np.all(p >= 0.0):
+        raise ValueError("shannon_entropy_bits requires nonnegative probabilities, none NaN")
     total = math.fsum(p.tolist())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(
             f"shannon_entropy_bits requires probabilities summing to 1, got {total!r}"
         )

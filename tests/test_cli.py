@@ -1,5 +1,6 @@
 """CLI surface: grid parsing, CSV/SVG emission, determinism, drill-down."""
 
+import math
 import os
 import re
 import subprocess
@@ -139,7 +140,39 @@ class TestSweepCommand:
         target = tmp_path / "missing" / "out.csv"
         code = main(["sweep", "--etas", "0.1", "--betas", "1", "--csv", str(target)])
         assert code == 1
-        assert "cannot write CSV" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
+    def test_unwritable_svg_path_fails_cleanly_after_writing_the_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        svg_path = tmp_path / "missing" / "out.svg"
+        code = main(["sweep", "--etas", "0.1", "--betas", "1", "--csv", str(csv_path), "--svg", str(svg_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(svg_path) in captured.err
+        assert csv_path.read_text(encoding="ascii").startswith(CSV_HEADER + "\n0.1,1,")
+
+    @pytest.mark.parametrize(
+        "etas,betas", [("0.5", "3"), ("0", "1,2")], ids=["one-point-x-range", "flat-y-range"]
+    )
+    def test_svg_of_a_degenerate_range_has_finite_coordinates(self, tmp_path, etas, betas):
+        """One beta gives x_min == x_max, and eta = 0 loses nothing at any
+        beta, so y_min == y_max: the chart widens each such range to 1."""
+        svg_path = tmp_path / "out.svg"
+        code = main(
+            ["sweep", "--etas", etas, "--betas", betas,
+             "--csv", str(tmp_path / "out.csv"), "--svg", str(svg_path)]
+        )
+        assert code == 0
+        root = ET.parse(svg_path).getroot()
+        polylines = root.findall(f"{SVG_NS}polyline")
+        assert len(polylines) == len(etas.split(","))
+        coords = [float(v) for line in polylines for pair in line.get("points").split() for v in pair.split(",")]
+        assert len(coords) == 2 * len(betas.split(","))
+        assert all(math.isfinite(v) for v in coords)
 
     def test_invalid_grid_fails_cleanly(self, tmp_path, capsys):
         code = main(["sweep", "--etas", "0.1:0.5", "--betas", "1", "--csv", str(tmp_path / "x.csv")])
@@ -316,6 +349,25 @@ class TestPointCommand:
         assert "over 25 outcomes" in line
         values = [float(m) for m in re.findall(r"\d\.\d+e[+-]\d+", line)]
         assert len(values) == 3 and all(v < 1e-10 for v in values)
+
+    @pytest.mark.parametrize("beta", ["10", "28"])
+    def test_oracle_reports_when_no_small_outcome_is_probable(self, capsys, beta):
+        """At |beta| = 10 every outcome K, L <= 6 has P below 1e-12; at
+        |beta| = 28 the dense projections onto them have probability 0."""
+        code = main(["point", "--eta", "0.5", "--beta", beta, "--oracle"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.endswith("oracle-vs-main: no outcome K, L <= 6 has probability above 1e-12\n")
+
+    @pytest.mark.parametrize("beta,window", [("1e-200", 1), ("1e-100", 2)])
+    def test_oracle_compares_only_the_probable_outcomes(self, capsys, beta, window):
+        """At eta = 0 only (0, 0) has P above 1e-12: at |beta| = 1e-200 it
+        fills the window, at 1e-100 the dense P(1, 1) underflows to 0."""
+        code = main(["point", "--eta", "0", "--beta", beta, "--oracle"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"window         {window} x {window}\n" in out
+        assert out.splitlines()[-1].startswith("oracle-vs-main max deviation over 1 outcomes: ")
 
     def test_out_of_domain_eta_fails_cleanly(self, capsys):
         code = main(["point", "--eta", "1.0", "--beta", "2"])

@@ -104,6 +104,16 @@ class TestCoherentApproxParam:
         with pytest.raises(ValueError):
             coherent_approx_param(1.0, 0.0, 4)
 
+    def test_rejects_a_nan_alpha(self):
+        """As encode_coherent does; this once returned (nan+nanj)."""
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_approx_param(math.nan, 1.0, 4)
+
+    def test_rejects_an_outcome_past_the_float_range(self):
+        """sqrt(10^400) once raised OverflowError."""
+        with pytest.raises(ValueError, match=r"^M must be at most .*, the largest float$"):
+            coherent_approx_param(1, 1, 10**400)
+
 
 class TestEncodePair:
     def test_zero_min_outcome_is_product_state(self):
@@ -166,6 +176,11 @@ class TestPairApproxParam:
 
     def test_uses_beta_magnitude(self):
         assert pair_approx_param(0.4, 4.0 * cmath.exp(2.2j), 9, 16) == pytest.approx(0.4 * 12.0 / 16.0)
+
+    def test_rejects_an_outcome_past_the_float_range(self):
+        """float(10^400) once raised OverflowError."""
+        with pytest.raises(ValueError, match=r"^K must be at most .*, the largest float$"):
+            pair_approx_param(0.5, 1, 10**400, 1)
 
 
 class TestCoherentOutcomeDistribution:

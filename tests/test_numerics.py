@@ -146,6 +146,18 @@ class TestLogPoissonWeight:
         with pytest.raises(ValueError):
             log_poisson_weight(1.0, -1)
 
+    @pytest.mark.parametrize("call", [log_poisson_weight, log_poisson_table], ids=["weight", "table"])
+    @pytest.mark.parametrize("mean", [math.inf, math.nan])
+    def test_rejects_a_non_finite_mean(self, call, mean):
+        """inf once gave nan (and a table of NaNs, with RuntimeWarnings)."""
+        with pytest.raises(ValueError, match=rf"mean must be finite, got {mean!r}"):
+            call(mean, 3)
+
+    def test_rejects_an_outcome_past_the_float_range(self):
+        """k = 10^400 has no float, so k ln(mean) once raised OverflowError."""
+        with pytest.raises(ValueError, match=r"^k must be at most 1\.79\d+e\+308, the largest float$"):
+            log_poisson_weight(1.0, 10**400)
+
     @pytest.mark.parametrize("mean", [0.5, 4.0, 100.0])
     def test_table_matches_scalar_and_sums_to_one(self, mean):
         k_max = int(mean + 40 * math.sqrt(mean)) + 40
@@ -178,6 +190,11 @@ class TestLogSumExp:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             log_sum_exp([])
+
+    @pytest.mark.parametrize("terms", [[math.nan, 0.0], [LOG_ZERO, math.nan], [math.inf, math.nan]])
+    def test_rejects_nan(self, terms):
+        with pytest.raises(ValueError, match="not NaN"):
+            log_sum_exp(terms)
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
@@ -212,6 +229,16 @@ class TestShannonEntropyBits:
     def test_rejects_bad_normalization(self):
         with pytest.raises(ValueError):
             shannon_entropy_bits([0.5, 0.6])
+
+    @pytest.mark.parametrize("p", [[math.nan, math.nan], [0.5, math.nan, 0.5], [1.0, math.nan]])
+    def test_rejects_nan(self, p):
+        """These once gave 0.0 and 1.0: NaN fails no comparison."""
+        with pytest.raises(ValueError, match="NaN"):
+            shannon_entropy_bits(p)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one probability"):
+            shannon_entropy_bits([])
 
     @given(st.integers(min_value=1, max_value=64))
     @settings(max_examples=40, deadline=None)

@@ -63,6 +63,16 @@ class TestBuildJointCoherent:
         )
 
 
+class TestCutoffLimits:
+    @pytest.mark.parametrize("build", [build_joint_coherent, build_joint_pair], ids=["coherent", "pair"])
+    @pytest.mark.parametrize(
+        "cutoff,message", [(-1, "cutoff must be >= 0, got -1"), (121, "cutoffs up to 120, got 121")]
+    )
+    def test_rejects_a_cutoff_out_of_range(self, build, cutoff, message):
+        with pytest.raises(ValueError, match=message):
+            build(0.5, 1.0, 0.0, cutoff)
+
+
 class TestBuildJointPair:
     def test_vacuum_everywhere(self):
         state = build_joint_pair(0.0, 0.0, 0.0, 2)
@@ -170,9 +180,9 @@ class TestSchmidtEntropyDense:
 
     def test_rejects_bad_cut(self):
         state = build_joint_coherent(1.0, 1.0, 0.0, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-empty subset of modes 0..1"):
             schmidt_entropy_dense(state, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one mode on the other side"):
             schmidt_entropy_dense(state, (0, 1))
 
 
