@@ -81,8 +81,12 @@ import numpy as np
 from .numerics import (
     LN2,
     LOG_ZERO,
+    _require_amplitude,
+    _require_ancilla,
+    _require_eta,
     _require_mean,
     _require_outcome,
+    _require_tail,
     log_factorial_table,
     log_poisson_table,
     log_poisson_weight,
@@ -243,37 +247,6 @@ class OutcomeDistribution:
 
     def total(self) -> float:
         return math.fsum(self.support.probabilities.ravel().tolist())
-
-
-def _require_amplitude(value, name: str) -> complex:
-    """value as a complex amplitude whose mean photon number |value|^2 is a
-    finite float."""
-    value = complex(value)
-    magnitude = math.hypot(value.real, value.imag)
-    if not math.isfinite(magnitude * magnitude):
-        raise ValueError(f"{name} must be finite with a finite |{name}|^2, got {value!r}")
-    return value
-
-
-def _require_ancilla(beta) -> complex:
-    beta = _require_amplitude(beta, "beta")
-    if beta == 0:
-        raise ValueError("beta must be nonzero: a vacuum ancilla makes the encoding degenerate")
-    return beta
-
-
-def _require_eta(eta: float) -> float:
-    eta = float(eta)
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta!r}")
-    return eta
-
-
-def _require_tail(epsilon_tail: float) -> float:
-    epsilon_tail = float(epsilon_tail)
-    if not 0.0 < epsilon_tail < 1.0:
-        raise ValueError(f"epsilon_tail must lie in (0, 1), got {epsilon_tail!r}")
-    return epsilon_tail
 
 
 def _series_state(log_quot: float, phase: float, log_denominator: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1,5 +1,10 @@
-"""Log-domain scalar kernels and the count and mean checks shared by every
-other module.
+"""Log-domain scalar kernels and every input rule of the library.
+
+The _require_* rules here are the one place where the library checks a
+count, a Poisson mean, an amplitude, eta or the tail budget; eta, the tail
+and the mean share one range rule.  A number past the float range, such
+as the int 10**400, fails its rule as +-inf does, with a ValueError that
+names the quantity, never an OverflowError.
 
 Photon-number amplitudes involve factorials of numbers well past 100, so
 every quantity that could overflow or underflow is kept on the natural-log
@@ -36,14 +41,52 @@ def _require_outcome(value, name: str) -> int:
     return value
 
 
+def _require_range(value, name: str, low: float, high: float, rule: str) -> float:
+    """value as a float with low <= value < high, else a ValueError that
+    states the rule; a number past the float range is taken as +-inf."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
+    if not low <= value < high:
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    return value
+
+
 def _require_mean(value, name: str) -> float:
     """value as a finite float mean >= 0."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    value = _require_range(value, name, -sys.float_info.max, math.inf, "be finite")
     if value < 0.0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
+
+
+def _require_amplitude(value, name: str) -> complex:
+    """value as a complex amplitude whose mean photon number |value|^2 is a
+    finite float; a number past the float range is taken as +-inf."""
+    try:
+        value = complex(value)
+    except OverflowError:
+        value = complex(math.inf if value > 0 else -math.inf)
+    magnitude = math.hypot(value.real, value.imag)
+    if not math.isfinite(magnitude * magnitude):
+        raise ValueError(f"{name} must be finite with a finite |{name}|^2, got {value!r}")
+    return value
+
+
+def _require_ancilla(beta) -> complex:
+    beta = _require_amplitude(beta, "beta")
+    if beta == 0:
+        raise ValueError("beta must be nonzero: a vacuum ancilla makes the encoding degenerate")
+    return beta
+
+
+def _require_eta(eta: float) -> float:
+    return _require_range(eta, "eta", 0.0, 1.0, "lie in [0, 1)")
+
+
+def _require_tail(epsilon_tail: float) -> float:
+    return _require_range(epsilon_tail, "epsilon_tail", math.ulp(0.0), 1.0, "lie in (0, 1)")
 
 
 def log_factorial(n: int) -> float:

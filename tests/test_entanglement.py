@@ -181,6 +181,27 @@ class TestAverageEntanglement:
         h_pois = -math.fsum((np.exp(lp) * lp).tolist()) / LN2
         assert report.E_exact - report.E_avg == pytest.approx(h_kl - 2.0 * h_pois, abs=1e-12)
 
+    @pytest.mark.parametrize("eta,beta", [(0.1, 5.0), (0.4, 9.0), (0.5, 8.0)])
+    def test_reference_rows_match_a_34_digit_truth(self, eta, beta):
+        """Three rows of the default sweep against the identity summed at 34
+        digits: E_avg lies below the truth by at most residual_bound, up to
+        r = 3e-13 of rounding (ROADMAP Finding 2: the three terms of
+        log_poisson_table cancel).  The truths sit 1.027e-12, 5.37e-13 and
+        1.913e-12 above E_avg, against residual_bounds of 1.031e-12,
+        5.82e-13 and 1.880e-12; at (0.5, 8) the bound alone falls 3.3e-14
+        short."""
+        report = average_entanglement(eta, beta)
+        truth = float(_mp_identity_entanglement(eta, beta))
+        r = 3e-13
+        assert truth - report.residual_bound - r <= report.E_avg <= truth + r
+
+    def test_identity_truth_matches_the_direct_sum(self):
+        """The identity and the 30-digit sum over every outcome's Schmidt
+        entropy agree, on a window twice the report's."""
+        window = average_entanglement(0.3, 1.0).window
+        direct = _mp_average_entanglement(0.3, 1.0, 2 * window)
+        assert float(_mp_identity_entanglement(0.3, 1.0)) == pytest.approx(direct, abs=1e-15)
+
     def test_entropies_respect_schmidt_rank_bound(self):
         """Each outcome's entropy is at most log2 of its Schmidt rank
         min(K, L) + 1, over the whole window."""
@@ -257,6 +278,38 @@ def _mp_average_entanglement(eta, mean_b, window, start=0):
                 weighted = prob * mp.log(prob) - mp.fsum(t * x for t, x in zip(terms, logs))
                 total.append(weighted if k == l else 2 * weighted)
         return float(mp.fsum(total) / mp.log(2))
+
+
+def _mp_identity_entanglement(eta, beta):
+    """E_avg = E_exact - [H(K, L) - 2 H(Pois(|beta|^2))] at 34 digits, for
+    0 < eta < 1.  P(K, L) comes from the filter y_K = eta^2 y_(K-1) +
+    (1 - eta^2) p(K) p(K - D) along each diagonal D = K - L >= 0, p the
+    Poisson(|beta|^2) pmf, on a window [0, top]^2 that leaves out under
+    1e-40 of the mass."""
+    with mp.workdps(34):
+        eta2, mean_b = mp.mpf(eta) ** 2, mp.mpf(beta) ** 2
+        # K = n + X > a + b needs n > a, of mass eta^(2(a + 1)), or X > b, of
+        # mass at most e^-mu (e mu / b)^b for b > mu (Chernoff); with both
+        # below 1e-42, K or L > top holds under 4e-42
+        log_cut = -42 * mp.log(10)
+        a = int(mp.ceil(log_cut / mp.log(eta2)))
+        b = int(mp.floor(mean_b)) + 1
+        while -mean_b + b * (1 + mp.log(mean_b / b)) > log_cut:
+            b += 1
+        top = a + b
+        p = [mp.exp(-mean_b)]
+        for k in range(1, top + 1):
+            p.append(p[-1] * mean_b / k)
+        h_pois = -mp.fsum(q * mp.log(q) for q in p)
+        p_log_p = []
+        for d in range(top + 1):
+            y = mp.mpf(0)
+            for k in range(d, top + 1):
+                y = eta2 * y + (1 - eta2) * p[k] * p[k - d]
+                p_log_p.append(y * mp.log(y) if d == 0 else 2 * y * mp.log(y))
+        h_kl = -mp.fsum(p_log_p)
+        e_exact = -mp.log(1 - eta2) - eta2 * mp.log(eta2) / (1 - eta2)
+        return (e_exact - h_kl + 2 * h_pois) / mp.log(2)
 
 
 class TestReportSupport:

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasefree import numerics
+from phasefree.encoding import coherent_outcome_distribution, encode_coherent, encode_pair, pair_outcome_distribution
+from phasefree.entanglement import average_entanglement, entanglement_sweep, tmss_entanglement
 from phasefree.numerics import (
     LOG_ZERO,
     log_factorial,
@@ -165,6 +167,36 @@ class TestLogPoissonWeight:
         for k in (0, 1, k_max // 2, k_max):
             assert table[k] == pytest.approx(log_poisson_weight(mean, k), abs=1e-13)
         assert math.fsum(np.exp(table).tolist()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call,quantity",
+    [
+        (lambda: encode_coherent(10**400, 1.0, 3), "alpha"),
+        (lambda: encode_pair(10**400, 1.0, 1, 1), "eta"),
+        (lambda: pair_outcome_distribution(0.5, 10**400), "beta"),
+        (lambda: average_entanglement(10**400, 1.0), "eta"),
+        (lambda: entanglement_sweep([0.5], [10**400]), "beta"),
+        (lambda: tmss_entanglement(10**400), "eta"),
+        (lambda: coherent_outcome_distribution(1, 1, 10**400), "epsilon_tail"),
+        (lambda: log_poisson_weight(10**400, 3), "mean"),
+    ],
+    ids=[
+        "encode_coherent",
+        "encode_pair",
+        "pair_outcome_distribution",
+        "average_entanglement",
+        "entanglement_sweep",
+        "tmss_entanglement",
+        "coherent_outcome_distribution",
+        "log_poisson_weight",
+    ],
+)
+def test_a_number_past_the_float_range_fails_its_rule(call, quantity):
+    """An int with no float fails its input rule as inf does; each of these
+    once raised OverflowError from float() or complex()."""
+    with pytest.raises(ValueError, match=rf"^{quantity} must .*, got \(?inf"):
+        call()
 
 
 class TestLogSumExp:
