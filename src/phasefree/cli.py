@@ -3,24 +3,29 @@ drill-downs, with deterministic CSV output and an optional SVG chart."""
 
 from __future__ import annotations
 
-import argparse
-import math
+import os
 import sys
 
-import numpy as np
+# Only the dense SVD of point --oracle calls BLAS (tests/test_package.py
+# pins that), yet a bundled OpenBLAS starts a worker per extra CPU when numpy
+# loads, and each spins for about 0.1 s of CPU before it sleeps.  So the CLI
+# process asks for one thread before numpy loads, unless the user set a
+# count or numpy is already loaded (the CLI imported from a library process).
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__
-from .encoding import DEFAULT_EPSILON_TAIL, encode_pair
-from .entanglement import _report_and_grid, entanglement_sweep, entropy_of_entanglement
-from .oracle import (
-    PAIR_GROUP_K,
-    PAIR_GROUP_L,
-    build_joint_pair,
-    pair_schmidt_amplitudes,
-    project_total_number,
-    schmidt_entropy_dense,
-)
-from .svgplot import render_line_chart
+# .encoding comes first: without cached bytecode it is compiled before its
+# own `import numpy` runs, so the compiler's peak memory is not stacked on
+# numpy's; importing argparse and numpy first raised peak RSS by about 1 MiB.
+from .encoding import DEFAULT_EPSILON_TAIL, encode_pair  # noqa: E402
+from .entanglement import _report_and_grid, entanglement_sweep, entropy_of_entanglement  # noqa: E402
+
+import argparse  # noqa: E402
+import math  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
 
 CSV_HEADER = "eta,beta,E_exact,E_avg,fraction_lost,residual,window_K,window_L"
 
@@ -132,6 +137,15 @@ def _oracle_comparison(eta: float, beta: float, probs: np.ndarray) -> tuple[int,
     """Max deviation between the dense projection path and the closed-form
     path, whose outcome probabilities P(K, L) are probs, over the small
     outcomes inside its window: (count, probability, Schmidt weight, ebits)."""
+    from .oracle import (
+        PAIR_GROUP_K,
+        PAIR_GROUP_L,
+        build_joint_pair,
+        pair_schmidt_amplitudes,
+        project_total_number,
+        schmidt_entropy_dense,
+    )
+
     outcomes = range(min(_ORACLE_OUTCOMES + 1, len(probs)))
     joint = build_joint_pair(eta, beta, 0.0, _ORACLE_OUTCOMES)
     compared = 0
@@ -156,6 +170,14 @@ def _oracle_comparison(eta: float, beta: float, probs: np.ndarray) -> tuple[int,
             dense_e = schmidt_entropy_dense(after_l, (0, 2))
             dev_e = max(dev_e, abs(dense_e - entropy_of_entanglement(state)))
     return compared, dev_p, dev_q, dev_e
+
+
+def render_line_chart(*args, **kwargs) -> str:
+    """svgplot.render_line_chart, imported on the first call, as only --svg
+    runs draw a chart; a module attribute, so a tracer can wrap it."""
+    from .svgplot import render_line_chart
+
+    return render_line_chart(*args, **kwargs)
 
 
 def _most_probable(probabilities: np.ndarray, count: int) -> list[tuple[int, int]]:

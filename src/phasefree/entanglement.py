@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -175,5 +174,7 @@ def entanglement_sweep(
     # gets its own allocator arena.
     if max_workers is None or max_workers <= 1:
         return [average_entanglement(eta, beta, epsilon_tail) for eta, beta in points]
+    from concurrent.futures import ThreadPoolExecutor  # here: it loads logging and queue
+
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(lambda p: average_entanglement(p[0], p[1], epsilon_tail), points))

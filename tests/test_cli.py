@@ -402,16 +402,50 @@ class TestPointCommand:
         assert err.startswith("error: beta ") and err.count("\n") == 1
 
 
-def test_module_entry_point_runs():
-    # the child imports the package under test, installed or not
+def _child_env(blas_threads: str | None = None) -> dict[str, str]:
+    """Environment of a child that imports the package under test, installed
+    or not, with OPENBLAS_NUM_THREADS set to blas_threads or unset."""
     src = str(Path(phasefree.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "phasefree", "--version"],
         capture_output=True,
         text=True,
         check=False,
-        env=env,
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert "phasefree" in result.stdout
+
+
+class TestBlasThreadDefault:
+    """The CLI loads numpy with one OpenBLAS thread unless the user chose a
+    count or the process loaded numpy first; a library import changes none."""
+
+    def _run(self, imports: str, blas_threads: str | None = None) -> list[str]:
+        """The variable after imports run, then on Linux the thread count."""
+        code = imports + "\nimport os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        if sys.platform == "linux":
+            code += "print(len(os.listdir('/proc/self/task')))\n"
+        env = _child_env(blas_threads)
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout.split()
+
+    def test_cli_import_asks_for_one_thread(self):
+        out = self._run("import phasefree.cli")
+        assert out[0] == "1"
+        if sys.platform == "linux":
+            assert out[1] == "1", "a thread besides the main one is running"
+
+    def test_a_count_the_user_set_wins(self):
+        assert self._run("import phasefree.cli", blas_threads="2")[0] == "2"
+
+    @pytest.mark.parametrize("imports", ["import numpy\nimport phasefree.cli", "import phasefree.encoding"])
+    def test_numpy_loaded_first_or_a_library_import_is_left_alone(self, imports):
+        assert self._run(imports)[0] == "None"
