@@ -137,38 +137,22 @@ def _oracle_comparison(eta: float, beta: float, probs: np.ndarray) -> tuple[int,
     """Max deviation between the dense projection path and the closed-form
     path, whose outcome probabilities P(K, L) are probs, over the small
     outcomes inside its window: (count, probability, Schmidt weight, ebits)."""
-    from .oracle import (
-        PAIR_GROUP_K,
-        PAIR_GROUP_L,
-        build_joint_pair,
-        pair_schmidt_amplitudes,
-        project_total_number,
-        schmidt_entropy_dense,
-    )
+    from .oracle import build_joint_pair, pair_outcomes, pair_schmidt_amplitudes, schmidt_entropy_dense
 
-    outcomes = range(min(_ORACLE_OUTCOMES + 1, len(probs)))
     joint = build_joint_pair(eta, beta, 0.0, _ORACLE_OUTCOMES)
     compared = 0
     dev_p = dev_q = dev_e = 0.0
-    for k in outcomes:
-        p_k, after_k = project_total_number(joint, PAIR_GROUP_K, k)
-        if after_k is None:
+    for k, l, dense_p, after_l in pair_outcomes(joint, min(_ORACLE_OUTCOMES, len(probs) - 1)):
+        if dense_p < 1e-12:
             continue
-        for l in outcomes:
-            p_l, after_l = project_total_number(after_k, PAIR_GROUP_L, l)
-            if after_l is None:
-                continue
-            dense_p = p_k * p_l
-            if dense_p < 1e-12:
-                continue
-            compared += 1
-            dev_p = max(dev_p, abs(dense_p - probs[k, l]))
-            dense_q = np.abs(pair_schmidt_amplitudes(after_l, k, l)) ** 2
-            state = encode_pair(eta, beta, k, l)
-            main_q = np.abs(state.schmidt_coeffs) ** 2
-            dev_q = max(dev_q, float(np.max(np.abs(dense_q - main_q))))
-            dense_e = schmidt_entropy_dense(after_l, (0, 2))
-            dev_e = max(dev_e, abs(dense_e - entropy_of_entanglement(state)))
+        compared += 1
+        dev_p = max(dev_p, abs(dense_p - probs[k, l]))
+        dense_q = np.abs(pair_schmidt_amplitudes(after_l, k, l)) ** 2
+        state = encode_pair(eta, beta, k, l)
+        main_q = np.abs(state.schmidt_coeffs) ** 2
+        dev_q = max(dev_q, float(np.max(np.abs(dense_q - main_q))))
+        dense_e = schmidt_entropy_dense(after_l, (0, 2))
+        dev_e = max(dev_e, abs(dense_e - entropy_of_entanglement(state)))
     return compared, dev_p, dev_q, dev_e
 
 
@@ -184,7 +168,11 @@ def _most_probable(probabilities: np.ndarray, count: int) -> list[tuple[int, int
     """The count most probable outcomes (K, L) of a 2-D probability grid,
     most probable first; ties broken by outcome index."""
     flat = probabilities.ravel()
-    order = np.lexsort((np.arange(flat.size), -flat))[:count]
+    # only the cells at or above the count-th largest value are sorted; the
+    # partition copies the window once, a sort of it would hold three arrays
+    kth = max(flat.size - count, 0)
+    cells = np.flatnonzero(flat >= np.partition(flat, kth)[kth])
+    order = cells[np.lexsort((cells, -flat[cells]))][:count]
     return [divmod(int(i), probabilities.shape[1]) for i in order]
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,7 +91,10 @@ class EntanglementReport:
 def tmss_entanglement(eta: float) -> float:
     """Entanglement (ebits) of the two-mode squeezed state with parameter
     eta; equals the entropy of the geometric Schmidt spectrum
-    (1 - eta^2) eta^(2n)."""
+    (1 - eta^2) eta^(2n).  Its two terms cancel, so against a 50-digit
+    value of that entropy the relative error is at most 2.65e-15 at the
+    reference eta (0.1-0.5, 0.9081, 0.9315) and at 0.95, but 1.4e-13 at
+    0.01, 2.6e-2 at 1e-8, 1.6e-14 at 0.99 and 1.3e-10 at 0.999999."""
     eta = _require_eta(eta)
     if eta == 0.0:
         return 0.0
@@ -158,8 +162,8 @@ def entanglement_sweep(
     """One report per (eta, beta) grid point, eta-major order.  Every eta,
     beta and the tail are checked before the first point is computed.
     Points are independent; max_workers, None (serial) or an int >= 1,
-    computes them concurrently when above 1, with output order (and
-    content) unchanged."""
+    computes them concurrently when above 1, on at most one thread per CPU
+    and per point, with output order (and content) unchanged."""
     etas = [_require_eta(eta) for eta in etas]
     betas = [_require_ancilla(beta) for beta in betas]
     epsilon_tail = _require_tail(epsilon_tail)
@@ -168,13 +172,16 @@ def entanglement_sweep(
     if max_workers is not None and not (isinstance(max_workers, numbers.Integral) and max_workers >= 1):
         raise ValueError(f"max_workers must be a positive number of worker threads, got {max_workers!r}")
     points = [(eta, beta) for eta in etas for beta in betas]
+    # A pool starts a thread per submitted point while none is idle, so it
+    # gets no more workers than there are CPUs or points.
+    workers = min(max_workers or 1, len(points), os.cpu_count() or 1)
     # Serial in the calling thread: a one-worker pool here raised the default
     # sweep's peak RSS from 31.45-31.48 to 31.89-31.93 MiB in 4 of 4
     # alternating bench/run.py pairs (2-vCPU Xeon), as the pool's thread
     # gets its own allocator arena.
-    if max_workers is None or max_workers <= 1:
+    if workers == 1:
         return [average_entanglement(eta, beta, epsilon_tail) for eta, beta in points]
     from concurrent.futures import ThreadPoolExecutor  # here: it loads logging and queue
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda p: average_entanglement(p[0], p[1], epsilon_tail), points))

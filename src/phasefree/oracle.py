@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,21 @@ def project_total_number(
     projected = np.where(mask, state.amplitudes, 0.0) / math.sqrt(probability)
     projected.setflags(write=False)
     return probability, DenseJointState(projected, state.per_mode_cutoffs, 0.0)
+
+
+def pair_outcomes(joint: DenseJointState, top: int) -> Iterator[tuple[int, int, float, DenseJointState]]:
+    """The protocol's two measurements on a four-mode pair state: K on
+    PAIR_GROUP_K, then L on PAIR_GROUP_L.  Yields (K, L, P(K, L), state
+    after both) for K, L <= top, K-major, skipping outcomes that a
+    projection leaves empty."""
+    for k in range(top + 1):
+        p_k, after_k = project_total_number(joint, PAIR_GROUP_K, k)
+        if after_k is None:
+            continue
+        for l in range(top + 1):
+            p_l, after_l = project_total_number(after_k, PAIR_GROUP_L, l)
+            if after_l is not None:
+                yield k, l, p_k * p_l, after_l
 
 
 def schmidt_entropy_dense(state: DenseJointState, cut: tuple[int, ...] | list[int]) -> float:

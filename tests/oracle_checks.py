@@ -10,11 +10,10 @@ from phasefree.encoding import (
 )
 from phasefree.entanglement import entropy_of_entanglement
 from phasefree.oracle import (
-    PAIR_GROUP_K,
-    PAIR_GROUP_L,
     build_joint_coherent,
     build_joint_pair,
     coherent_logical_amplitudes,
+    pair_outcomes,
     pair_schmidt_amplitudes,
     project_total_number,
     schmidt_entropy_dense,
@@ -63,22 +62,10 @@ def coherent_equivalence_deviations(alpha, beta, phi, cutoff=12, m_top=10, prob_
 
 def pair_dense_outcomes(eta, beta, phi, cutoff=12, outcome_top=8):
     """Dense-path (probability, Schmidt amplitudes, ebits) per outcome (K, L)."""
-    joint = build_joint_pair(eta, beta, phi, cutoff)
-    results = {}
-    for k in range(outcome_top + 1):
-        p_k, after_k = project_total_number(joint, PAIR_GROUP_K, k)
-        if after_k is None:
-            continue
-        for l in range(outcome_top + 1):
-            p_l, after_l = project_total_number(after_k, PAIR_GROUP_L, l)
-            if after_l is None:
-                continue
-            results[(k, l)] = (
-                p_k * p_l,
-                pair_schmidt_amplitudes(after_l, k, l),
-                schmidt_entropy_dense(after_l, PAIR_SCHMIDT_CUT),
-            )
-    return results
+    return {
+        (k, l): (prob, pair_schmidt_amplitudes(post, k, l), schmidt_entropy_dense(post, PAIR_SCHMIDT_CUT))
+        for k, l, prob, post in pair_outcomes(build_joint_pair(eta, beta, phi, cutoff), outcome_top)
+    }
 
 
 def pair_equivalence_deviations(eta, beta, phi, cutoff=12, outcome_top=8):

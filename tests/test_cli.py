@@ -5,15 +5,17 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phasefree
 from phasefree import encoding, entanglement
 from phasefree.cli import CSV_HEADER, MAX_GRID_POINTS, _most_probable, main, parse_grid
-from phasefree.encoding import pair_outcome_distribution
+from phasefree.encoding import DEFAULT_EPSILON_TAIL, pair_outcome_distribution
 from phasefree.entanglement import average_entanglement
 from phasefree.numerics import log_poisson_table
 
@@ -283,6 +285,42 @@ class TestPointCommand:
         assert values[0] == probs.max()
         # equal probabilities keep outcome order, as (0, 1) and (1, 0) do
         assert top.index((0, 1)) + 1 == top.index((1, 0))
+
+    @staticmethod
+    def _sorted_window(probabilities, count):
+        """The ranking by a sort of the whole window, by (-p, index)."""
+        flat = probabilities.ravel()
+        order = np.lexsort((np.arange(flat.size), -flat))[:count]
+        return [divmod(int(i), probabilities.shape[1]) for i in order]
+
+    def test_a_tie_at_the_cut_keeps_outcome_order(self):
+        """The 10th value is shared by 29 cells; the first of them by index
+        fill the last places, as a sort of the whole window gives."""
+        probs = np.full((6, 6), 0.01)
+        probs[np.unravel_index([31, 4, 17, 9, 22], probs.shape)] = [0.2, 0.1, 0.1, 0.05, 0.04]
+        probs[5, 0] = probs[0, 5] = 0.001
+        top = _most_probable(probs, 10)
+        assert top == self._sorted_window(probs, 10)
+        assert top[:5] == [(5, 1), (0, 4), (2, 5), (1, 3), (3, 4)]
+        assert top[5:] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
+
+    def test_a_window_with_fewer_cells_than_count(self):
+        probs = np.array([[0.25, 0.5], [0.125, 0.125]])
+        assert _most_probable(probs, 10) == [(0, 1), (0, 0), (1, 0), (1, 1)]
+
+    def test_ranking_holds_one_copy_of_the_window(self):
+        """At (0.5, 40) the window is 1922 cells wide.  The partition copies
+        it once; a sort of the whole window peaked at 3.0 times the grid's
+        bytes."""
+        probs = entanglement._report_and_grid(0.5, 40.0, DEFAULT_EPSILON_TAIL)[1]
+        tracemalloc.start()
+        try:
+            top = _most_probable(probs, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert top == self._sorted_window(probs, 10)
+        assert peak <= 1.2 * probs.nbytes
 
     def test_zero_eta_point(self, capsys):
         code = main(["point", "--eta", "0", "--beta", "5"])

@@ -26,12 +26,7 @@ from phasefree.encoding import (
 )
 from phasefree.entanglement import average_entanglement
 from phasefree.numerics import LOG_ZERO, log_poisson_table, log_poisson_weight
-from phasefree.oracle import (
-    PAIR_GROUP_K,
-    PAIR_GROUP_L,
-    build_joint_pair,
-    project_total_number,
-)
+from phasefree.oracle import build_joint_pair, pair_outcomes
 
 
 class TestEncodeCoherent:
@@ -296,14 +291,11 @@ class TestPairOutcomeDistribution:
         tensor product (cutoff high enough that truncation is below 1e-11)."""
         eta, beta = 0.5, 2.0
         dist = pair_outcome_distribution(eta, beta, epsilon_tail=1e-10)
-        joint = build_joint_pair(eta, beta, 0.0, cutoff=26)
-        for k in range(9):
-            p_k, after_k = project_total_number(joint, PAIR_GROUP_K, k)
-            for l in range(9):
-                if after_k is None:
-                    continue
-                p_l, after_l = project_total_number(after_k, PAIR_GROUP_L, l)
-                assert p_k * p_l == pytest.approx(dist.support[(k, l)], abs=1e-10)
+        compared = []
+        for k, l, prob, _ in pair_outcomes(build_joint_pair(eta, beta, 0.0, cutoff=26), 8):
+            assert prob == pytest.approx(dist.support[(k, l)], abs=1e-10)
+            compared.append((k, l))
+        assert compared == list(itertools.product(range(9), repeat=2))
 
     def test_marginal_approaches_poisson_for_weak_squeezing(self):
         """At eta = 0.1 and beta = 10 the K marginal is within 1e-6 of a

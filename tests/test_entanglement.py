@@ -1,7 +1,9 @@
 """Entanglement accounting: exact benchmark, per-outcome, and averages."""
 
+import concurrent.futures
 import itertools
 import math
+import os
 import tracemalloc
 
 import mpmath as mp
@@ -46,6 +48,17 @@ class TestTmssEntanglement:
         weights = (1.0 - eta * eta) * eta ** (2.0 * np.arange(n_top + 1))
         entropy = float(-(weights * np.log2(weights)).sum())
         assert tmss_entanglement(eta) == pytest.approx(entropy, abs=1e-8)
+
+    @pytest.mark.parametrize("eta", [0.1, 0.2, 0.3, 0.4, 0.5, 0.9081, 0.9315])
+    def test_relative_error_at_the_reference_etas(self, eta):
+        """The closed form's two terms cancel; against a 50-digit entropy
+        of the geometric spectrum its relative error at the reference eta
+        was measured at most 2.65e-15 (at 0.9315)."""
+        with mp.workdps(50):
+            lam = mp.mpf(eta) ** 2
+            truth = (-mp.log1p(-lam) - lam / (1 - lam) * mp.log(lam)) / mp.log(2)
+            error = abs(mp.mpf(tmss_entanglement(eta)) / truth - 1)
+        assert error <= 5e-15
 
     @pytest.mark.parametrize("eta", [-0.2, 1.0, 2.0])
     def test_rejects_bad_eta(self, eta):
@@ -360,6 +373,35 @@ class TestEntanglementSweep:
                 b.E_exact,
                 b.residual,
             )
+
+    @pytest.mark.parametrize(
+        "requested,cpus,started",
+        [(10_000, 4, [4]), (10_000, 64, [6]), (3, 64, [3]), (10_000, None, []), (2, 1, [])],
+    )
+    def test_starts_no_more_workers_than_cpus_or_points(self, monkeypatch, requested, cpus, started):
+        """A pool of min(max_workers, points, CPUs) workers on the six
+        points, and none when that is 1.  The fake pool records its size and
+        maps in the calling thread, so no thread is started."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        reports = entanglement_sweep([0.2, 0.5], [1.0, 2.0, 3.0], max_workers=requested)
+        assert sizes == started
+        assert reports == entanglement_sweep([0.2, 0.5], [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("workers", [0, -1, 1.5, float("nan")])
     def test_rejects_non_positive_workers(self, workers):

@@ -2,6 +2,7 @@
 agreement with the closed-form encoding."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from phasefree.oracle import (
     DenseJointState,
     build_joint_coherent,
     build_joint_pair,
+    pair_outcomes,
     pair_schmidt_amplitudes,
     project_total_number,
     schmidt_entropy_dense,
@@ -100,17 +102,13 @@ class TestBuildJointPair:
         12 gives the same probabilities, Schmidt weights and ebits."""
 
         def dense(cutoff):
-            joint = build_joint_pair(eta, beta, 0.0, cutoff)
-            out = {}
-            for k in range(7):
-                p_k, after_k = project_total_number(joint, PAIR_GROUP_K, k)
-                for l in range(7):
-                    p_l, after_l = project_total_number(after_k, PAIR_GROUP_L, l)
-                    weights = np.abs(pair_schmidt_amplitudes(after_l, k, l)) ** 2
-                    out[k, l] = (p_k * p_l, weights, schmidt_entropy_dense(after_l, (0, 2)))
-            return out
+            return {
+                (k, l): (prob, np.abs(pair_schmidt_amplitudes(post, k, l)) ** 2, schmidt_entropy_dense(post, (0, 2)))
+                for k, l, prob, post in pair_outcomes(build_joint_pair(eta, beta, 0.0, cutoff), 6)
+            }
 
         small, large = dense(6), dense(12)
+        assert len(small) == 49
         for key, (p, weights, ebits) in small.items():
             assert p == pytest.approx(large[key][0], rel=0, abs=1e-15)
             np.testing.assert_allclose(weights, large[key][1], rtol=0, atol=1e-15)
@@ -158,6 +156,26 @@ class TestProjectTotalNumber:
             project_total_number(state, (0, 5), 0)
         with pytest.raises(ValueError):
             project_total_number(state, (0,), -1)
+
+
+class TestPairOutcomes:
+    def test_k_major_with_the_state_after_both_projections(self):
+        joint = build_joint_pair(0.5, 1.0, 0.0, 6)
+        walk = {(k, l): (prob, post) for k, l, prob, post in pair_outcomes(joint, 3)}
+        assert list(walk) == list(itertools.product(range(4), repeat=2))
+        p_k, after_k = project_total_number(joint, PAIR_GROUP_K, 3)
+        p_l, after_l = project_total_number(after_k, PAIR_GROUP_L, 2)
+        assert walk[3, 2][0] == p_k * p_l
+        np.testing.assert_array_equal(walk[3, 2][1].amplitudes, after_l.amplitudes)
+
+    def test_vacuum_ancillas_leave_only_equal_outcomes(self):
+        """With |beta> = |0>, K = L = n: every K != L projects to nothing
+        and is skipped, and P(n, n) is the geometric (1 - eta^2) eta^(2n)."""
+        eta = 0.5
+        walk = list(pair_outcomes(build_joint_pair(eta, 0.0, 0.0, 4), 4))
+        assert [(k, l) for k, l, _, _ in walk] == [(n, n) for n in range(5)]
+        geometric = (1 - eta * eta) * eta ** (2.0 * np.arange(5))
+        np.testing.assert_allclose([prob for _, _, prob, _ in walk], geometric, rtol=1e-14)
 
 
 class TestSchmidtEntropyDense:
