@@ -51,9 +51,12 @@ and no other array larger than a byte mask of a row chunk.
 
 The approximant fidelities are array passes, not loops over outcomes.  For
 the coherent encoding the phases cancel, so the overlap with |alpha'> for
-outcome M is sum_n |a_n| |c_n|, built in log space over a band of n (in row
-chunks, so memory is O(window x band)) with the closed-form normalizer
-sum_n |q|^(2n) / (n! (M-n)!) = (1 + |q|^2)^M / M!, q = alpha/beta.  For
+outcome M is sum_n |a_n| |c_n|, built in log space with the closed-form
+normalizer sum_n |q|^(2n) / (n! (M-n)!) = (1 + |q|^2)^M / M!, q =
+alpha/beta.  One pass takes the M of the Poisson(|alpha|^2 + |beta|^2)
+band up to the window's top, each over its band of n, in row chunks of
+_STRIP_BLOCK_CELLS cells: it costs (rows of M) x (band of n) cells and
+holds no (rows, band) array larger than a chunk.  For
 the pair, the overlap summand sqrt(t_n) eta'^n, with t_n the n-th summand
 of P(K, L), equals sqrt(1 - eta^2) G[K, n] G[L, n] for
 G[X, n] = (eta sqrt(X/|beta|^2))^n sqrt(Pois(|beta|^2, X-n)), so every
@@ -116,16 +119,14 @@ _LOG_SENTINEL = -1e300
 
 # Most cells of one (slices, rows, columns) block of the outcome-grid sum,
 # and of one row chunk of the P E pass that follows it in the same two
-# buffers; see _block_cells.
+# buffers (see _block_cells), and of one (rows, band) chunk of the coherent
+# fidelity pass (see _coherent_overlaps).
 _STRIP_BLOCK_CELLS = 1 << 16
 
 # Photon-number bands cut a Poisson law where each tail holds at most
 # exp(-_BAND_LOG_CUT) ~ 2e-35 of its mass: far below float64 resolution,
 # also after the square root that an overlap of amplitudes takes.
 _BAND_LOG_CUT = 80.0
-
-# Cells per row chunk of a banded (rows, width) array: 2 MiB of float64.
-_BAND_CHUNK_CELLS = 1 << 18
 
 # Most bytes the outcome grid may allocate for A, B and two strip-block
 # buffers, the pair fidelity for its _PAIR_FIDELITY_GRIDS arrays or the
@@ -364,21 +365,6 @@ def _poisson_band(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = np.floor(lam - np.sqrt(2.0 * cut * lam))
     hi = np.ceil(lam + cut / 3.0 + np.sqrt(cut * cut / 9.0 + 2.0 * cut * lam))
     return np.maximum(lo, 0.0).astype(np.int64), hi.astype(np.int64)
-
-
-def _band_sums(lo: np.ndarray, width: int, log_term) -> np.ndarray:
-    """out[r] = sum of exp(log_term(r, n)) over n = lo[r] .. lo[r] + width - 1,
-    where log_term maps a column of row indices r and the matching
-    (rows, width) block of n to the log of each summand (LOG_ZERO for none).
-    Rows are processed in chunks of about _BAND_CHUNK_CELLS cells, and each
-    row is summed on its own, so out[r] depends on neither the chunking nor
-    the number of rows."""
-    out = np.empty(lo.size)
-    step = max(1, _BAND_CHUNK_CELLS // width)
-    for start in range(0, lo.size, step):
-        r = np.arange(start, min(start + step, lo.size))[:, None]
-        out[start : start + r.size] = np.exp(log_term(r, lo[r] + np.arange(width))).sum(axis=1)
-    return out
 
 
 def _coherent_window(alpha, beta, epsilon_tail: float) -> tuple[float, int, float]:
@@ -661,8 +647,8 @@ def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EP
 # ---------------------------------------------------------------------------
 
 
-def _coherent_overlaps(log_q: float, m_max: int) -> np.ndarray:
-    """overlap[M] = |<alpha'|encoded M>| for M = 0..m_max, with
+def _coherent_overlaps(log_q: float, m_lo: int, m_max: int) -> np.ndarray:
+    """overlap[M - m_lo] = |<alpha'|encoded M>| for M = m_lo..m_max, with
     log_q = ln |alpha/beta| finite.
 
     The phases of both states are n arg(alpha/beta), so the overlap is
@@ -670,17 +656,19 @@ def _coherent_overlaps(log_q: float, m_max: int) -> np.ndarray:
     Binomial(M, s/(1+s)) at n, s = |alpha/beta|^2, whose normalizer
     sum_n s^n / (n! (M-n)!) is (1+s)^M / M!.  By Cauchy-Schwarz the terms
     outside the Poisson(M s) band sum to at most sqrt(2 exp(-_BAND_LOG_CUT)).
+    The rows are summed in chunks of about _STRIP_BLOCK_CELLS cells, each
+    row on its own, so overlap[M] does not depend on the chunks.
     """
     log_s = 2.0 * log_q
     with np.errstate(over="ignore"):
         s = float(np.exp(log_s))  # inf when |alpha/beta|^2 overflows
-    m_all = np.arange(m_max + 1)
+    m_all = np.arange(m_lo, m_max + 1)
 
     def times_m(value: float) -> np.ndarray:
         # M value: 0 at M = 0 also when value is inf, and inf, its limit in
         # every use below, where the product overflows
         with np.errstate(over="ignore"):
-            return np.multiply(m_all, value, out=np.zeros(m_max + 1), where=m_all > 0)
+            return np.multiply(m_all, value, out=np.zeros(m_all.size), where=m_all > 0)
 
     # beyond 2 (m_max + cut) the band's lower end passes m_max, so a larger
     # M s changes no band once clipped to n <= M
@@ -688,40 +676,46 @@ def _coherent_overlaps(log_q: float, m_max: int) -> np.ndarray:
     lo, hi = np.minimum(lo, m_all), np.minimum(hi, m_all)
     width = int((hi - lo).max()) + 1
     context = f"for a fidelity band of {width} photon numbers (|alpha/beta|^2={s})"
-    _require_budget((m_max + 1) * width, "m_max", m_max, context)
+    _require_budget(m_all.size * width, "m_max", m_max, context)
     lf = log_factorial_table(m_max)
-    log_norm = 0.5 * (lf - times_m(s + math.log1p(s)))
-
-    def log_term(m, n):
-        # ln |a_n| + ln |c_n|
+    log_norm = 0.5 * (lf[m_lo:] - times_m(s + math.log1p(s)))
+    out = np.empty(m_all.size)
+    step = max(1, _STRIP_BLOCK_CELLS // width)
+    for start in range(0, m_all.size, step):
+        rows = slice(start, start + step)
+        m, n = m_all[rows, None], lo[rows, None] + np.arange(width)
+        # ln |a_n| + ln |c_n|, LOG_ZERO past n = M
         live = n <= m
         n = np.where(live, n, m)
-        terms = n * (log_s + 0.5 * np.log(np.maximum(m, 1))) - lf[n] - 0.5 * lf[m - n] + log_norm[m]
-        return np.where(live, terms, LOG_ZERO)
-
-    return _band_sums(lo, width, log_term)
+        terms = n * (log_s + 0.5 * np.log(np.maximum(m, 1))) - lf[n] - 0.5 * lf[m - n] + log_norm[rows, None]
+        out[rows] = np.exp(np.where(live, terms, LOG_ZERO)).sum(axis=1)
+    return out
 
 
 def mean_coherent_approx_fidelity(alpha, beta, epsilon_tail: float = DEFAULT_EPSILON_TAIL) -> float:
     """P(M)-weighted fidelity between the encoded state and the coherent
     state of amplitude alpha' = alpha sqrt(M)/beta it approximates.
 
-    Outcomes outside the window of the coherent table contribute zero, so
-    the result underestimates by at most its residual plus the rounding of
-    its entries (see OutcomeDistribution).
+    Only the outcomes from the lower end of the Poisson(mu) band
+    (_poisson_band, mu = |alpha|^2 + |beta|^2; 0 while mu <= 160) to the
+    top of the coherent table's window are summed.  The others contribute
+    zero, so the result underestimates by at most the table's residual,
+    plus the rounding of its entries (see OutcomeDistribution), plus the
+    exp(-_BAND_LOG_CUT) ~ 2e-35 of mass below the band.
     """
     beta = _require_ancilla(beta)
     alpha = _require_amplitude(alpha, "alpha")
     mu, m_max, _ = _coherent_window(alpha, beta, epsilon_tail)
+    m_lo = int(_poisson_band(np.float64(mu))[0])
 
     # at alpha = 0 the vacuum on both sides for every M; the band pass runs
     # before the table, so that one over the budget fails first, and by
     # Cauchy-Schwarz only float noise can push a fidelity above 1
     if alpha == 0:
-        fid = np.ones(m_max + 1)
+        fid = np.ones(m_max - m_lo + 1)
     else:  # ln |alpha/beta| taken apart, as alpha/beta may overflow
-        fid = np.minimum(_coherent_overlaps(math.log(abs(alpha)) - math.log(abs(beta)), m_max) ** 2, 1.0)
-    return min(float((np.exp(log_poisson_table(mu, m_max)) * fid).sum()), 1.0)
+        fid = np.minimum(_coherent_overlaps(math.log(abs(alpha)) - math.log(abs(beta)), m_lo, m_max) ** 2, 1.0)
+    return min(float((np.exp(log_poisson_table(mu, m_max))[m_lo:] * fid).sum()), 1.0)
 
 
 def _pair_factor(eta: float, mean_b: float, lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

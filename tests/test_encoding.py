@@ -802,23 +802,24 @@ class TestGridBudget:
 
     def test_coherent_band_passes_fail_before_running_past_the_budget(self, monkeypatch):
         """The banded coherent fidelity pass costs rows x band cells of 8
-        bytes; a pass over the budget raises before summing any band.  Both
-        public calls fail on the table's 6 cells per row first, and with
-        room for the table the fidelity fails on its band pass before the
-        table is built."""
-        summed, tables = [], []
-        monkeypatch.setattr(encoding, "_band_sums", lambda *args: summed.append(args))
+        bytes; a pass over the budget raises before its first work, the
+        log-factorial table.  Both public calls fail on the table's 6 cells
+        per row first, and with room for the table the fidelity fails on
+        its band pass before the table is built.  mu = 109 <= 160, so the
+        pass starts at M = 0."""
+        factorials, tables = [], []
+        monkeypatch.setattr(encoding, "log_factorial_table", lambda *args: factorials.append(args))
         monkeypatch.setattr(encoding, "log_poisson_table", lambda *args: tables.append(args))
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 8 * 194 - 1)
         with pytest.raises(RuntimeError, match=r"m_max=193 needs \d+ bytes, over the grid budget"):
-            encoding._coherent_overlaps(math.log(0.3), 193)
+            encoding._coherent_overlaps(math.log(0.3), 0, 193)
         for call in (coherent_outcome_distribution, mean_coherent_approx_fidelity):
             with pytest.raises(RuntimeError, match="m_max=193 needs 9312 bytes, over the grid budget"):
                 call(3.0, 10.0)
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 9312)
         with pytest.raises(RuntimeError, match=r"m_max=193 needs \d+ bytes, over the grid budget.*fidelity band"):
             mean_coherent_approx_fidelity(3.0, 10.0)
-        assert summed == [] and tables == []
+        assert factorials == [] and tables == []
 
     @pytest.mark.parametrize("call", [coherent_outcome_distribution, pair_outcome_distribution])
     def test_huge_window_error_is_short(self, call):
@@ -977,14 +978,42 @@ class TestApproxFidelities:
 
     def test_coherent_overlaps_do_not_depend_on_the_row_chunks(self, monkeypatch):
         """At |q| = 0.3 and m_max = 3000 the band is 446 photon numbers wide,
-        so the default chunks of 2^18 cells split the 3001 rows six ways;
-        chunks of one row or of seven give the same bits."""
-        log_q = math.log(0.3)
-        default = encoding._coherent_overlaps(log_q, 3000)
-        assert 5 * encoding._BAND_CHUNK_CELLS < 3001 * 446 <= 6 * encoding._BAND_CHUNK_CELLS
-        for rows in (1, 7):
-            monkeypatch.setattr(encoding, "_BAND_CHUNK_CELLS", rows * 446)
-            assert encoding._coherent_overlaps(log_q, 3000).tobytes() == default.tobytes()
+        so the default chunks of 2^16 cells split the 3001 rows 21 ways; the
+        second window starts its rows above 0, where a pass from M = 0 has
+        the same band width and gives the same bits.  Chunks of one row or
+        of 5000 cells give the same bits as the default ones."""
+        assert 20 * encoding._STRIP_BLOCK_CELLS < 3001 * 446 <= 21 * encoding._STRIP_BLOCK_CELLS
+        windows = [(math.log(0.3), 0, 3000), (math.log(0.03), 9000, 12000)]
+        default = [encoding._coherent_overlaps(*window) for window in windows]
+        assert [rows.size for rows in default] == [3001, 3001]
+        assert encoding._coherent_overlaps(math.log(0.03), 0, 12000)[9000:].tobytes() == default[1].tobytes()
+        for cells in (1, 5000):
+            monkeypatch.setattr(encoding, "_STRIP_BLOCK_CELLS", cells)
+            for window, rows in zip(windows, default):
+                assert encoding._coherent_overlaps(*window).tobytes() == rows.tobytes()
+
+    def test_coherent_fidelity_sums_only_the_poisson_band_of_outcomes(self, monkeypatch):
+        """At alpha = 3, beta = 100 the band of M starts at 8743, so the pass
+        returns m_max - 8743 + 1 rows; the fidelity keeps the value of a
+        pass from M = 0, 0.9999980762450028, to 1e-15."""
+        _, m_max, _ = encoding._coherent_window(3.0, 100.0, DEFAULT_EPSILON_TAIL)
+        passes = []
+        overlaps = encoding._coherent_overlaps
+
+        def record(log_q, m_lo, top):
+            rows = overlaps(log_q, m_lo, top)
+            passes.append((m_lo, top, rows.size))
+            return rows
+
+        monkeypatch.setattr(encoding, "_coherent_overlaps", record)
+        value = mean_coherent_approx_fidelity(3.0, 100.0)
+        assert passes == [(8743, m_max, m_max - 8743 + 1)]
+        assert abs(value - 0.9999980762450028) <= 1e-15
+
+    def test_coherent_fidelity_at_alpha_and_beta_300(self):
+        """mu = 1.8e5: a pass from M = 0 would need about 16 GB; the band of
+        M holds about 8 800 rows and fits the grid budget."""
+        assert 0.0 <= mean_coherent_approx_fidelity(300.0, 300.0) <= 1.0
 
     def test_coherent_fidelity_matches_per_outcome_recomputation(self):
         """The banded pass against the overlap of each encode_coherent state

@@ -1,10 +1,11 @@
 """Package surface: the public names exported from phasefree, the
-README's library example, the runtime dependencies, and the BLAS-free
-kernels that let the CLI load numpy with one OpenBLAS thread."""
+README's library example and CLI block, the runtime dependencies, and the
+BLAS-free kernels that let the CLI load numpy with one OpenBLAS thread."""
 
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,24 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert lines[2].startswith("0.7219")
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every `phasefree ...` line of the sh block under "## CLI" exits 0
+    when run through cli.main, and writes each --csv and --svg file it
+    names."""
+    from phasefree import cli
+
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("phasefree ")]
+    assert len(lines) == 5
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert cli.main(argv) == 0, (line, capsys.readouterr().err)
+        named = [argv[i + 1] for i, flag in enumerate(argv) if flag in ("--csv", "--svg")]
+        assert all((tmp_path / name).is_file() for name in named), line
 
 
 def test_cli_imports_no_third_party_module_but_numpy():
