@@ -582,6 +582,19 @@ class TestWindowRule:
         fidelity = mean_pair_approx_fidelity(eta, beta, epsilon_tail)
         assert (report.E_avg.hex(), report.residual.hex(), report.residual_bound.hex(), fidelity.hex()) == pinned
 
+    @pytest.mark.parametrize(
+        "eta,beta,epsilon_tail,pinned",
+        [
+            (0.5, 12.0, 1e-10, "0x1.6d55427daaffep-43"),
+            (0.9081, 7.006, 1e-10, "0x1.1b01122a82fcep-65"),
+            (0.2, 8.0, 1e-14, "0x1.abe0603031d60p-127"),
+        ],
+    )
+    def test_table_residual_bits_are_pinned(self, eta, beta, epsilon_tail, pinned):
+        """The pair table's directly summed outside mass, bit for bit, at the
+        points whose report bits are pinned above."""
+        assert pair_outcome_distribution(eta, beta, epsilon_tail).residual.hex() == pinned
+
 
 class _GridCountingNumpy:
     """numpy as encoding sees it, recording the shape of every array that
