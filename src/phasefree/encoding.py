@@ -31,9 +31,11 @@ k_max = ceil(mu + w sqrt(mu)), w = 8, 16, 32, ..., are tried in turn, and
 each table is built once, on the first top whose outside mass, summed
 directly from the Poisson (and geometric) laws rather than taken as
 1 - sum P, is at most epsilon_tail.  That mass is the table's residual,
-so a tail below float64 resolution is met like any other.  The walk has
-no length limit: it ends at the tail, or at a top whose arrays would
-exceed _GRID_BUDGET_BYTES, which fails before allocating.
+so a tail below float64 resolution is met like any other; _outside_law
+forms it, with the entropy bound of an entanglement report, from one
+vector of outside weights per top.  The walk has no length limit: it
+ends at the tail, or at a top whose arrays would exceed
+_GRID_BUDGET_BYTES, which fails before allocating.
 
 The n-th summand t_n of P(K, L) vanishes for K < n or L < n and
 underflows to exactly 0.0 far from the Poisson peak, so slice n lives on
@@ -407,38 +409,23 @@ def _poisson_tail(mean: float, k: int, pois_k: float) -> float:
             return tail + term * r / (1.0 - r)
 
 
-def _outside_weights(eta: float, mean_b: float, lp: np.ndarray) -> np.ndarray:
-    """P(n, O) for n = 0..k_max: the mass of the pair outcomes outside the
-    window O = [0, k_max]^2 at photon number n, summed directly rather than
-    taken as 1 - sum P, so it has no float64 floor; lp is the window's
-    log_poisson_table(mean_b, k_max), with k_max >= mean_b as every top.
+def _outside_law(eta: float, mean_b: float, lp: np.ndarray) -> tuple[float, float]:
+    """(P, P h(M / P)) for the pair outcomes outside the window O = [0, k_max]^2:
+    their mass P, the table's residual, and the residual_bound of an
+    entanglement report; lp is the window's log_poisson_table(mean_b, k_max),
+    with k_max >= mean_b as every top.
 
     (K, L) = (n + X, n + Y) with n geometric, weights w_n = (1 - eta^2)
     eta^(2n), and X, Y iid Poisson(mean_b), so an outcome lies outside
     unless X, Y <= k_max - n: P(n, O) = w_n U(k_max - n) (2 - U(k_max - n))
     (and w_n for n > k_max), with U(j) = P(X > j) formed as suffix sums of
-    the Poisson table from the tail past k_max (_poisson_tail).
-    """
-    e2 = eta * eta
-    pois = np.exp(lp)
-    tail = _poisson_tail(mean_b, lp.size - 1, float(pois[-1]))
-    upper = np.cumsum(np.concatenate([[tail], pois[:0:-1]]))  # U(k_max - n)
-    weights = (1.0 - e2) * e2 ** np.arange(lp.size)
-    return weights * upper * (2.0 - upper)
+    the Poisson table from the tail past k_max (_poisson_tail).  P =
+    sum_n P(n, O) and M = sum_n n P(n, O) are summed directly rather than
+    taken as 1 - sum P, so they have no float64 floor; past k_max both sums
+    are geometric.
 
-
-def _outside_mass(eta: float, outside: np.ndarray) -> float:
-    """Joint mass of the pair outcomes outside a window, from its _outside_weights."""
-    return math.fsum(outside.tolist()) + (eta * eta) ** outside.size
-
-
-def _outside_entropy_bound(eta: float, outside: np.ndarray) -> float:
-    """P h(M / P), the residual_bound of an entanglement report, with
-    P = sum_n P(n, O) and M = sum_n n P(n, O) (outside, the window's
-    _outside_weights; past k_max both sums are geometric) and h(m) =
-    log2(1 + m) + m log2(1 + 1/m), the entropy of the geometric law of mean m.
-
-    As E_avg = H(n | K, L), the outcomes outside the window O add
+    h(m) = log2(1 + m) + m log2(1 + 1/m) is the entropy of the geometric law
+    of mean m.  As E_avg = H(n | K, L), the outcomes outside O add
     P H(n | K, L, O) <= P H(n | O) <= P h(E[n | O]), as the geometric law
     has the largest entropy of any law on n >= 0 with a given mean (Cover
     and Thomas, ch. 12).  This bounds the truncation only, not the rounding
@@ -446,29 +433,33 @@ def _outside_entropy_bound(eta: float, outside: np.ndarray) -> float:
     the bound is 0.
     """
     e2 = eta * eta
-    past = e2**outside.size
-    mass = _outside_mass(eta, outside)
-    moment = math.fsum((np.arange(outside.size) * outside).tolist()) + past * (outside.size + e2 / (1.0 - e2))
+    pois = np.exp(lp)
+    tail = _poisson_tail(mean_b, lp.size - 1, float(pois[-1]))
+    upper = np.cumsum(np.concatenate([[tail], pois[:0:-1]]))  # U(k_max - n)
+    outside = (1.0 - e2) * e2 ** np.arange(lp.size) * upper * (2.0 - upper)
+    past = e2**lp.size
+    mass = math.fsum(outside.tolist()) + past
+    moment = math.fsum((np.arange(lp.size) * outside).tolist()) + past * (lp.size + e2 / (1.0 - e2))
     if moment == 0.0:
-        return 0.0  # the outside mass, if any, lies at n = 0
+        return mass, 0.0  # the outside mass, if any, lies at n = 0
     m = max(moment / mass, np.finfo(float).tiny)  # h rises with m, and 1/m stays finite
-    return mass * (math.log1p(m) + m * math.log1p(1.0 / m)) / math.log(2.0)
+    return mass, mass * (math.log1p(m) + m * math.log1p(1.0 / m)) / math.log(2.0)
 
 
-def _pair_window(eta: float, mean_b: float, epsilon_tail: float, grids: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lp, outside): log_poisson_table(mean_b, k_max) and its
-    _outside_weights on the first top k_max of _window_sizes whose
-    _outside_mass is at most epsilon_tail, built once per top; each top is
-    first budgeted for grids window arrays and blocks arrays of _block_cells,
-    failing before any allocation."""
+def _pair_window(eta: float, mean_b: float, epsilon_tail: float, grids: int, blocks: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """(lp, law): log_poisson_table(mean_b, k_max) and its _outside_law on
+    the first top k_max of _window_sizes whose outside mass is at most
+    epsilon_tail, built once per top; each top is first budgeted for grids
+    window arrays and blocks arrays of _block_cells, failing before any
+    allocation."""
     context = f"before reaching tail {epsilon_tail} (eta={eta}, mean={mean_b})"
     mu = mean_b + eta * eta / (1.0 - eta * eta)
     for k_max in _window_sizes(mu):
         _require_budget(grids * (k_max + 1) ** 2 + blocks * _block_cells(k_max + 1), "k_max", k_max, context)
         lp = log_poisson_table(mean_b, k_max)
-        outside = _outside_weights(eta, mean_b, lp)
-        if _outside_mass(eta, outside) <= epsilon_tail:
-            return lp, outside
+        law = _outside_law(eta, mean_b, lp)
+        if law[0] <= epsilon_tail:
+            return lp, law
 
 
 def _pair_window_grid(
@@ -476,12 +467,12 @@ def _pair_window_grid(
     mean_b: float,
     epsilon_tail: float,
     with_entropy: bool,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray | None, tuple[float, float], int]:
     """Joint probability grid A[K, L] = P(K, L) over the window of
     _pair_window, plus (with_entropy) the grid P(K, L) E(K, L) whose sum is
-    E_avg.  Returns (A, P E or None, outside, k_max), with outside the
-    window's _outside_weights, whose _outside_mass is at most epsilon_tail;
-    each grid is built once, from the window's Poisson table.
+    E_avg.  Returns (A, P E or None, law, k_max), with law the window's
+    _outside_law, whose mass is at most epsilon_tail; each grid is built
+    once, from the window's Poisson table.
 
     Slice n holds every summand that neither underflows nor rounds away on
     its square [cut_n, hi_n)^2 (_slice_squares).  The upper triangle is
@@ -501,7 +492,7 @@ def _pair_window_grid(
     where min(K, L) = 0 leaves a single Schmidt term, are pinned at 0."""
     grids = 2 if with_entropy else 1
     # two buffers of a block, for the strip blocks and then the P E pass
-    lp, outside = _pair_window(eta, mean_b, epsilon_tail, grids, 2)
+    lp, law = _pair_window(eta, mean_b, epsilon_tail, grids, 2)
     size = lp.size
     a_grid = np.zeros((size, size))
     b_grid = np.zeros_like(a_grid) if with_entropy else None
@@ -554,7 +545,7 @@ def _pair_window_grid(
         # min(K, L) == 0 admits a single Schmidt term; pin the float noise
         b_grid[0, :] = 0.0
         b_grid[:, 0] = 0.0
-    return a_grid, b_grid, outside, size - 1
+    return a_grid, b_grid, law, size - 1
 
 
 def _slice_squares(half: np.ndarray, lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -638,8 +629,8 @@ def pair_outcome_distribution(eta: float, beta, epsilon_tail: float = DEFAULT_EP
     epsilon_tail = _require_tail(epsilon_tail)
     mean_b = abs(_require_amplitude(beta, "beta")) ** 2
 
-    a_grid, _, outside, _ = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=False)
-    return OutcomeDistribution(OutcomeTable(a_grid), _outside_mass(eta, outside))
+    a_grid, _, law, _ = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=False)
+    return OutcomeDistribution(OutcomeTable(a_grid), law[0])
 
 
 # ---------------------------------------------------------------------------

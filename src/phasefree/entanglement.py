@@ -47,12 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import (
-    DEFAULT_EPSILON_TAIL,
-    EncodedPairState,
-    _outside_entropy_bound,
-    _pair_window_grid,
-)
+from .encoding import DEFAULT_EPSILON_TAIL, EncodedPairState, _pair_window_grid
 from .numerics import _require_ancilla, _require_eta, _require_tail, shannon_entropy_bits
 
 
@@ -69,7 +64,8 @@ class EntanglementReport:
     outside the window could add to E_avg: P h(M / P), with P their mass,
     M its photon-number moment sum_n n P(n, outside) and h(m) the entropy
     of the geometric law of mean m, the largest of any law on n >= 0 with
-    that mean.  It is exactly 0 at eta = 0.  It covers truncation only.
+    that mean, formed with that mass by encoding._outside_law.  It is
+    exactly 0 at eta = 0.  It covers truncation only.
     E_avg is the sum of the P E grid that
     encoding._pair_window_grid forms in its block buffers; its absolute
     rounding error was measured at up to 2.2e-13 against a 34-digit truth
@@ -130,7 +126,7 @@ def _report_and_grid(eta: float, beta, epsilon_tail: float) -> tuple[Entanglemen
     epsilon_tail = _require_tail(epsilon_tail)
     mean_b = abs(beta) ** 2
 
-    a_grid, pe_grid, outside, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
+    a_grid, pe_grid, law, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
     # the CSV's residual column, which both reference sweeps pin
     residual = max(0.0, 1.0 - float(a_grid.sum()))
     # every outcome is a product state, or (with |beta|^2 underflowed) an
@@ -148,7 +144,7 @@ def _report_and_grid(eta: float, beta, epsilon_tail: float) -> tuple[Entanglemen
         E_avg=e_avg,
         fraction_lost=fraction_lost,
         residual=residual,
-        residual_bound=_outside_entropy_bound(eta, outside),
+        residual_bound=law[1],
         window=k_max + 1,
     ), a_grid
 

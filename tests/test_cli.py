@@ -109,7 +109,7 @@ class TestSweepCommand:
         for row in rows:
             eta, beta = float(row["eta"]), float(row["beta"])
             lp = log_poisson_table(beta**2, int(row["window_K"]) - 1)
-            mass = encoding._outside_mass(eta, encoding._outside_weights(eta, beta**2, lp))
+            mass = encoding._outside_law(eta, beta**2, lp)[0]
             assert float(row["residual"]) == pytest.approx(mass, rel=0.0, abs=1e-13), (eta, beta)
 
     def test_byte_identical_across_runs_and_threads(self, tmp_path):

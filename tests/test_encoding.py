@@ -426,8 +426,8 @@ def _mp_pair_probability(eta, mean_b, k, l):
 
 
 def _outside(eta, mean_b, k_max):
-    """_outside_weights of the window [0, k_max]^2."""
-    return encoding._outside_weights(eta, mean_b, log_poisson_table(mean_b, k_max))
+    """_outside_law of the window [0, k_max]^2: (mass, residual_bound)."""
+    return encoding._outside_law(eta, mean_b, log_poisson_table(mean_b, k_max))
 
 
 class TestOutsideMass:
@@ -438,7 +438,7 @@ class TestOutsideMass:
         with mp.workdps(30):
             inside = mp.fsum(_mp_pair_probability(eta, mean_b, k, l) for k in range(k_max + 1) for l in range(k_max + 1))
             expected = float(1 - inside)
-        assert encoding._outside_mass(eta, _outside(eta, mean_b, k_max)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert _outside(eta, mean_b, k_max)[0] == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("eta,mean_b,k_max", [(0.5, 4.0, 21), (0.9, 1.0, 24), (0.2, 64.0, 129), (0.0, 9.0, 33)])
     def test_is_at_least_the_marginal_tail(self, eta, mean_b, k_max):
@@ -450,16 +450,15 @@ class TestOutsideMass:
             pois = [mp.exp(-mean_b) * mp.mpf(mean_b) ** j / mp.factorial(j) for j in range(k_max + 1)]
             inside = mp.fsum((1 - e2) * e2**n * pois[k - n] for k in range(k_max + 1) for n in range(k + 1))
             marginal = float(1 - inside)
-        mass = encoding._outside_mass(eta, _outside(eta, mean_b, k_max))
+        mass = _outside(eta, mean_b, k_max)[0]
         assert marginal <= mass * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("eta,beta", [(0.5, 0.7), (0.8, 0.5), (0.3, 0.5), (0.9, 1.0), (0.5, 2.0), (0.6, 1.2)])
     def test_agrees_with_the_grid_residual(self, eta, beta):
         """On a first window round whose outside mass (1e-8 to 1e-2) is far
         above the float64 noise of 1 - sum P, both give the same mass."""
-        a_grid, _, outside, k_max = _pair_window_grid(eta, beta * beta, 0.5, False)
-        mass = encoding._outside_mass(eta, outside)
-        assert mass == encoding._outside_mass(eta, _outside(eta, beta * beta, k_max)) > 1e-8
+        a_grid, _, (mass, _), k_max = _pair_window_grid(eta, beta * beta, 0.5, False)
+        assert mass == _outside(eta, beta * beta, k_max)[0] > 1e-8
         assert mass == pytest.approx(1.0 - float(a_grid.sum()), rel=0.0, abs=1e-13)
 
 
@@ -468,12 +467,12 @@ class TestOutsideEntropyBound:
     def test_is_zero_without_squeezing(self, eta, mean_b, k_max):
         """At eta = 0 the outside mass P lies at n = 0, so M = 0 (and at
         |beta|^2 = 0 also P = 0): the bound is exactly 0, with no 0/0."""
-        assert encoding._outside_entropy_bound(eta, _outside(eta, mean_b, k_max)) == 0.0
+        assert _outside(eta, mean_b, k_max)[1] == 0.0
 
     def test_stays_finite_when_the_outside_mean_is_subnormal(self):
         """At eta = 1e-155 the outside photon-number mean M / P, about
         5e-310, is subnormal, so 1 / (M / P) would overflow to inf."""
-        bound = encoding._outside_entropy_bound(1e-155, _outside(1e-155, 4.0, 21))
+        bound = _outside(1e-155, 4.0, 21)[1]
         assert 0.0 < bound < 1e-300
 
 
@@ -511,7 +510,7 @@ class TestWindowRule:
         its residual."""
         dist = pair_outcome_distribution(0.0, 1e-3, 1e-12)
         assert dist.support.probabilities.shape == (2, 2)
-        assert dist.residual == encoding._outside_mass(0.0, _outside(0.0, 1e-3**2, 1))
+        assert dist.residual == _outside(0.0, 1e-3**2, 1)[0]
         assert dist.residual == pytest.approx(9.999993e-13, rel=1e-7, abs=0.0)
         assert 1.0 - float(dist.support.probabilities.sum()) > 1e-12
 
@@ -541,10 +540,10 @@ class TestWindowRule:
         assert counting.grids == [(size, size)] * 2
         monkeypatch.setattr(encoding, "np", np)
         mean_pair_approx_fidelity(eta, beta, epsilon_tail)
-        lp, outside = windows[0]
-        k_max, mass = lp.size - 1, encoding._outside_mass(eta, outside)
-        window = (lp.tobytes(), outside.tobytes())
-        assert [(l.tobytes(), o.tobytes()) for l, o in windows] == [window] * 3 and factors == [k_max]
+        lp, law = windows[0]
+        k_max, mass = lp.size - 1, law[0]
+        window = (lp.tobytes(), law)
+        assert [(l.tobytes(), w) for l, w in windows] == [window] * 3 and factors == [k_max]
         assert dist.support.probabilities.shape == (size, size) and size == k_max + 1
         assert dist.residual == mass <= epsilon_tail
 
@@ -669,8 +668,8 @@ class TestOutcomeGridKernel:
         tail of 1e-4 the window is 4 outcomes and a strip is summed in row
         sub-blocks where E > 0."""
         ref_a, ref_b, _, ref_k_max = _full_grid_reference(eta, beta * beta, epsilon_tail)
-        a_grid, pe_grid, outside, k_max = _pair_window_grid(eta, beta * beta, epsilon_tail, True)
-        assert k_max == ref_k_max and encoding._outside_mass(eta, outside) <= epsilon_tail
+        a_grid, pe_grid, law, k_max = _pair_window_grid(eta, beta * beta, epsilon_tail, True)
+        assert k_max == ref_k_max and law[0] <= epsilon_tail
         assert a_grid.tobytes() == ref_a.tobytes()
         assert pe_grid.tobytes() == _entropy_weighted(ref_a, ref_b).tobytes()
         a_only, b_none, _, _ = _pair_window_grid(eta, beta * beta, epsilon_tail, False)
@@ -1087,7 +1086,7 @@ class TestApproxFidelities:
     def _pair_fidelity_window(eta, mean_b):
         mu = mean_b + eta * eta / (1.0 - eta * eta)
         return next(
-            k for k in _window_sizes(mu) if encoding._outside_mass(eta, _outside(eta, mean_b, k)) <= DEFAULT_EPSILON_TAIL
+            k for k in _window_sizes(mu) if _outside(eta, mean_b, k)[0] <= DEFAULT_EPSILON_TAIL
         )
 
     @pytest.mark.parametrize("eta", [0.5, 0.0])
