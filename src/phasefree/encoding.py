@@ -159,7 +159,9 @@ _STATE_CELLS_PER_MIN_ROW = 10
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
+# eq=False on the array-holding states: compared and hashed by identity,
+# as == on their arrays has no truth value
+@dataclass(frozen=True, eq=False)
 class EncodedCoherentState:
     """Post-measurement logical state for total-photon outcome M.
 
@@ -172,7 +174,7 @@ class EncodedCoherentState:
     norm_log: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedPairState:
     """Post-measurement two-party logical state for outcomes (K, L).
 

@@ -31,7 +31,7 @@ PAIR_GROUP_K = (0, 2)
 PAIR_GROUP_L = (1, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, like the encoded states
 class DenseJointState:
     """Dense multimode amplitude array with declared truncation loss.
 

@@ -178,6 +178,16 @@ class TestPairApproxParam:
             pair_approx_param(0.5, 1, 10**400, 1)
 
 
+@pytest.mark.parametrize("build,args", [(encode_coherent, (0.5, 1.0, 3)), (encode_pair, (0.5, 1, 2, 2))], ids=["coherent", "pair"])
+def test_states_compare_by_identity(build, args):
+    """Two states built alike compare unequal without raising on their
+    arrays; a state equals itself and can be hashed into a set."""
+    state, twin = build(*args), build(*args)
+    assert state != twin and state not in [twin]
+    assert state == state and state in [twin, state]
+    assert len({state, twin, state}) == 2
+
+
 class TestCoherentOutcomeDistribution:
     def test_no_photons(self):
         dist = coherent_outcome_distribution(0.0, 0.0)

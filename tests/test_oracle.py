@@ -124,6 +124,14 @@ class TestBuildJointPair:
         phases = np.exp(1j * 1.1 * (n0 + n1 + n2 + n3))
         np.testing.assert_allclose(spun.amplitudes, base.amplitudes * phases, atol=1e-13)
 
+    def test_states_compare_by_identity(self):
+        """Two joint states built alike compare unequal without raising on
+        their arrays; a state equals itself and can be hashed into a set."""
+        state, twin = build_joint_pair(0.4, 0.7, 0.0, 4), build_joint_pair(0.4, 0.7, 0.0, 4)
+        assert state.amplitudes.tobytes() == twin.amplitudes.tobytes()
+        assert state != twin and state not in [twin]
+        assert state == state and len({state, twin, state}) == 2
+
 
 class TestProjectTotalNumber:
     def test_vacuum_certain_outcome(self):
