@@ -104,6 +104,18 @@ def _sweep_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path; an OSError names the path, also one raised by the
+    flush at close, for which Python sets no filename."""
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
+
+
 def _cmd_sweep(args) -> int:
     etas = _flag_grid("--etas", args.etas)
     betas = _flag_grid("--betas", args.betas)
@@ -112,8 +124,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"the sweep has {points} (eta, beta) points, more than the limit of {MAX_GRID_POINTS}")
     reports = entanglement_sweep(etas, betas, args.epsilon_tail, max_workers=args.threads)
 
-    with open(args.csv, "w", encoding="ascii") as fh:
-        fh.write(_sweep_csv(reports))
+    _write(args.csv, _sweep_csv(reports))
 
     if args.svg is not None:
         series = []
@@ -126,8 +137,7 @@ def _cmd_sweep(args) -> int:
             x_label="beta",
             y_label="fraction of entanglement lost",
         )
-        with open(args.svg, "w", encoding="ascii") as fh:
-            fh.write(svg_text)
+        _write(args.svg, svg_text)
 
     print(f"wrote {len(reports)} rows to {args.csv}")
     return 0

@@ -157,6 +157,21 @@ class TestSweepCommand:
         assert str(svg_path) in captured.err
         assert csv_path.read_text(encoding="ascii").startswith(CSV_HEADER + "\n0.1,1,")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flag", ["--csv", "--svg"])
+    def test_a_full_device_is_named_in_the_error(self, tmp_path, capsys, flag):
+        """Writing to /dev/full fails at the flush on close, where Python
+        sets no filename; the error line still names the path, and a CSV
+        written before a failing SVG stays on disk."""
+        csv_path = tmp_path / "out.csv"
+        outputs = {"--csv": ["--csv", "/dev/full"], "--svg": ["--csv", str(csv_path), "--svg", "/dev/full"]}[flag]
+        assert main(["sweep", "--etas", "0.1", "--betas", "1", *outputs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "'/dev/full'" in captured.err
+        if flag == "--svg":
+            assert csv_path.read_text(encoding="ascii").startswith(CSV_HEADER + "\n0.1,1,")
+
     @pytest.mark.parametrize(
         "etas,betas", [("0.5", "3"), ("0", "1,2")], ids=["one-point-x-range", "flat-y-range"]
     )
