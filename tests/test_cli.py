@@ -1,5 +1,6 @@
 """CLI surface: grid parsing, CSV/SVG emission, determinism, drill-down."""
 
+import hashlib
 import math
 import os
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import phasefree
-from phasefree import encoding, entanglement
+from phasefree import encoding, entanglement, svgplot
 from phasefree.cli import CSV_HEADER, MAX_GRID_POINTS, _most_probable, main, parse_grid
 from phasefree.encoding import DEFAULT_EPSILON_TAIL, pair_outcome_distribution
 from phasefree.entanglement import average_entanglement
@@ -137,6 +138,24 @@ class TestSweepCommand:
         labels = [t.text for t in root.findall(f"{SVG_NS}text")]
         assert "beta" in labels
         assert "fraction of entanglement lost" in labels
+
+    @pytest.mark.parametrize(
+        "series,digest",
+        [
+            (
+                [(f"eta={0.1 * (i + 1):g}", [1.0, 2.5, 4.0], [0.01 * i, 0.02 * i + 0.001, 0.5 / (i + 1)]) for i in range(8)],
+                "574134b6ce4301dfca2132d33be350e5f0b40d900b2768c6934ed09faebd7c18",
+            ),
+            ([("eta=0", [3.0], [0.0])], "8283abc123f6f5f3586bba80fcdfc7af7d14a9e6b5128ab1c36cc435b734df74"),
+        ],
+        ids=["palette-wraps", "both-ranges-degenerate"],
+    )
+    def test_chart_bytes_are_pinned(self, series, digest):
+        """Eight series wrap the seven-colour palette; one single-point
+        series widens both ranges.  The digests pin every byte the chart
+        writes, so a change to how it spells SVG shows here."""
+        svg = svgplot.render_line_chart(series, "title", "beta", "fraction of entanglement lost")
+        assert hashlib.sha256(svg.encode("ascii")).hexdigest() == digest
 
     def test_unwritable_csv_path_fails_cleanly(self, tmp_path, capsys):
         target = tmp_path / "missing" / "out.csv"
