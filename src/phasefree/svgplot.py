@@ -16,8 +16,13 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#
 _TICKS = 5
 
 
-def _format(value: float) -> str:
-    return f"{value:.6g}"
+def _element(tag: str, body: str | None = None, **attrs: object) -> str:
+    """<tag a="v" .../>, or <tag ...>body</tag>; attributes keep their
+    order and each _ in a name becomes -."""
+    head = "".join(f' {name.replace("_", "-")}="{value}"' for name, value in attrs.items())
+    if body is None:
+        return f"<{tag}{head}/>"
+    return f"<{tag}{head}>{body}</{tag}>"
 
 
 def render_line_chart(
@@ -50,53 +55,34 @@ def render_line_chart(
     def py(y: float) -> float:
         return _MARGIN_TOP + plot_h - (y - y_min) / (y_max - y_min) * plot_h
 
+    axis_y = _MARGIN_TOP + plot_h
+    mid_y = f"{_MARGIN_TOP + plot_h / 2:.1f}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        _element("rect", x=0, y=0, width=_WIDTH, height=_HEIGHT, fill="white"),
+        _element("text", title, x=f"{_WIDTH / 2:.1f}", y=24, text_anchor="middle", font_size=16),
+        _element("line", x1=_MARGIN_LEFT, y1=axis_y, x2=_MARGIN_LEFT + plot_w, y2=axis_y, stroke="black"),
+        _element("line", x1=_MARGIN_LEFT, y1=_MARGIN_TOP, x2=_MARGIN_LEFT, y2=axis_y, stroke="black"),
     ]
-
-    axis_y = _MARGIN_TOP + plot_h
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT}" y1="{axis_y}" x2="{_MARGIN_LEFT + plot_w}" y2="{axis_y}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" y2="{axis_y}" stroke="black"/>'
-    )
     for i in range(_TICKS + 1):
-        frac = i / _TICKS
-        x_val = x_min + frac * (x_max - x_min)
-        y_val = y_min + frac * (y_max - y_min)
-        x_pix = px(x_val)
+        x_val = x_min + i / _TICKS * (x_max - x_min)
+        y_val = y_min + i / _TICKS * (y_max - y_min)
+        x_pix = f"{px(x_val):.1f}"
         y_pix = py(y_val)
-        parts.append(f'<line x1="{x_pix:.1f}" y1="{axis_y}" x2="{x_pix:.1f}" y2="{axis_y + 6}" stroke="black"/>')
-        parts.append(
-            f'<text x="{x_pix:.1f}" y="{axis_y + 22}" text-anchor="middle" font-size="12">{_format(x_val)}</text>'
-        )
-        parts.append(f'<line x1="{_MARGIN_LEFT - 6}" y1="{y_pix:.1f}" x2="{_MARGIN_LEFT}" y2="{y_pix:.1f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 10}" y="{y_pix + 4:.1f}" text-anchor="end" font-size="12">{_format(y_val)}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 16}" text-anchor="middle" font-size="14">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="22" y="{_MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 22 {_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>'
-    )
+        parts.append(_element("line", x1=x_pix, y1=axis_y, x2=x_pix, y2=axis_y + 6, stroke="black"))
+        parts.append(_element("text", f"{x_val:.6g}", x=x_pix, y=axis_y + 22, text_anchor="middle", font_size=12))
+        parts.append(_element("line", x1=_MARGIN_LEFT - 6, y1=f"{y_pix:.1f}", x2=_MARGIN_LEFT, y2=f"{y_pix:.1f}", stroke="black"))
+        parts.append(_element("text", f"{y_val:.6g}", x=_MARGIN_LEFT - 10, y=f"{y_pix + 4:.1f}", text_anchor="end", font_size=12))
+    parts.append(_element("text", x_label, x=f"{_MARGIN_LEFT + plot_w / 2:.1f}", y=_HEIGHT - 16, text_anchor="middle", font_size=14))
+    parts.append(_element("text", y_label, x=22, y=mid_y, text_anchor="middle", font_size=14, transform=f"rotate(-90 22 {mid_y})"))
 
+    legend_x = _MARGIN_LEFT + plot_w - 140
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         legend_y = _MARGIN_TOP + 14 + 18 * idx
-        legend_x = _MARGIN_LEFT + plot_w - 140
-        parts.append(
-            f'<line x1="{legend_x}" y1="{legend_y - 4}" x2="{legend_x + 24}" y2="{legend_y - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(f'<text x="{legend_x + 30}" y="{legend_y}" font-size="12">{label}</text>')
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_element("polyline", fill="none", stroke=color, stroke_width=1.5, points=points))
+        parts.append(_element("line", x1=legend_x, y1=legend_y - 4, x2=legend_x + 24, y2=legend_y - 4, stroke=color, stroke_width=1.5))
+        parts.append(_element("text", label, x=legend_x + 30, y=legend_y, font_size=12))
+    return "\n".join(parts) + "\n</svg>\n"
