@@ -17,11 +17,12 @@ _TICKS = 5
 
 
 def _element(tag: str, body: str | None = None, **attrs: object) -> str:
-    """<tag a="v" .../>, or <tag ...>body</tag>; attributes keep their
-    order and each _ in a name becomes -."""
+    """<tag a="v" .../>, or <tag ...>body</tag> with &, < and > in the body
+    escaped; attributes keep their order and each _ in a name becomes -."""
     head = "".join(f' {name.replace("_", "-")}="{value}"' for name, value in attrs.items())
     if body is None:
         return f"<{tag}{head}/>"
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return f"<{tag}{head}>{body}</{tag}>"
 
 

@@ -157,6 +157,12 @@ class TestSweepCommand:
         svg = svgplot.render_line_chart(series, "title", "beta", "fraction of entanglement lost")
         assert hashlib.sha256(svg.encode("ascii")).hexdigest() == digest
 
+    def test_chart_text_is_escaped(self):
+        svg = svgplot.render_line_chart([("signal & idler <1>", [1, 2], [0.1, 0.2])], "a & b", "x", "y")
+        texts = [t.text for t in ET.fromstring(svg).findall(f"{SVG_NS}text")]
+        assert texts[0] == "a & b"
+        assert texts[-1] == "signal & idler <1>"
+
     def test_unwritable_csv_path_fails_cleanly(self, tmp_path, capsys):
         target = tmp_path / "missing" / "out.csv"
         code = main(["sweep", "--etas", "0.1", "--betas", "1", "--csv", str(target)])
