@@ -235,7 +235,7 @@ class OutcomeTable(Mapping):
         return self.probabilities.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as == on two tables walks every cell
 class OutcomeDistribution:
     """Probability table over measurement outcomes with explicit tail mass.
 

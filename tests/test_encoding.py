@@ -188,6 +188,24 @@ def test_states_compare_by_identity(build, args):
     assert len({state, twin, state}) == 2
 
 
+@pytest.mark.parametrize(
+    "build,args", [(coherent_outcome_distribution, (1.0, 2.0)), (pair_outcome_distribution, (0.5, 2))], ids=["coherent", "pair"]
+)
+def test_distributions_compare_by_identity(build, args, monkeypatch):
+    """Two distributions built alike compare unequal without walking their
+    tables, which a Mapping comparison would do cell by cell; a
+    distribution equals itself and can be hashed into a set."""
+    dist, twin = build(*args), build(*args)
+
+    def no_iteration(self):
+        raise AssertionError("the comparison iterated an outcome table")
+
+    monkeypatch.setattr(encoding.OutcomeTable, "__iter__", no_iteration)
+    assert dist != twin and dist not in [twin]
+    assert dist == dist and dist in [twin, dist]
+    assert len({dist, twin, dist}) == 2
+
+
 class TestCoherentOutcomeDistribution:
     def test_no_photons(self):
         dist = coherent_outcome_distribution(0.0, 0.0)
