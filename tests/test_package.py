@@ -1,6 +1,7 @@
 """Package surface: the public names exported from phasefree, the
 README's library example and CLI block, the runtime dependencies, and the
-BLAS-free kernels that let the CLI load numpy with one OpenBLAS thread."""
+BLAS-free kernels that let the CLI load numpy with one OpenBLAS thread,
+and the code-line count every test run ends with."""
 
 import ast
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import phasefree
+from conftest import code_lines
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(phasefree.__file__).resolve().parent
@@ -165,3 +167,24 @@ def test_blas_detector_flags_each_form(source):
 
 def test_blas_detector_passes_numpy_loops():
     assert _blas_calls("np.einsum('kn,ln->kl', g, g)\nnp.outer(a, b)\na * b\nnp.sum(a, axis=0)") == []
+
+
+def test_code_line_count_skips_docstrings_comments_and_blank_lines():
+    """The summary's count: a statement over two lines counts twice, a
+    string that is not a docstring counts, the rest does not."""
+    source = (
+        '"""Module docstring\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "x = (1 +\n"
+        "     2)\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Function docstring."""\n'
+        '        return "not a docstring"  # trailing comment\n'
+    )
+    assert code_lines(source) == 5
