@@ -352,7 +352,7 @@ class TestOutcomeTable:
         with pytest.raises(ValueError):
             dist.support.probabilities[0, 0] = 1.0
 
-    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (1,), (1, 1, 1), 1, "ab", (0.5, 0), "window"])
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (1,), (1, 1, 1), 1, "ab", (0.5, 0), (10**30, 0), (0, 10**30), "window"])
     def test_pair_keys_outside_the_window_raise(self, key):
         support = pair_outcome_distribution(0.3, 1.0).support
         if key == "window":
@@ -362,7 +362,7 @@ class TestOutcomeTable:
         assert key not in support
         assert support.get(key) is None
 
-    @pytest.mark.parametrize("key", [-1, (0,), (0, 0), 0.5, "window"])
+    @pytest.mark.parametrize("key", [-1, (0,), (0, 0), 0.5, 10**30, "window"])
     def test_coherent_keys_outside_the_window_raise(self, key):
         support = coherent_outcome_distribution(1.0, 2.0).support
         if key == "window":
@@ -371,6 +371,13 @@ class TestOutcomeTable:
             support[key]
         assert key not in support
         assert support.get(key) is None
+
+    def test_numpy_integer_keys_read_the_int_keys(self):
+        """A numpy integer, of any width or sign, reads the cell of the int it equals."""
+        pair = pair_outcome_distribution(0.3, 1.0).support
+        assert pair[np.int64(1), np.uint8(2)] == pair[1, 2] == pair.probabilities[1, 2]
+        coherent = coherent_outcome_distribution(1.0, 2.0).support
+        assert coherent[np.int64(3)] == coherent[3] == coherent.probabilities[3]
 
 
 @pytest.mark.parametrize("beta", [math.inf, math.nan, complex(1.0, math.inf), 1e200])
