@@ -76,7 +76,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator
@@ -198,8 +197,10 @@ class OutcomeTable(Mapping):
     window, backed by one frozen dense array.
 
     A 1-D table maps an int M to probabilities[M]; a 2-D table maps an
-    (int K, int L) pair to probabilities[K, L].  Keys outside the window,
-    negative ones included, raise KeyError.
+    (int K, int L) tuple to probabilities[K, L], numpy integers taken as
+    ints.  Any other key raises KeyError: one outside the window, negative
+    ones included, a float, a bool, bytes, or a list or array in place of
+    the tuple.
     """
 
     __slots__ = ("probabilities",)
@@ -207,23 +208,16 @@ class OutcomeTable(Mapping):
     def __init__(self, probabilities: np.ndarray):
         self.probabilities = _frozen(probabilities)
 
-    def _index(self, key) -> tuple[int, ...]:
-        shape = self.probabilities.shape
-        try:
-            if len(shape) == 1:
-                index = (operator.index(key),)
-            else:
-                k, l = key
-                index = (operator.index(k), operator.index(l))
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        # checked here because numpy would wrap a negative index
-        if not (0 <= index[0] < shape[0] and 0 <= index[-1] < shape[-1]):
-            raise KeyError(key)
-        return index
-
     def __getitem__(self, key):
-        return self.probabilities.item(self._index(key))
+        probabilities = self.probabilities
+        index = (key,) if probabilities.ndim == 1 else key
+        try:
+            # item() would wrap a negative index, and read a 2-D table's one-entry key as a flat index
+            if len(index) == probabilities.ndim and min(index) >= 0:
+                return probabilities.item(index)
+        except (TypeError, ValueError, IndexError, OverflowError):
+            pass
+        raise KeyError(key)
 
     def __iter__(self):
         shape = self.probabilities.shape

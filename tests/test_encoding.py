@@ -352,17 +352,20 @@ class TestOutcomeTable:
         with pytest.raises(ValueError):
             dist.support.probabilities[0, 0] = 1.0
 
-    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (1,), (1, 1, 1), 1, "ab", (0.5, 0), (10**30, 0), (0, 10**30), "window"])
+    @pytest.mark.parametrize(
+        "key",
+        [(-1, 0), (0, -1), (1,), (1, 1, 1), 1, "ab", (0.5, 0), (10**30, 0), (0, 10**30), (True, 0), pytest.param(b"\x01\x02", id="bytes"), [1, 2], np.array([1, 2]), "window"],
+    )
     def test_pair_keys_outside_the_window_raise(self, key):
         support = pair_outcome_distribution(0.3, 1.0).support
-        if key == "window":
+        if isinstance(key, str) and key == "window":
             key = (support.probabilities.shape[0], 0)
         with pytest.raises(KeyError):
             support[key]
         assert key not in support
         assert support.get(key) is None
 
-    @pytest.mark.parametrize("key", [-1, (0,), (0, 0), 0.5, 10**30, "window"])
+    @pytest.mark.parametrize("key", [-1, (0,), (0, 0), 0.5, 10**30, True, "window"])
     def test_coherent_keys_outside_the_window_raise(self, key):
         support = coherent_outcome_distribution(1.0, 2.0).support
         if key == "window":
