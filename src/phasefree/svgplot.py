@@ -33,9 +33,14 @@ def render_line_chart(
     y_label: str,
 ) -> str:
     """Render (label, xs, ys) series as an 800x600 SVG with linear axes and
-    a legend; emits exactly one polyline element per series."""
+    a legend; emits exactly one polyline element per series.  Raises
+    ValueError for no series, for only empty ones, and for a series whose
+    xs and ys differ in length."""
     if not series:
         raise ValueError("render_line_chart requires at least one series")
+    for label, xs, ys in series:
+        if len(xs) != len(ys):
+            raise ValueError(f"render_line_chart: series {label!r} has {len(xs)} x values and {len(ys)} y values")
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:

@@ -163,6 +163,20 @@ class TestSweepCommand:
         assert texts[0] == "a & b"
         assert texts[-1] == "signal & idler <1>"
 
+    @pytest.mark.parametrize(
+        "series,message",
+        [
+            ([], "at least one series"),
+            ([("a", [], []), ("b", [], [])], "non-empty series"),
+            ([("a", [1.0, 2.0], [0.1])], "series 'a' has 2 x values and 1 y values"),
+            ([("a", [1.0], [])], "series 'a' has 1 x values and 0 y values"),
+        ],
+        ids=["no-series", "only-empty-series", "more-xs", "no-ys"],
+    )
+    def test_chart_refuses_series_it_cannot_draw(self, series, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            svgplot.render_line_chart(series, "title", "x", "y")
+
     def test_unwritable_csv_path_fails_cleanly(self, tmp_path, capsys):
         target = tmp_path / "missing" / "out.csv"
         code = main(["sweep", "--etas", "0.1", "--betas", "1", "--csv", str(target)])

@@ -22,6 +22,7 @@ from phasefree.oracle import (
     DenseJointState,
     build_joint_coherent,
     build_joint_pair,
+    coherent_logical_amplitudes,
     pair_outcomes,
     pair_schmidt_amplitudes,
     project_total_number,
@@ -269,3 +270,11 @@ class TestLogicalExtraction:
         total = float(np.sum(np.abs(after_l.amplitudes) ** 2))
         recovered = float(np.sum(np.abs(vector) ** 2))
         assert recovered == pytest.approx(total, abs=1e-12)
+
+    def test_extraction_refuses_a_state_of_the_other_kind(self):
+        """The coherent extraction reads a two-mode state and the pair one a
+        four-mode state; each refuses the other's."""
+        with pytest.raises(ValueError, match="expected a two-mode state"):
+            coherent_logical_amplitudes(build_joint_pair(0.5, 1.0, 0.0, 4), 2)
+        with pytest.raises(ValueError, match="expected a four-mode state"):
+            pair_schmidt_amplitudes(build_joint_coherent(1.0, 1.0, 0.0, 4), 2, 2)
