@@ -209,12 +209,11 @@ class OutcomeTable(Mapping):
         self.probabilities = _frozen(probabilities)
 
     def __getitem__(self, key):
-        probabilities = self.probabilities
-        index = (key,) if probabilities.ndim == 1 else key
+        index = (key,) if self.probabilities.ndim == 1 else key
         try:
             # item() would wrap a negative index, and read a 2-D table's one-entry key as a flat index
-            if len(index) == probabilities.ndim and min(index) >= 0:
-                return probabilities.item(index)
+            if len(index) == self.probabilities.ndim and min(index) >= 0:
+                return self.probabilities.item(index)
         except (TypeError, ValueError, IndexError, OverflowError):
             pass
         raise KeyError(key)
