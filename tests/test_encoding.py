@@ -354,7 +354,10 @@ class TestOutcomeTable:
 
     @pytest.mark.parametrize(
         "key",
-        [(-1, 0), (0, -1), (1,), (1, 1, 1), 1, "ab", (0.5, 0), (10**30, 0), (0, 10**30), (True, 0), pytest.param(b"\x01\x02", id="bytes"), [1, 2], np.array([1, 2]), "window"],
+        [
+            (-1, 0), (0, -1), (1,), (1, 1, 1), 1, "ab", (0.5, 0), (10**30, 0), (0, 10**30),
+            (True, 0), pytest.param(b"\x01\x02", id="bytes"), [1, 2], np.array([1, 2]), "window",
+        ],
     )
     def test_pair_keys_outside_the_window_raise(self, key):
         support = pair_outcome_distribution(0.3, 1.0).support
