@@ -120,8 +120,9 @@ _LOG_SENTINEL = -1e300
 
 # Most cells of one (slices, rows, columns) block of the outcome-grid sum,
 # and of one row chunk of the P E pass that follows it in the same two
-# buffers (see _block_cells), and of one (rows, band) chunk of the coherent
-# fidelity pass (see _coherent_overlaps).
+# buffers (see _block_cells, which caps a block at its window's size^2
+# cells), and of one (rows, band) chunk of the coherent fidelity pass (see
+# _coherent_overlaps).
 _STRIP_BLOCK_CELLS = 1 << 16
 
 # Photon-number bands cut a Poisson law where each tail holds at most
@@ -582,10 +583,10 @@ def _slice_squares(half: np.ndarray, lp: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _block_cells(size: int) -> int:
     """Most cells of one block on a window of size^2 outcomes:
-    _STRIP_BLOCK_CELLS, but at most half the window, so that the block
-    buffers stay small beside the grids of a small window, and at least
-    size, so that one row of one slice fits."""
-    return max(size, min(_STRIP_BLOCK_CELLS, size * size // 2))
+    _STRIP_BLOCK_CELLS, but at most the window, so that the block buffers
+    never outweigh the grids.  One row of one slice fits, as the grid
+    budget keeps size far below _STRIP_BLOCK_CELLS."""
+    return min(_STRIP_BLOCK_CELLS, size * size)
 
 
 def _add_slices(terms: np.ndarray, acc: np.ndarray) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 _WIDTH = 800
@@ -35,12 +36,14 @@ def render_line_chart(
     """Render (label, xs, ys) series as an 800x600 SVG with linear axes and
     a legend; emits exactly one polyline element per series.  Raises
     ValueError for no series, for only empty ones, and for a series whose
-    xs and ys differ in length."""
+    xs and ys differ in length or that holds a NaN or infinite value."""
     if not series:
         raise ValueError("render_line_chart requires at least one series")
     for label, xs, ys in series:
         if len(xs) != len(ys):
             raise ValueError(f"render_line_chart: series {label!r} has {len(xs)} x values and {len(ys)} y values")
+        if not all(map(math.isfinite, [*xs, *ys])):
+            raise ValueError(f"render_line_chart: series {label!r} has a value that is not finite")
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:

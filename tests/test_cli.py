@@ -170,8 +170,10 @@ class TestSweepCommand:
             ([("a", [], []), ("b", [], [])], "non-empty series"),
             ([("a", [1.0, 2.0], [0.1])], "series 'a' has 2 x values and 1 y values"),
             ([("a", [1.0], [])], "series 'a' has 1 x values and 0 y values"),
+            ([("a", [1.0, 2.0], [0.1, 0.2]), ("b", [1.0, math.nan, 3.0], [0.1, 0.2, 0.3])], "series 'b' has a value that is not finite"),
+            ([("a", [1.0, 2.0], [0.1, math.inf])], "series 'a' has a value that is not finite"),
         ],
-        ids=["no-series", "only-empty-series", "more-xs", "no-ys"],
+        ids=["no-series", "only-empty-series", "more-xs", "no-ys", "nan-x", "inf-y"],
     )
     def test_chart_refuses_series_it_cannot_draw(self, series, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -662,22 +662,46 @@ def _entropy_weighted(a_grid, b_grid):
     return pe
 
 
+def _strip_plan(eta, mean_b, epsilon_tail):
+    """(size, block, cut, hi): the window size, block cells and slice
+    squares that the outcome-grid kernel sums in row strips."""
+    lp, _ = encoding._pair_window(eta, mean_b, epsilon_tail, 2, 2)
+    size = lp.size
+    lw0 = math.log1p(-eta * eta)
+    half = 0.5 * (lw0 + 2.0 * np.arange(size) * math.log(eta) if eta > 0.0 else np.full(1, lw0))
+    cut, hi = encoding._slice_squares(half, np.maximum(lp, encoding._LOG_SENTINEL))
+    return size, encoding._block_cells(size), cut, hi
+
+
+def _sub_blocked_strips(eta, mean_b, epsilon_tail):
+    """How many row strips hold more rows than a block of their width
+    takes, so that the kernel sums them in row sub-blocks."""
+    size, block, cut, hi = _strip_plan(eta, mean_b, epsilon_tail)
+    count = 0
+    for k0, k1 in encoding._row_strips(cut, hi, size, block):
+        touch = np.flatnonzero((cut < k1) & (hi > k0))
+        width = max(int(hi[touch[0] : touch[-1] + 1].max()), min(size, max(k1, k0 + 2))) - k0
+        count += k1 - k0 > block // width
+    return count
+
+
 class TestOutcomeGridKernel:
     @pytest.mark.parametrize(
-        "eta,beta,epsilon_tail",
+        "eta,beta,epsilon_tail,sub_blocked",
         [
-            (0.3, 3.0, DEFAULT_EPSILON_TAIL),
-            (0.5, 1e-200, DEFAULT_EPSILON_TAIL),
-            (0.0, 2.0, DEFAULT_EPSILON_TAIL),
-            (0.5, 12.0, DEFAULT_EPSILON_TAIL),
-            (0.93, 9.25, DEFAULT_EPSILON_TAIL),
-            (0.8, 0.05, DEFAULT_EPSILON_TAIL),
-            (0.1, 12.0, DEFAULT_EPSILON_TAIL),
-            (0.2, 8.0, DEFAULT_EPSILON_TAIL),
-            (0.5, 0.3, DEFAULT_EPSILON_TAIL),
-            (0.05, 20.0, DEFAULT_EPSILON_TAIL),
-            (0.02, 6.0, DEFAULT_EPSILON_TAIL),
-            (0.3, 0.1, 1e-4),
+            (0.3, 3.0, DEFAULT_EPSILON_TAIL, 0),
+            (0.5, 1e-200, DEFAULT_EPSILON_TAIL, 0),
+            (0.0, 2.0, DEFAULT_EPSILON_TAIL, 0),
+            (0.5, 12.0, DEFAULT_EPSILON_TAIL, 0),
+            (0.93, 9.25, DEFAULT_EPSILON_TAIL, 0),
+            (0.8, 0.05, DEFAULT_EPSILON_TAIL, 0),
+            (0.1, 12.0, DEFAULT_EPSILON_TAIL, 0),
+            (0.2, 8.0, DEFAULT_EPSILON_TAIL, 0),
+            (0.5, 0.3, DEFAULT_EPSILON_TAIL, 0),
+            (0.05, 20.0, DEFAULT_EPSILON_TAIL, 0),
+            (0.02, 6.0, DEFAULT_EPSILON_TAIL, 0),
+            (0.3, 0.1, 1e-4, 0),
+            (0.0, 20.0, DEFAULT_EPSILON_TAIL, 2),
         ],
         ids=[
             "one-doubling-round",
@@ -691,10 +715,11 @@ class TestOutcomeGridKernel:
             "small-mean",
             "cut-below-normal-t0",
             "few-live-slices",
+            "four-outcome-window",
             "row-sub-blocks",
         ],
     )
-    def test_bit_identical_to_full_grid_loop(self, eta, beta, epsilon_tail):
+    def test_bit_identical_to_full_grid_loop(self, eta, beta, epsilon_tail, sub_blocked):
         """Skipping the cells whose summands are exactly zero, or below half
         an ulp of their running sums, changes no bit of A, nor of P E formed
         from A and B per outcome.  At (0.8, 0.05) the
@@ -706,8 +731,12 @@ class TestOutcomeGridKernel:
         RuntimeWarning fails the test).  At (0.05, 20) t_0 < e^-700 on cells
         whose later summands the 2^-66 cut drops, which exp rounds to 0; at
         (0.02, 6) only a few slices are live at all.  At (0.3, 0.1) and a
-        tail of 1e-4 the window is 4 outcomes and a strip is summed in row
-        sub-blocks where E > 0."""
+        tail of 1e-4 the window is 4 outcomes, summed as one strip in a
+        block of the whole window.  At (0.0, 20), window 561, slice 0 ends
+        below the last row, so two strips hold more rows than a block of
+        their width takes and are summed in row sub-blocks; sub_blocked pins
+        how many strips each case sums so."""
+        assert _sub_blocked_strips(eta, beta * beta, epsilon_tail) == sub_blocked
         ref_a, ref_b, _, ref_k_max = _full_grid_reference(eta, beta * beta, epsilon_tail)
         a_grid, pe_grid, law, k_max = _pair_window_grid(eta, beta * beta, epsilon_tail, True)
         assert k_max == ref_k_max and law[0] <= epsilon_tail
@@ -716,6 +745,14 @@ class TestOutcomeGridKernel:
         a_only, b_none, _, _ = _pair_window_grid(eta, beta * beta, epsilon_tail, False)
         assert b_none is None and a_only.tobytes() == ref_a.tobytes()
 
+    @pytest.mark.parametrize(
+        "size,cells",
+        [(1, 1), (2, 4), (39, 1521), (181, 32761), (255, 65025), (256, 65536), (7042, 65536)],
+    )
+    def test_a_block_holds_at_most_one_window_grid(self, size, cells):
+        """A strip block holds _STRIP_BLOCK_CELLS cells, or the window's
+        size^2 cells where that is fewer."""
+        assert encoding._block_cells(size) == cells
 
     def test_negligible_summands_are_most_cells_at_weak_squeezing(self, monkeypatch):
         """At (0.1, 12) the slices n > 0 are below 2^-66 of t_0 on most of
@@ -759,16 +796,18 @@ class TestOutcomeGridKernel:
         assert all(((cut <= k0) & (k0 < hi)).any() for k0, _ in strips)
 
     def test_strips_end_on_the_last_covered_row(self):
-        """At eta = 0, |beta| = 1.35e-10 and a tail of 1e-230 the window is
-        20 outcomes, slice 0 lives on rows 0..15 and its summed work is
-        exactly one block: the report is computed, and A is the product of
-        the Poisson weights."""
-        report = average_entanglement(0.0, 1.35e-10, epsilon_tail=1e-230)
-        assert report.window == 20 and report.E_avg == 0.0 and report.residual == 0.0
-        mean_b = 1.35e-10**2
-        a_grid, _, _, k_max = _pair_window_grid(0.0, mean_b, 1e-230, True)
-        lp = log_poisson_table(mean_b, k_max)
-        assert a_grid.tobytes() == np.exp(np.add.outer(lp, lp)).tobytes()
+        """At (0.14, 2.09) the window is 39 outcomes, and the summed work,
+        the live columns of each slice on each row its square covers, is
+        exactly seven blocks of 39^2 cells: the last strip ends on the last
+        covered row, and A and P E keep every bit of the full window."""
+        eta, mean_b = 0.14, 2.09**2
+        size, block, cut, hi = _strip_plan(eta, mean_b, DEFAULT_EPSILON_TAIL)
+        assert size == 39 and sum(int((size - np.arange(c, h)).sum()) for c, h in zip(cut, hi)) == 7 * block
+        assert list(encoding._row_strips(cut, hi, size, block))[-1][1] == hi.max()
+        a_grid, pe_grid, _, _ = _pair_window_grid(eta, mean_b, DEFAULT_EPSILON_TAIL, True)
+        ref_a, ref_b, _, _ = _full_grid_reference(eta, mean_b)
+        assert a_grid.tobytes() == ref_a.tobytes()
+        assert pe_grid.tobytes() == _entropy_weighted(ref_a, ref_b).tobytes()
 
     @pytest.mark.parametrize("shape", [(1, 1, 2), (9, 1, 2), (64, 1, 2), (17, 3, 5), (300, 1, 3), (300, 2, 1)])
     def test_strip_blocks_add_their_slices_in_order(self, shape):
@@ -814,14 +853,14 @@ class TestGridBudget:
     def test_fails_before_allocating_past_the_budget(self, monkeypatch):
         """At a tail of 1e-17 the window tops run 21, 38, ...; the outside
         mass first meets it at 38, whose grid of 39^2 cells (two with B) and
-        two block buffers of 760 cells do not fit a budget of 20 000 bytes,
-        so that top raises before any grid is allocated."""
+        two block buffers of 39^2 = 1 521 cells do not fit a budget of 20 000
+        bytes, so that top raises before any grid is allocated."""
         monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 20_000)
         counting = _GridCountingNumpy()
         monkeypatch.setattr(encoding, "np", counting)
-        with pytest.raises(RuntimeError, match=r"k_max=38 needs 24328 bytes, over the grid budget of 20000 bytes"):
+        with pytest.raises(RuntimeError, match=r"k_max=38 needs 36504 bytes, over the grid budget of 20000 bytes"):
             pair_outcome_distribution(0.5, 2.0, epsilon_tail=1e-17)
-        with pytest.raises(RuntimeError, match=r"k_max=38 needs 36496 bytes"):
+        with pytest.raises(RuntimeError, match=r"k_max=38 needs 48672 bytes"):
             average_entanglement(0.5, 2.0, epsilon_tail=1e-17)
         assert counting.grids == []
 
