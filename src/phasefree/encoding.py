@@ -135,7 +135,9 @@ _BAND_LOG_CUT = 80.0
 # coherent table with its temporaries, and most cells (8 bytes each) the
 # coherent fidelity pass may compute; a window that needs more fails first.
 # Every window walk checks each top against it, which ends a walk that does
-# not reach its tail.
+# not reach its tail.  It must keep a window below _STRIP_BLOCK_CELLS rows,
+# as it does below 11 600: _block_cells relies on that for one row of one
+# slice to fit a block.
 _GRID_BUDGET_BYTES = 1 << 30
 
 # (window x window) float64 arrays the pair fidelity holds at once: the
@@ -508,7 +510,7 @@ def _pair_window_grid(
         touch = np.flatnonzero((cut < k1) & (hi > k0))
         n_lo, n_hi = int(touch[0]), int(touch[-1]) + 1
         min_end = min(size, max(k1, k0 + 2))  # two columns at least: see _add_slices
-        # no block holds more than block cells: one row of one slice fits, as size <= block
+        # no block holds more than block cells: one row of one slice fits, as size <= block (see _block_cells)
         width = max(int(hi[n_lo:n_hi].max()), min_end) - k0
         rows = min(k1 - k0, block // width)
         step = block // (rows * width)

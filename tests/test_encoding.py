@@ -662,46 +662,46 @@ def _entropy_weighted(a_grid, b_grid):
     return pe
 
 
-def _strip_plan(eta, mean_b, epsilon_tail):
-    """(size, block, cut, hi): the window size, block cells and slice
-    squares that the outcome-grid kernel sums in row strips."""
-    lp, _ = encoding._pair_window(eta, mean_b, epsilon_tail, 2, 2)
-    size = lp.size
-    lw0 = math.log1p(-eta * eta)
-    half = 0.5 * (lw0 + 2.0 * np.arange(size) * math.log(eta) if eta > 0.0 else np.full(1, lw0))
-    cut, hi = encoding._slice_squares(half, np.maximum(lp, encoding._LOG_SENTINEL))
-    return size, encoding._block_cells(size), cut, hi
+class _KernelRecord:
+    """The outcome-grid kernel's plan as it runs: the arguments and strips
+    of its _row_strips call, and the (first row, first column) of every
+    block that it adds into A or B."""
 
+    def __init__(self, monkeypatch):
+        self.blocks = []
+        row_strips, add_slices = encoding._row_strips, encoding._add_slices
 
-def _sub_blocked_strips(eta, mean_b, epsilon_tail):
-    """How many row strips hold more rows than a block of their width
-    takes, so that the kernel sums them in row sub-blocks."""
-    size, block, cut, hi = _strip_plan(eta, mean_b, epsilon_tail)
-    count = 0
-    for k0, k1 in encoding._row_strips(cut, hi, size, block):
-        touch = np.flatnonzero((cut < k1) & (hi > k0))
-        width = max(int(hi[touch[0] : touch[-1] + 1].max()), min(size, max(k1, k0 + 2))) - k0
-        count += k1 - k0 > block // width
-    return count
+        def recording_strips(cut, hi, size, block):
+            self.cut, self.hi, self.size, self.block = cut, hi, size, block
+            self.strips = list(row_strips(cut, hi, size, block))
+            return iter(self.strips)
+
+        def recording_add(terms, acc):
+            # acc is a view of a whole (size, size) grid
+            self.blocks.append(divmod((acc.ctypes.data - acc.base.ctypes.data) // acc.itemsize, self.size))
+            add_slices(terms, acc)
+
+        monkeypatch.setattr(encoding, "_row_strips", recording_strips)
+        monkeypatch.setattr(encoding, "_add_slices", recording_add)
 
 
 class TestOutcomeGridKernel:
     @pytest.mark.parametrize(
-        "eta,beta,epsilon_tail,sub_blocked",
+        "eta,beta,epsilon_tail",
         [
-            (0.3, 3.0, DEFAULT_EPSILON_TAIL, 0),
-            (0.5, 1e-200, DEFAULT_EPSILON_TAIL, 0),
-            (0.0, 2.0, DEFAULT_EPSILON_TAIL, 0),
-            (0.5, 12.0, DEFAULT_EPSILON_TAIL, 0),
-            (0.93, 9.25, DEFAULT_EPSILON_TAIL, 0),
-            (0.8, 0.05, DEFAULT_EPSILON_TAIL, 0),
-            (0.1, 12.0, DEFAULT_EPSILON_TAIL, 0),
-            (0.2, 8.0, DEFAULT_EPSILON_TAIL, 0),
-            (0.5, 0.3, DEFAULT_EPSILON_TAIL, 0),
-            (0.05, 20.0, DEFAULT_EPSILON_TAIL, 0),
-            (0.02, 6.0, DEFAULT_EPSILON_TAIL, 0),
-            (0.3, 0.1, 1e-4, 0),
-            (0.0, 20.0, DEFAULT_EPSILON_TAIL, 2),
+            (0.3, 3.0, DEFAULT_EPSILON_TAIL),
+            (0.5, 1e-200, DEFAULT_EPSILON_TAIL),
+            (0.0, 2.0, DEFAULT_EPSILON_TAIL),
+            (0.5, 12.0, DEFAULT_EPSILON_TAIL),
+            (0.93, 9.25, DEFAULT_EPSILON_TAIL),
+            (0.8, 0.05, DEFAULT_EPSILON_TAIL),
+            (0.1, 12.0, DEFAULT_EPSILON_TAIL),
+            (0.2, 8.0, DEFAULT_EPSILON_TAIL),
+            (0.5, 0.3, DEFAULT_EPSILON_TAIL),
+            (0.05, 20.0, DEFAULT_EPSILON_TAIL),
+            (0.02, 6.0, DEFAULT_EPSILON_TAIL),
+            (0.3, 0.1, 1e-4),
+            (0.0, 20.0, DEFAULT_EPSILON_TAIL),
         ],
         ids=[
             "one-doubling-round",
@@ -719,7 +719,7 @@ class TestOutcomeGridKernel:
             "row-sub-blocks",
         ],
     )
-    def test_bit_identical_to_full_grid_loop(self, eta, beta, epsilon_tail, sub_blocked):
+    def test_bit_identical_to_full_grid_loop(self, eta, beta, epsilon_tail):
         """Skipping the cells whose summands are exactly zero, or below half
         an ulp of their running sums, changes no bit of A, nor of P E formed
         from A and B per outcome.  At (0.8, 0.05) the
@@ -734,9 +734,8 @@ class TestOutcomeGridKernel:
         tail of 1e-4 the window is 4 outcomes, summed as one strip in a
         block of the whole window.  At (0.0, 20), window 561, slice 0 ends
         below the last row, so two strips hold more rows than a block of
-        their width takes and are summed in row sub-blocks; sub_blocked pins
-        how many strips each case sums so."""
-        assert _sub_blocked_strips(eta, beta * beta, epsilon_tail) == sub_blocked
+        their width takes and are summed in row sub-blocks (checked by
+        test_a_tall_strip_is_summed_in_row_sub_blocks)."""
         ref_a, ref_b, _, ref_k_max = _full_grid_reference(eta, beta * beta, epsilon_tail)
         a_grid, pe_grid, law, k_max = _pair_window_grid(eta, beta * beta, epsilon_tail, True)
         assert k_max == ref_k_max and law[0] <= epsilon_tail
@@ -796,18 +795,41 @@ class TestOutcomeGridKernel:
         assert all(((cut <= k0) & (k0 < hi)).any() for k0, _ in strips)
 
     def test_strips_end_on_the_last_covered_row(self):
+        """At eta = 0, |beta| = 1.35e-10 and a tail of 1e-230 the window is
+        20 outcomes, slice 0 lives on rows 0..15 and its summed work, 200
+        cells, is half a block of 20^2 cells, summed as one strip: the
+        report is computed, and A is the product of the Poisson weights
+        although most of its cells underflow."""
+        report = average_entanglement(0.0, 1.35e-10, epsilon_tail=1e-230)
+        assert report.window == 20 and report.E_avg == 0.0 and report.residual == 0.0
+        mean_b = 1.35e-10**2
+        a_grid, _, _, k_max = _pair_window_grid(0.0, mean_b, 1e-230, True)
+        lp = log_poisson_table(mean_b, k_max)
+        assert a_grid.tobytes() == np.exp(np.add.outer(lp, lp)).tobytes()
+
+    def test_strips_end_on_the_last_covered_row_of_whole_blocks(self, monkeypatch):
         """At (0.14, 2.09) the window is 39 outcomes, and the summed work,
         the live columns of each slice on each row its square covers, is
         exactly seven blocks of 39^2 cells: the last strip ends on the last
         covered row, and A and P E keep every bit of the full window."""
         eta, mean_b = 0.14, 2.09**2
-        size, block, cut, hi = _strip_plan(eta, mean_b, DEFAULT_EPSILON_TAIL)
-        assert size == 39 and sum(int((size - np.arange(c, h)).sum()) for c, h in zip(cut, hi)) == 7 * block
-        assert list(encoding._row_strips(cut, hi, size, block))[-1][1] == hi.max()
+        record = _KernelRecord(monkeypatch)
         a_grid, pe_grid, _, _ = _pair_window_grid(eta, mean_b, DEFAULT_EPSILON_TAIL, True)
+        size, cut, hi = record.size, record.cut, record.hi
+        assert size == 39 and sum(int((size - np.arange(c, h)).sum()) for c, h in zip(cut, hi)) == 7 * record.block
+        assert record.strips[-1][1] == hi.max()
         ref_a, ref_b, _, _ = _full_grid_reference(eta, mean_b)
         assert a_grid.tobytes() == ref_a.tobytes()
         assert pe_grid.tobytes() == _entropy_weighted(ref_a, ref_b).tobytes()
+
+    def test_a_tall_strip_is_summed_in_row_sub_blocks(self, monkeypatch):
+        """At (0.0, 20), window 561, slice 0 ends below the last row, so a
+        strip holds more rows than a block of its width takes: the kernel
+        adds a block that starts below its strip's first row, its first
+        column.  The bit-identity case row-sub-blocks covers that loop."""
+        record = _KernelRecord(monkeypatch)
+        _pair_window_grid(0.0, 400.0, DEFAULT_EPSILON_TAIL, True)
+        assert record.size == 561 and any(r0 > c0 for r0, c0 in record.blocks)
 
     @pytest.mark.parametrize("shape", [(1, 1, 2), (9, 1, 2), (64, 1, 2), (17, 3, 5), (300, 1, 3), (300, 2, 1)])
     def test_strip_blocks_add_their_slices_in_order(self, shape):
