@@ -94,7 +94,6 @@ from .numerics import (
     log_factorial_table,
     log_poisson_table,
     log_poisson_weight,
-    log_sum_exp,
 )
 
 DEFAULT_EPSILON_TAIL = 1e-10
@@ -254,18 +253,19 @@ def _series_state(log_quot: float, phase: float, log_denominator: np.ndarray) ->
     """Normalized coefficients c_n proportional to quot^n / sqrt(exp(log_denominator[n])),
     with ln |quot| = log_quot (LOG_ZERO for quot = 0) and arg quot = phase,
     built as log-magnitude plus phase, and the log of their normalizer
-    sum_n |quot|^(2n) / exp(log_denominator[n])."""
-    if log_quot == LOG_ZERO:
-        coeffs = np.zeros(log_denominator.size, dtype=complex)
-        coeffs[0] = 1.0
-        return _frozen(coeffs), float(-log_denominator[0])
+    sum_n |quot|^(2n) / exp(log_denominator[n]).
 
+    The magnitudes take one shift, by their largest log, and one fsum of
+    their squares, which both normalizes them and gives the normalizer's
+    log.  quot = 0 needs no case of its own: n ln|quot| is taken as 0 at
+    n = 0, so c_0 = 1 and every other c_n is exp(-inf) = 0."""
     n = np.arange(log_denominator.size)
-    log_mag = n * log_quot - 0.5 * log_denominator
-    norm_log = log_sum_exp(2.0 * log_mag)
-    mags = np.exp(log_mag - 0.5 * norm_log)
-    mags /= math.sqrt(math.fsum((mags * mags).tolist()))
-    return _frozen(mags * np.exp(1j * phase * n)), float(norm_log)
+    log_mag = np.multiply(n, log_quot, out=np.zeros(n.size), where=n > 0) - 0.5 * log_denominator
+    top = float(log_mag.max())
+    mags = np.exp(log_mag - top)
+    total = math.fsum((mags * mags).tolist())
+    mags /= math.sqrt(total)
+    return _frozen(mags * np.exp(1j * phase * n)), 2.0 * top + math.log(total)
 
 
 def encode_coherent(alpha, beta, M: int) -> EncodedCoherentState:
@@ -746,7 +746,9 @@ def mean_pair_approx_fidelity(eta: float, beta, epsilon_tail: float = DEFAULT_EP
     probability table.  It runs over the window of _pair_window, the first
     top whose directly summed outside mass is at most epsilon_tail; the
     outcomes outside contribute zero, so the result underestimates by at
-    most that mass.
+    most that mass.  Its terms also carry the rounding of
+    log_poisson_table, up to 3.0e-11 relative near the mode at
+    |beta|^2 = 10^4, seen as about 1e-11 in 1 - F at |beta| = 80 to 120.
     """
     eta = _require_eta(eta)
     beta = _require_ancilla(beta)

@@ -2,9 +2,14 @@
 
 import cmath
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -27,12 +32,53 @@ from phasefree.encoding import (
 from phasefree.entanglement import average_entanglement
 from phasefree.numerics import LOG_ZERO, log_poisson_table, log_poisson_weight
 from phasefree.oracle import build_joint_pair, pair_outcomes
+from conftest import _float64_dispatch
+
+# The float64 dispatches (conftest._float64_dispatch) that report bits are
+# pinned for: numpy's AVX-512 kernels, and its AVX2 kernels, which
+# NPY_DISABLE_CPU_FEATURES set to _AVX2_MASK leaves on an AVX-512 host.
+_X86_V4 = "exp X86_V4, log X86_V4, log2 X86_V4, log1p X86_V4"
+_X86_V3 = "exp X86_V3, log X86_V3, log2 baseline(X86_V2), log1p baseline(X86_V2)"
+_AVX2_MASK = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+# (eta, beta, epsilon_tail, {dispatch: (E_avg, residual, residual_bound,
+# pair fidelity) as float.hex()})
+_PINNED_REPORT_BITS = [
+    (0.5, 12.0, 1e-10, {
+        _X86_V4: ("0x1.13c7c15a26df7p+0", "0x1.6c40000000000p-43", "0x1.353014af298d7p-42", "0x1.fffd6db96d2a1p-1"),
+        _X86_V3: ("0x1.13c7c15a26df7p+0", "0x1.6c40000000000p-43", "0x1.353014af298d7p-42", "0x1.fffd6db96d2a2p-1"),
+    }),
+    (0.9081, 7.006, 1e-10, {
+        _X86_V4: ("0x1.ac075cbf988bdp+1", "0x0.0p+0", "0x1.497ad85506070p-62", "0x1.c221767761c86p-2"),
+        _X86_V3: ("0x1.ac075cbf988bep+1", "0x0.0p+0", "0x1.497ad85506070p-62", "0x1.c221767761c87p-2"),
+    }),
+    (0.2, 8.0, 1e-14, {
+        _X86_V4: ("0x1.01710c81083e4p-2", "0x1.c600000000000p-45", "0x1.03b8257839c19p-127", "0x1.ffffede0d2f47p-1"),
+        _X86_V3: ("0x1.01710c81083e5p-2", "0x1.c600000000000p-45", "0x1.03b8257839c19p-127", "0x1.ffffede0d2f47p-1"),
+    }),
+]
+
+
+def _report_bits(eta: float, beta: float, epsilon_tail: float) -> tuple[str, str, str, str]:
+    report = average_entanglement(eta, beta, epsilon_tail)
+    fidelity = mean_pair_approx_fidelity(eta, beta, epsilon_tail)
+    return report.E_avg.hex(), report.residual.hex(), report.residual_bound.hex(), fidelity.hex()
 
 
 class TestEncodeCoherent:
     def test_vacuum_signal_pins_n_zero(self):
         state = encode_coherent(0.0, 1.0, 3)
         np.testing.assert_allclose(state.coeffs, [1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("beta", [2.0, 2j])
+    def test_vacuum_signal_takes_the_one_path_to_the_n_zero_term(self, beta):
+        """alpha = 0 gives e_0 by value, and the normalizer 1/M! summed from
+        the log-factorial table, with no case of its own."""
+        M = 8
+        state = encode_coherent(0, beta, M)
+        lf = numerics.log_factorial_table(M)
+        assert state.coeffs.tolist() == [1.0] + [0.0] * M
+        assert state.norm_log == -(lf[0] + lf[M])
 
     def test_unit_alpha_beta_outcome_two(self):
         # unnormalized (1/sqrt2, 1, 1/sqrt2) from the defining formula, so
@@ -49,11 +95,16 @@ class TestEncodeCoherent:
         (0.7 + 0.2j, 1.1, 37),
         (1.0, 2.0 * cmath.exp(0.9j), 60),
         (0.05, 9.0, 180),
+        (1.0, 1e-320, 2),
     ])
     def test_normalization_and_ratio_recurrence(self, alpha, beta, M):
         state = encode_coherent(alpha, beta, M)
         total = math.fsum((np.abs(state.coeffs) ** 2).tolist())
         assert total == pytest.approx(1.0, abs=1e-12)
+        n = np.arange(M + 1)
+        lf = numerics.log_factorial_table(M)
+        log_terms = 2.0 * n * (math.log(abs(alpha)) - math.log(abs(beta))) - (lf[n] + lf[M - n])
+        assert state.norm_log == pytest.approx(numerics.log_sum_exp(log_terms), rel=1e-15)
         ratio = complex(alpha) / complex(beta)
         c = state.coeffs
         for n in range(M):
@@ -125,6 +176,16 @@ class TestEncodePair:
         state = encode_pair(0.0, 1.0, 3, 3)
         np.testing.assert_allclose(state.schmidt_coeffs, [1.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("beta", [3.0, 3.0 * cmath.exp(0.4j)])
+    def test_eta_zero_takes_the_one_path_to_the_n_zero_term(self, beta):
+        """eta = 0 gives e_0 by value, and the normalizer 1/(K! L!) summed
+        from the log-factorial table, with no case of its own."""
+        K, L = 6, 9
+        state = encode_pair(0.0, beta, K, L)
+        lf = numerics.log_factorial_table(max(K, L))
+        assert state.schmidt_coeffs.tolist() == [1.0] + [0.0] * min(K, L)
+        assert state.norm_log == -(lf[K] + lf[L])
+
     @pytest.mark.parametrize("eta,beta,K,L", [
         (0.5, 1.0, 7, 11),
         (0.3, 2.0 * cmath.exp(1.1j), 40, 25),
@@ -134,6 +195,10 @@ class TestEncodePair:
         state = encode_pair(eta, beta, K, L)
         total = math.fsum((np.abs(state.schmidt_coeffs) ** 2).tolist())
         assert total == pytest.approx(1.0, abs=1e-12)
+        n = np.arange(min(K, L) + 1)
+        lf = numerics.log_factorial_table(max(K, L))
+        log_terms = 2.0 * n * (math.log(eta) - 2.0 * math.log(abs(beta))) - (lf[K - n] + lf[L - n])
+        assert state.norm_log == pytest.approx(numerics.log_sum_exp(log_terms), rel=1e-15)
         quot = eta / complex(beta) ** 2
         c = state.schmidt_coeffs
         for n in range(min(K, L)):
@@ -608,19 +673,31 @@ class TestWindowRule:
         call(0.5, 12.0)
         assert built == [241]
 
-    @pytest.mark.parametrize(
-        "eta,beta,epsilon_tail,pinned",
-        [
-            (0.5, 12.0, 1e-10, ("0x1.13c7c15a26df7p+0", "0x1.6c40000000000p-43", "0x1.353014af298d7p-42", "0x1.fffd6db96d2a1p-1")),
-            (0.9081, 7.006, 1e-10, ("0x1.ac075cbf988bdp+1", "0x0.0p+0", "0x1.497ad85506070p-62", "0x1.c221767761c86p-2")),
-            (0.2, 8.0, 1e-14, ("0x1.01710c81083e4p-2", "0x1.c600000000000p-45", "0x1.03b8257839c19p-127", "0x1.ffffede0d2f47p-1")),
-        ],
-    )
+    @pytest.mark.parametrize("eta,beta,epsilon_tail,pinned", _PINNED_REPORT_BITS)
     def test_report_and_fidelity_bits_are_pinned(self, eta, beta, epsilon_tail, pinned):
-        """E_avg, residual, residual_bound and the pair fidelity, bit for bit."""
-        report = average_entanglement(eta, beta, epsilon_tail)
-        fidelity = mean_pair_approx_fidelity(eta, beta, epsilon_tail)
-        assert (report.E_avg.hex(), report.residual.hex(), report.residual_bound.hex(), fidelity.hex()) == pinned
+        """E_avg, residual, residual_bound and the pair fidelity, bit for bit,
+        as pinned for the float64 dispatch numpy runs."""
+        dispatch = _float64_dispatch()
+        assert dispatch in pinned, f"no report bits are pinned for the float64 dispatch {dispatch!r}"
+        assert _report_bits(eta, beta, epsilon_tail) == pinned[dispatch]
+
+    def test_report_bits_are_pinned_under_the_avx2_kernels(self):
+        """The pinned points, run in a child whose numpy has the AVX-512
+        features of _AVX2_MASK that the host supports turned off, give the
+        bits pinned for the dispatch the child reports: on an AVX-512 host
+        this checks the AVX2 set beside the one checked above."""
+        cpu = np._core._multiarray_umath
+        mask = [name for name in _AVX2_MASK if cpu.__cpu_features__.get(name) and name in cpu.__cpu_dispatch__]
+        tests, src = Path(__file__).resolve().parent, Path(encoding.__file__).resolve().parents[1]
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(mask)}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")]))
+        points = [point[:3] for point in _PINNED_REPORT_BITS]
+        code = f"import json, test_encoding as t\nprint(json.dumps([t._float64_dispatch(), [t._report_bits(*p) for p in {points!r}]]))"
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        dispatch, bits = json.loads(child.stdout)
+        for (*_, pinned), got in zip(_PINNED_REPORT_BITS, bits):
+            assert dispatch in pinned, f"no report bits are pinned for the float64 dispatch {dispatch!r}"
+            assert tuple(got) == pinned[dispatch]
 
     @pytest.mark.parametrize(
         "eta,beta,epsilon_tail,pinned",
