@@ -72,6 +72,12 @@ class EntanglementReport:
     (2.198e-13 low at (0.9315, 9.252)), because the three terms of
     log_poisson_table cancel (ROADMAP Finding 2); the tests allow
     r = 3e-13 of it.  E_avg is capped at E_exact.
+    fraction_lost's absolute error is at most
+    (r + residual_bound) / E_exact + 2 delta, with delta the relative
+    error of E_exact (see tmss_entanglement).  At |beta| = 2 against the
+    34-digit truth it is 1.0e-13 at eta = 1e-2, 1.4e-11 at 1e-3 and 3.4e-8
+    at 1e-5; below that E_exact's cancellation takes over, and at eta = 1e-7
+    and 1e-9 it reads 0.00865674 and 0 for 0.00800695 and 0.00626954.
     """
 
     eta: float

@@ -10,10 +10,18 @@ summary is printed under -q too, which hides the session header.
 
 import ast
 import io
+import os
 import tokenize
 from pathlib import Path
 
 _PINNED_UFUNCS = ("exp", "log", "log2", "log1p")
+
+# The float64 dispatches (_float64_dispatch) that byte pins are kept for:
+# numpy's AVX-512 kernels, and its AVX2 kernels, which
+# NPY_DISABLE_CPU_FEATURES set to _AVX2_MASK leaves on an AVX-512 host.
+_X86_V4 = "exp X86_V4, log X86_V4, log2 X86_V4, log1p X86_V4"
+_X86_V3 = "exp X86_V3, log X86_V3, log2 baseline(X86_V2), log1p baseline(X86_V2)"
+_AVX2_MASK = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phasefree"
 
@@ -30,6 +38,18 @@ def _float64_dispatch() -> str:
     info = opt_func_info(func_name=f"^({'|'.join(_PINNED_UFUNCS)})$", signature="float64")
     targets = (next(iter(info[name].values()))["current"] if info.get(name) else "unknown" for name in _PINNED_UFUNCS)
     return ", ".join(f"{name} {target}" for name, target in zip(_PINNED_UFUNCS, targets))
+
+
+def _avx2_child_env() -> dict:
+    """The environment of a child process whose numpy runs with the features
+    of _AVX2_MASK that the host supports turned off, and with the package
+    and the tests on its path."""
+    import numpy as np
+
+    cpu = np._core._multiarray_umath
+    mask = [name for name in _AVX2_MASK if cpu.__cpu_features__.get(name) and name in cpu.__cpu_dispatch__]
+    path = [str(_PACKAGE.parent), str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(mask), "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def code_lines(source: str) -> int:

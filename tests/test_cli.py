@@ -19,6 +19,7 @@ from phasefree.cli import CSV_HEADER, MAX_GRID_POINTS, _most_probable, main, par
 from phasefree.encoding import DEFAULT_EPSILON_TAIL, pair_outcome_distribution
 from phasefree.entanglement import average_entanglement
 from phasefree.numerics import log_poisson_table
+from conftest import _X86_V3, _X86_V4, _avx2_child_env
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -88,6 +89,46 @@ class TestSweepCommand:
         csv_path = tmp_path / "default.csv"
         assert main(["sweep", "--csv", str(csv_path), "--threads", "1"]) == 0
         assert csv_path.read_bytes() == reference.read_bytes()
+
+    # (eta, beta, column): (reference cell, cell written), per float64 dispatch
+    _DISPATCH_CELLS = {
+        _X86_V4: {},
+        _X86_V3: {
+            ("0.1", "6", "residual"): ("2.29838370558e-12", "2.29816166097e-12"),
+            ("0.1", "8", "residual"): ("6.69353461547e-13", "6.69242439244e-13"),
+            ("0.2", "2", "residual"): ("6.66133814775e-16", "5.55111512313e-16"),
+            ("0.2", "3", "residual"): ("9.04354369169e-11", "9.04353258946e-11"),
+            ("0.2", "6", "residual"): ("2.40651942818e-12", "2.40640840588e-12"),
+            ("0.1", "9", "fraction_lost"): ("0.00223096563949", "0.00223096563948"),
+        },
+    }
+
+    def test_default_sweep_under_the_avx2_kernels(self, tmp_path):
+        """The default sweep, run in a child whose numpy has the features of
+        conftest._AVX2_MASK that the host supports turned off, differs from
+        the reference in exactly the cells known for the dispatch the child
+        reports: none under the AVX-512 kernels, six in the 12th digit
+        under the AVX2 ones."""
+        reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep_default.csv"
+        csv_path = tmp_path / "default.csv"
+        code = (
+            "import conftest\nfrom phasefree.cli import main\n"
+            f"assert main(['sweep', '--csv', {str(csv_path)!r}, '--threads', '1']) == 0\n"
+            "print(conftest._float64_dispatch())"
+        )
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_avx2_child_env())
+        dispatch = child.stdout.splitlines()[-1]
+        assert dispatch in self._DISPATCH_CELLS, f"no default-sweep cells are known for the float64 dispatch {dispatch!r}"
+        ref_rows, rows = (path.read_text().splitlines() for path in (reference, csv_path))
+        assert len(rows) == len(ref_rows) and rows[0] == ref_rows[0] == CSV_HEADER
+        columns = CSV_HEADER.split(",")
+        cells = {
+            (ref[0], ref[1], column): (a, b)
+            for ref, got in zip((r.split(",") for r in ref_rows[1:]), (r.split(",") for r in rows[1:]))
+            for column, a, b in zip(columns, ref, got)
+            if a != b
+        }
+        assert cells == self._DISPATCH_CELLS[dispatch]
 
     def test_strong_squeezing_sweep_matches_the_reference_csv(self, tmp_path):
         """The eight seed-0 points of the sweep-strong benchmark write the

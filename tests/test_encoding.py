@@ -4,12 +4,10 @@ import cmath
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -32,14 +30,7 @@ from phasefree.encoding import (
 from phasefree.entanglement import average_entanglement
 from phasefree.numerics import LOG_ZERO, log_poisson_table, log_poisson_weight
 from phasefree.oracle import build_joint_pair, pair_outcomes
-from conftest import _float64_dispatch
-
-# The float64 dispatches (conftest._float64_dispatch) that report bits are
-# pinned for: numpy's AVX-512 kernels, and its AVX2 kernels, which
-# NPY_DISABLE_CPU_FEATURES set to _AVX2_MASK leaves on an AVX-512 host.
-_X86_V4 = "exp X86_V4, log X86_V4, log2 X86_V4, log1p X86_V4"
-_X86_V3 = "exp X86_V3, log X86_V3, log2 baseline(X86_V2), log1p baseline(X86_V2)"
-_AVX2_MASK = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+from conftest import _X86_V3, _X86_V4, _avx2_child_env, _float64_dispatch
 
 # (eta, beta, epsilon_tail, {dispatch: (E_avg, residual, residual_bound,
 # pair fidelity) as float.hex()})
@@ -373,6 +364,19 @@ class TestPairOutcomeDistribution:
         assert dist.total() + dist.residual == pytest.approx(1.0, abs=1e-10)
         assert 0.0 <= dist.residual <= eps
 
+    def test_total_holds_no_copy_of_the_table(self):
+        """total() once summed a Python list of every cell: a 10.1 MB traced
+        peak for the 2.5 MB table at (0.5, 20)."""
+        dist = pair_outcome_distribution(0.5, 20.0)
+        tracemalloc.start()
+        try:
+            total = dist.total()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024 < dist.support.probabilities.nbytes
+        assert total == pytest.approx(math.fsum(dist.support.probabilities.ravel().tolist()), abs=1e-15)
+
     def test_phase_of_beta_cancels(self):
         plain = pair_outcome_distribution(0.4, 1.2)
         spun = pair_outcome_distribution(0.4, 1.2 * cmath.exp(2.2j))
@@ -683,17 +687,12 @@ class TestWindowRule:
 
     def test_report_bits_are_pinned_under_the_avx2_kernels(self):
         """The pinned points, run in a child whose numpy has the AVX-512
-        features of _AVX2_MASK that the host supports turned off, give the
-        bits pinned for the dispatch the child reports: on an AVX-512 host
-        this checks the AVX2 set beside the one checked above."""
-        cpu = np._core._multiarray_umath
-        mask = [name for name in _AVX2_MASK if cpu.__cpu_features__.get(name) and name in cpu.__cpu_dispatch__]
-        tests, src = Path(__file__).resolve().parent, Path(encoding.__file__).resolve().parents[1]
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(mask)}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")]))
+        features of conftest._AVX2_MASK that the host supports turned off,
+        give the bits pinned for the dispatch the child reports: on an
+        AVX-512 host this checks the AVX2 set beside the one checked above."""
         points = [point[:3] for point in _PINNED_REPORT_BITS]
         code = f"import json, test_encoding as t\nprint(json.dumps([t._float64_dispatch(), [t._report_bits(*p) for p in {points!r}]]))"
-        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_avx2_child_env())
         dispatch, bits = json.loads(child.stdout)
         for (*_, pinned), got in zip(_PINNED_REPORT_BITS, bits):
             assert dispatch in pinned, f"no report bits are pinned for the float64 dispatch {dispatch!r}"

@@ -208,6 +208,22 @@ class TestAverageEntanglement:
         r = 3e-13
         assert truth - report.residual_bound - r <= report.E_avg <= truth + r
 
+    @pytest.mark.parametrize("eta", [1e-2, 1e-3, 1e-5])
+    def test_fraction_lost_within_its_stated_bound(self, eta):
+        """At small eta E_exact is small and cancels, so fraction_lost
+        carries E_avg's rounding and truncation divided by E_exact, plus
+        twice E_exact's relative error delta: at |beta| = 2 the error was
+        measured at 1.0e-13, 1.4e-11 and 3.4e-8, delta at 1.4e-13, 1.5e-11
+        and 3.4e-9."""
+        report = average_entanglement(eta, 2.0)
+        with mp.workdps(34):
+            eta2 = mp.mpf(eta) ** 2
+            e_exact = (-mp.log1p(-eta2) - eta2 * mp.log(eta2) / (1 - eta2)) / mp.log(2)
+            truth = float((e_exact - _mp_identity_entanglement(eta, 2.0)) / e_exact)
+            delta = float(abs(report.E_exact / e_exact - 1))
+        r = 3e-13
+        assert abs(report.fraction_lost - truth) <= (r + report.residual_bound) / report.E_exact + 2 * delta
+
     def test_identity_truth_matches_the_direct_sum(self):
         """The identity and the 30-digit sum over every outcome's Schmidt
         entropy agree, on a window twice the report's."""

@@ -68,6 +68,15 @@ class TestLogFactorial:
         with pytest.raises(TypeError):
             log_factorial(2.5)
 
+    def test_a_count_whose_log_factorial_passes_the_float_range_fails_cleanly(self):
+        """math.lgamma overflows past n ~ 2.56e305; that once escaped as a
+        bare OverflowError, also from log_poisson_weight."""
+        assert log_factorial(2 * 10**305) == 1.4039632010874876e308
+        assert log_poisson_weight(0.0, 10**308) == LOG_ZERO
+        for call in (lambda: log_factorial(3 * 10**305), lambda: log_poisson_weight(1e300, 10**306)):
+            with pytest.raises(ValueError, match=r"^a count must be at most about 2\.56e305, .*, got [13]e\+30[56]$"):
+                call()
+
     @given(st.integers(min_value=0, max_value=10**5))
     @settings(max_examples=60, deadline=None)
     def test_recurrence(self, n):
@@ -160,13 +169,33 @@ class TestLogPoissonWeight:
         with pytest.raises(ValueError, match=r"^k must be at most 1\.79\d+e\+308, the largest float$"):
             log_poisson_weight(1.0, 10**400)
 
-    @pytest.mark.parametrize("mean", [0.5, 4.0, 100.0])
+    @pytest.mark.parametrize("mean", [0.0, 0.5, 4.0, 100.0])
     def test_table_matches_scalar_and_sums_to_one(self, mean):
         k_max = int(mean + 40 * math.sqrt(mean)) + 40
         table = log_poisson_table(mean, k_max)
         for k in (0, 1, k_max // 2, k_max):
             assert table[k] == pytest.approx(log_poisson_weight(mean, k), abs=1e-13)
         assert math.fsum(np.exp(table).tolist()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mean", [64.0, 144.0, 1e4, 9e4, 1e10])
+    def test_error_within_the_stated_bound(self, mean):
+        """The three terms cancel, so the error is stated against their sizes:
+        within 2^-52 (mean + k |ln mean| + ln k!) over +-5 sigma, measured at
+        up to 0.87 of it.  The table is checked on every k there, the scalar
+        on 401 k at mean 1e10, whose table would not fit in memory."""
+        sigma = math.sqrt(mean)
+        lo, hi = math.floor(mean - 5 * sigma), math.ceil(mean + 5 * sigma)
+        if mean < 1e6:
+            ks = range(lo, hi + 1)
+            values = log_poisson_table(mean, hi)[lo:]
+        else:
+            ks = np.linspace(lo, hi, 401).round().astype(int).tolist()
+            values = [log_poisson_weight(mean, k) for k in ks]
+        log_mean = mp.log(mean)
+        for k, value in zip(ks, values):
+            truth = -mp.mpf(mean) + k * log_mean - mp.loggamma(k + 1)
+            bound = 2.0**-52 * (mean + k * abs(math.log(mean)) + math.lgamma(k + 1.0))
+            assert abs(float(value - truth)) <= bound, k
 
 
 @pytest.mark.parametrize(
