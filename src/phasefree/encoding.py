@@ -43,13 +43,14 @@ one square block of the window.  A slice n > 0 also drops the leading rows
 and columns of that block where t_n < 2^-66 t_0, terms that round away (see
 _NEGLIGIBLE_LOG); at weak squeezing and large |beta| that is most of the
 block.  The grid is symmetric, so only its upper triangle is summed, in row
-strips over the rows some slice lives on: each strip takes all the slices
-that meet it as (slices, rows, columns) blocks of a bounded size, reduced
-over the slices in n order, and the lower triangle is its mirror.  Every
-bit of the result is that of the full window.  For an entanglement report
-B then becomes P(K, L) E(K, L), formed in place a few rows at a time in the
-same two buffers, so the grid holds A (and B) and two buffers of one block,
-and no other array larger than a byte mask of a row chunk.
+strips of one height, set by the block size, over the rows some slice
+lives on: each strip takes all the slices that meet it as (slices, rows,
+columns) blocks of a bounded size, reduced over the slices in n order, and
+the lower triangle is its mirror.  Every bit of the result is that of the
+full window.  For an entanglement report B then becomes P(K, L) E(K, L),
+formed in place a few rows at a time in the same two buffers, so the grid
+holds A (and B) and two buffers of one block, and no other array larger
+than a byte mask of a row chunk.
 
 The approximant fidelities are array passes, not loops over outcomes.  For
 the coherent encoding the phases cancel, so the overlap with |alpha'> for
@@ -135,9 +136,9 @@ _BAND_LOG_CUT = 80.0
 # coherent table with its temporaries, and most cells (8 bytes each) the
 # coherent fidelity pass may compute; a window that needs more fails first.
 # Every window walk checks each top against it, which ends a walk that does
-# not reach its tail.  It must keep a window below _STRIP_BLOCK_CELLS rows,
-# as it does below 11 600: _block_cells relies on that for one row of one
-# slice to fit a block.
+# not reach its tail.  It must keep a window below _STRIP_BLOCK_CELLS / 3
+# rows, as it does below 11 600: _row_strips relies on that for a strip's
+# rows of one slice to fit a block.
 _GRID_BUDGET_BYTES = 1 << 30
 
 # (window x window) float64 arrays the pair fidelity holds at once: the
@@ -478,12 +479,13 @@ def _pair_window_grid(
 
     Slice n holds every summand that neither underflows nor rounds away on
     its square [cut_n, hi_n)^2 (_slice_squares).  The upper triangle is
-    summed in row strips [k0, k1) over the rows those squares cover: each
-    takes the slices whose squares meet its rows, in n order, as (slices,
-    rows, columns) blocks on the columns from k0 to the right edge of those
-    squares, and the lower triangle is its mirror.  A summand that a block
-    holds outside the squares, or that no block holds, is exactly 0 or
-    rounds away, so every bit of A and B is that of the full window.
+    summed in the row strips [k0, k1) of _row_strips over the rows those
+    squares cover: each takes the slices whose squares meet its rows, in n
+    order, as (slices, strip rows, columns) blocks on the columns from k0 to
+    the right edge of those squares, and the lower triangle is its mirror.
+    A summand that a block holds outside the squares, or that no block
+    holds, is exactly 0 or rounds away, so every bit of A and B is that of
+    the full window.
 
     With the Schmidt weights t_n / A of outcome (K, L), A E = A log2 A -
     sum_n t_n log2 t_n, so P E comes from A and the accumulator
@@ -513,21 +515,18 @@ def _pair_window_grid(
     for k0, k1 in _row_strips(cut, hi, size, block):
         touch = np.flatnonzero((cut < k1) & (hi > k0))
         n_lo, n_hi = int(touch[0]), int(touch[-1]) + 1
-        min_end = min(size, max(k1, k0 + 2))  # two columns at least: see _add_slices
-        # no block holds more than block cells: one row of one slice fits, as size <= block (see _block_cells)
-        width = max(int(hi[n_lo:n_hi].max()), min_end) - k0
-        rows = min(k1 - k0, block // width)
-        step = block // (rows * width)
-        for r0, n0 in itertools.product(range(k0, k1, rows), range(n_lo, n_hi, step)):
-            r1, n1 = min(r0 + rows, k1), min(n0 + step, n_hi)
-            l1 = max(int(hi[n0:n1].max()), min_end)
+        # the strip's rows of one slice fit a block (see _row_strips)
+        step = block // ((k1 - k0) * (max(int(hi[n_lo:n_hi].max()), k1) - k0))
+        for n0 in range(n_lo, n_hi, step):
+            n1 = min(n0 + step, n_hi)
+            l1 = max(int(hi[n0:n1].max()), k1)
             v = np.add(half[n0:n1, None], lp_view[n0:n1, k0:l1], out=term_scratch[: (n1 - n0) * (l1 - k0)].reshape(n1 - n0, -1))
-            logs = np.add(v[:, r0 - k0 : r1 - k0, None], v[:, None, :], out=log_scratch[: v.size * (r1 - r0)].reshape(n1 - n0, r1 - r0, -1))
+            logs = np.add(v[:, : k1 - k0, None], v[:, None, :], out=log_scratch[: v.size * (k1 - k0)].reshape(n1 - n0, k1 - k0, -1))
             terms = np.exp(logs, out=term_scratch[: logs.size].reshape(logs.shape))
             if with_entropy:
                 # the logs are finite, so a term that underflows adds -0.0 to B
-                _add_slices(np.multiply(logs, terms, out=logs), b_grid[r0:r1, k0:l1])
-            _add_slices(terms, a_grid[r0:r1, k0:l1])
+                _add_slices(np.multiply(logs, terms, out=logs), b_grid[k0:k1, k0:l1])
+            _add_slices(terms, a_grid[k0:k1, k0:l1])
         for grid in (a_grid, b_grid)[:grids]:
             grid[k1:, k0:k1] = grid[k0:k1, k1:].T
 
@@ -590,15 +589,15 @@ def _slice_squares(half: np.ndarray, lp: np.ndarray) -> tuple[np.ndarray, np.nda
 def _block_cells(size: int) -> int:
     """Most cells of one block on a window of size^2 outcomes:
     _STRIP_BLOCK_CELLS, but at most the window, so that the block buffers
-    never outweigh the grids.  One row of one slice fits, as the grid
-    budget keeps size far below _STRIP_BLOCK_CELLS."""
+    never outweigh the grids.  A strip's rows of one slice fit one (see
+    _row_strips)."""
     return min(_STRIP_BLOCK_CELLS, size * size)
 
 
 def _add_slices(terms: np.ndarray, acc: np.ndarray) -> None:
     """acc += terms[0] + terms[1] + ..., added one slice at a time in order,
     as a loop of acc += terms[i] would; terms is C-contiguous (slices, rows,
-    cols) with rows * cols >= 2, and is overwritten."""
+    cols) with rows * cols >= 2 or a single slice, and is overwritten."""
     # numpy reduces over the outer axis plane by plane, in order; were a
     # plane a single cell, the slice axis would be the innermost and numpy
     # would sum it pairwise
@@ -607,19 +606,18 @@ def _add_slices(terms: np.ndarray, acc: np.ndarray) -> None:
 
 
 def _row_strips(cut: np.ndarray, hi: np.ndarray, size: int, block: int) -> Iterator[tuple[int, int]]:
-    """Row strips [k0, k1) that cover the rows where some square [cut, hi)
-    lies, from the first such row to the last, each of about block
-    summands, a row holding the slices whose squares contain it; the last
-    row of the window is never a strip of its own, so that every block is
-    at least two columns wide."""
-    count = np.cumsum(np.bincount(cut, minlength=size + 1) - np.bincount(hi, minlength=size + 1))[:size]
-    work = np.cumsum(count * (size - np.arange(size)))
-    # the first row where work rises, the rows where it passes each multiple
-    # of block below its total, and the row after the last one where it
-    # rises: so every strip starts on a row that some square covers
-    ends = np.searchsorted(work, block * np.arange((int(work[-1]) - 1) // block + 1), side="right")
-    bounds = sorted({*ends.tolist(), int(np.searchsorted(work, work[-1])) + 1})
-    if len(bounds) > 2 and bounds[-2] == size - 1:
+    """Row strips [k0, k1) of R = max(2, isqrt(block // size)) rows that
+    tile the rows from the first one some square [cut, hi) covers to the
+    last; a trailing strip of one row joins the strip before it.  So every
+    strip holds at least two rows unless the squares cover one row (a
+    window of one outcome), and a full-width block of a strip takes about R
+    slices.  The rows of one slice of a strip fit a block: R size <= block,
+    and (R + 1) size <= block wherever a strip joins, as size^2 <= block or
+    block // size >= 3 (see _block_cells)."""
+    rows = max(2, math.isqrt(block // size))
+    last = int(hi.max())
+    bounds = [*range(int(cut.min()), last, rows), last]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # the last row joins the strip before it
     return zip(bounds[:-1], bounds[1:])
 

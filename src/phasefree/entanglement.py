@@ -103,13 +103,11 @@ def tmss_entanglement(eta: float) -> float:
     forms the same entropy, h(m) at m = eta^2 / (1 - eta^2), without the
     cancellation."""
     eta = _require_eta(eta)
-    if eta == 0.0:
-        return 0.0
     r = math.atanh(eta)
     ch2 = math.cosh(r) ** 2
     sh2 = math.sinh(r) ** 2
     if sh2 == 0.0:
-        # eta below about 1e-162: sinh^2 r underflows, and 0 log2 0 = 0
+        # eta = 0, or below about 1e-162 where sinh^2 r underflows: 0 log2 0 = 0
         return ch2 * math.log2(ch2)
     return ch2 * math.log2(ch2) - sh2 * math.log2(sh2)
 
@@ -140,9 +138,9 @@ def _report_and_grid(eta: float, beta, epsilon_tail: float) -> tuple[Entanglemen
     a_grid, pe_grid, law, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
     # the CSV's residual column, which both reference sweeps pin
     residual = max(0.0, 1.0 - float(a_grid.sum()))
-    # every outcome is a product state, or (with |beta|^2 underflowed) an
-    # (n, n) outcome with a single Schmidt term
-    e_avg = 0.0 if eta == 0.0 or mean_b == 0.0 else float(pe_grid.sum())
+    # with |beta|^2 underflowed every outcome is an (n, n) outcome with a
+    # single Schmidt term; at eta = 0 the cap below takes E_exact = 0
+    e_avg = 0.0 if mean_b == 0.0 else float(pe_grid.sum())
 
     e_exact = tmss_entanglement(eta)
     # a local protocol cannot raise entanglement: only float noise can lift E_avg past E_exact

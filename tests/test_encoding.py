@@ -740,61 +740,39 @@ def _entropy_weighted(a_grid, b_grid):
 
 class _KernelRecord:
     """The outcome-grid kernel's plan as it runs: the arguments and strips
-    of its _row_strips call, and the (first row, first column) of every
-    block that it adds into A or B."""
+    of its _row_strips call."""
 
     def __init__(self, monkeypatch):
-        self.blocks = []
-        row_strips, add_slices = encoding._row_strips, encoding._add_slices
+        row_strips = encoding._row_strips
 
         def recording_strips(cut, hi, size, block):
             self.cut, self.hi, self.size, self.block = cut, hi, size, block
             self.strips = list(row_strips(cut, hi, size, block))
             return iter(self.strips)
 
-        def recording_add(terms, acc):
-            # acc is a view of a whole (size, size) grid
-            self.blocks.append(divmod((acc.ctypes.data - acc.base.ctypes.data) // acc.itemsize, self.size))
-            add_slices(terms, acc)
-
         monkeypatch.setattr(encoding, "_row_strips", recording_strips)
-        monkeypatch.setattr(encoding, "_add_slices", recording_add)
+
+
+# (eta, beta, epsilon_tail) of the grids checked bit for bit against the full window
+_GRID_POINTS = [
+    pytest.param(0.3, 3.0, DEFAULT_EPSILON_TAIL, id="one-doubling-round"),
+    pytest.param(0.5, 1e-200, DEFAULT_EPSILON_TAIL, id="mean-b-zero"),
+    pytest.param(0.0, 2.0, DEFAULT_EPSILON_TAIL, id="eta-zero"),
+    pytest.param(0.5, 12.0, DEFAULT_EPSILON_TAIL, id="large-beta"),
+    pytest.param(0.93, 9.25, DEFAULT_EPSILON_TAIL, id="strong-squeezing"),
+    pytest.param(0.8, 0.05, DEFAULT_EPSILON_TAIL, id="floor-cut"),
+    pytest.param(0.1, 12.0, DEFAULT_EPSILON_TAIL, id="weak-squeezing-cut"),
+    pytest.param(0.2, 8.0, DEFAULT_EPSILON_TAIL, id="mid-beta-cut"),
+    pytest.param(0.5, 0.3, DEFAULT_EPSILON_TAIL, id="small-mean"),
+    pytest.param(0.05, 20.0, DEFAULT_EPSILON_TAIL, id="cut-below-normal-t0"),
+    pytest.param(0.02, 6.0, DEFAULT_EPSILON_TAIL, id="few-live-slices"),
+    pytest.param(0.3, 0.1, 1e-4, id="four-outcome-window"),
+    pytest.param(0.0, 20.0, DEFAULT_EPSILON_TAIL, id="one-slice-many-strips"),
+]
 
 
 class TestOutcomeGridKernel:
-    @pytest.mark.parametrize(
-        "eta,beta,epsilon_tail",
-        [
-            (0.3, 3.0, DEFAULT_EPSILON_TAIL),
-            (0.5, 1e-200, DEFAULT_EPSILON_TAIL),
-            (0.0, 2.0, DEFAULT_EPSILON_TAIL),
-            (0.5, 12.0, DEFAULT_EPSILON_TAIL),
-            (0.93, 9.25, DEFAULT_EPSILON_TAIL),
-            (0.8, 0.05, DEFAULT_EPSILON_TAIL),
-            (0.1, 12.0, DEFAULT_EPSILON_TAIL),
-            (0.2, 8.0, DEFAULT_EPSILON_TAIL),
-            (0.5, 0.3, DEFAULT_EPSILON_TAIL),
-            (0.05, 20.0, DEFAULT_EPSILON_TAIL),
-            (0.02, 6.0, DEFAULT_EPSILON_TAIL),
-            (0.3, 0.1, 1e-4),
-            (0.0, 20.0, DEFAULT_EPSILON_TAIL),
-        ],
-        ids=[
-            "one-doubling-round",
-            "mean-b-zero",
-            "eta-zero",
-            "large-beta",
-            "strong-squeezing",
-            "floor-cut",
-            "weak-squeezing-cut",
-            "mid-beta-cut",
-            "small-mean",
-            "cut-below-normal-t0",
-            "few-live-slices",
-            "four-outcome-window",
-            "row-sub-blocks",
-        ],
-    )
+    @pytest.mark.parametrize("eta,beta,epsilon_tail", _GRID_POINTS)
     def test_bit_identical_to_full_grid_loop(self, eta, beta, epsilon_tail):
         """Skipping the cells whose summands are exactly zero, or below half
         an ulp of their running sums, changes no bit of A, nor of P E formed
@@ -807,11 +785,9 @@ class TestOutcomeGridKernel:
         RuntimeWarning fails the test).  At (0.05, 20) t_0 < e^-700 on cells
         whose later summands the 2^-66 cut drops, which exp rounds to 0; at
         (0.02, 6) only a few slices are live at all.  At (0.3, 0.1) and a
-        tail of 1e-4 the window is 4 outcomes, summed as one strip in a
-        block of the whole window.  At (0.0, 20), window 561, slice 0 ends
-        below the last row, so two strips hold more rows than a block of
-        their width takes and are summed in row sub-blocks (checked by
-        test_a_tall_strip_is_summed_in_row_sub_blocks)."""
+        tail of 1e-4 the window is 4 outcomes, summed as two strips of two
+        rows.  At (0.0, 20), window 561, the one live slice is summed in 56
+        strips, the last of them 11 rows high as the last row joins it."""
         ref_a, ref_b, _, ref_k_max = _full_grid_reference(eta, beta * beta, epsilon_tail)
         a_grid, pe_grid, law, k_max = _pair_window_grid(eta, beta * beta, epsilon_tail, True)
         assert k_max == ref_k_max and law[0] <= epsilon_tail
@@ -828,6 +804,35 @@ class TestOutcomeGridKernel:
         """A strip block holds _STRIP_BLOCK_CELLS cells, or the window's
         size^2 cells where that is fewer."""
         assert encoding._block_cells(size) == cells
+
+    @pytest.mark.parametrize("eta,beta,epsilon_tail", _GRID_POINTS)
+    def test_strips_hold_two_rows_and_fit_a_block(self, eta, beta, epsilon_tail, monkeypatch):
+        """Every strip holds at least two rows, unless the window holds one
+        outcome, so each plane of a strip block holds at least two cells
+        (see _add_slices); and a strip's rows of one slice, on every column
+        of the window, fit one block."""
+        record = _KernelRecord(monkeypatch)
+        _pair_window_grid(eta, beta * beta, epsilon_tail, False)
+        size, block = record.size, record.block
+        assert block == encoding._block_cells(size)
+        assert all(k1 - k0 >= 2 or size == 1 for k0, k1 in record.strips)
+        assert all((k1 - k0) * size <= block for k0, k1 in record.strips)
+
+    def test_strips_of_every_budgeted_window_fit_a_block(self):
+        """On every window the grid budget admits, up to the largest, which
+        pair_outcome_distribution reaches with A alone, a strip's rows of
+        one slice fit a block: also the tallest strip, the one that a last
+        covered row joins."""
+        size = 1
+        while 8 * (size * size + 2 * encoding._block_cells(size)) <= encoding._GRID_BUDGET_BYTES:
+            block = encoding._block_cells(size)
+            # block // size <= 256, so a strip has at most 17 rows and 64 covered rows show a full one
+            (_, rows), *_ = encoding._row_strips(np.array([0]), np.array([min(size, 64)]), size, block)
+            # over rows + 1 covered rows the last row joins the first strip: the tallest
+            tallest = encoding._row_strips(np.array([0]), np.array([min(rows + 1, size)]), size, block)
+            assert all((k1 - k0) * size <= block for k0, k1 in tallest)
+            size += 1
+        assert size > 11_000
 
     def test_negligible_summands_are_most_cells_at_weak_squeezing(self, monkeypatch):
         """At (0.1, 12) the slices n > 0 are below 2^-66 of t_0 on most of
@@ -857,25 +862,31 @@ class TestOutcomeGridKernel:
         assert 2 * cut <= cells()
 
     @pytest.mark.parametrize(
-        "cut,hi,size,block",
-        [([0], [16], 20, 200), ([0], [16], 20, 100), ([3], [20], 20, 17), ([2, 5], [9, 12], 30, 64), ([0], [1], 1, 1)],
+        "cut,hi,size,strips",
+        [
+            ([0], [16], 20, [(0, 4), (4, 8), (8, 12), (12, 16)]),
+            ([0], [17], 20, [(0, 4), (4, 8), (8, 12), (12, 17)]),
+            ([2, 5], [9, 12], 30, [(2, 7), (7, 12)]),
+            ([0], [3], 3, [(0, 3)]),
+            ([0], [2], 2, [(0, 2)]),
+            ([0], [1], 1, [(0, 1)]),
+            ([300], [7042], 7042, [(k, k + 3) for k in range(300, 7038, 3)] + [(7038, 7042)]),
+        ],
+        ids=["four-strips", "last-row-joins", "two-squares", "three-rows", "two-rows", "one-outcome", "wide-window"],
     )
-    def test_row_strips_start_on_covered_rows(self, cut, hi, size, block):
+    def test_row_strips_tile_the_covered_rows(self, cut, hi, size, strips):
         """The strips tile the rows from the first one a square [cut, hi)
-        covers to the last, and each starts on a covered row, also when the
-        summed work is an exact multiple of the block (the first two cases)."""
-        cut, hi = np.array(cut), np.array(hi)
-        strips = list(encoding._row_strips(cut, hi, size, block))
-        assert strips[0][0] == cut.min() and strips[-1][1] in (hi.max(), size)
-        assert all(k1 == next_k0 for (_, k1), (next_k0, _) in zip(strips, strips[1:]))
-        assert all(((cut <= k0) & (k0 < hi)).any() for k0, _ in strips)
+        covers to the last, max(2, isqrt(block // size)) rows each, with
+        the block of the window; a last row left alone joins the strip
+        before it."""
+        block = encoding._block_cells(size)
+        assert list(encoding._row_strips(np.array(cut), np.array(hi), size, block)) == strips
 
     def test_strips_end_on_the_last_covered_row(self):
         """At eta = 0, |beta| = 1.35e-10 and a tail of 1e-230 the window is
-        20 outcomes, slice 0 lives on rows 0..15 and its summed work, 200
-        cells, is half a block of 20^2 cells, summed as one strip: the
-        report is computed, and A is the product of the Poisson weights
-        although most of its cells underflow."""
+        20 outcomes and slice 0 lives on rows 0..15, summed as four strips
+        of four rows: the report is computed, and A is the product of the
+        Poisson weights although most of its cells underflow."""
         report = average_entanglement(0.0, 1.35e-10, epsilon_tail=1e-230)
         assert report.window == 20 and report.E_avg == 0.0 and report.residual == 0.0
         mean_b = 1.35e-10**2
@@ -883,29 +894,19 @@ class TestOutcomeGridKernel:
         lp = log_poisson_table(mean_b, k_max)
         assert a_grid.tobytes() == np.exp(np.add.outer(lp, lp)).tobytes()
 
-    def test_strips_end_on_the_last_covered_row_of_whole_blocks(self, monkeypatch):
-        """At (0.14, 2.09) the window is 39 outcomes, and the summed work,
-        the live columns of each slice on each row its square covers, is
-        exactly seven blocks of 39^2 cells: the last strip ends on the last
-        covered row, and A and P E keep every bit of the full window."""
-        eta, mean_b = 0.14, 2.09**2
+    def test_a_last_row_joins_the_strip_before_it(self, monkeypatch):
+        """At (0.3, 4) the window is 50 outcomes, all covered, and strips of
+        7 rows would leave row 49 alone: it joins the last strip, which ends
+        on the last covered row, and A and P E keep every bit of the full
+        window."""
+        eta, mean_b = 0.3, 16.0
         record = _KernelRecord(monkeypatch)
         a_grid, pe_grid, _, _ = _pair_window_grid(eta, mean_b, DEFAULT_EPSILON_TAIL, True)
-        size, cut, hi = record.size, record.cut, record.hi
-        assert size == 39 and sum(int((size - np.arange(c, h)).sum()) for c, h in zip(cut, hi)) == 7 * record.block
-        assert record.strips[-1][1] == hi.max()
+        (k0, k1), (last0, last1) = record.strips[0], record.strips[-1]
+        assert record.size == 50 and k1 - k0 == 7 and last1 - last0 == 8 and last1 == record.hi.max() == 50
         ref_a, ref_b, _, _ = _full_grid_reference(eta, mean_b)
         assert a_grid.tobytes() == ref_a.tobytes()
         assert pe_grid.tobytes() == _entropy_weighted(ref_a, ref_b).tobytes()
-
-    def test_a_tall_strip_is_summed_in_row_sub_blocks(self, monkeypatch):
-        """At (0.0, 20), window 561, slice 0 ends below the last row, so a
-        strip holds more rows than a block of its width takes: the kernel
-        adds a block that starts below its strip's first row, its first
-        column.  The bit-identity case row-sub-blocks covers that loop."""
-        record = _KernelRecord(monkeypatch)
-        _pair_window_grid(0.0, 400.0, DEFAULT_EPSILON_TAIL, True)
-        assert record.size == 561 and any(r0 > c0 for r0, c0 in record.blocks)
 
     @pytest.mark.parametrize("shape", [(1, 1, 2), (9, 1, 2), (64, 1, 2), (17, 3, 5), (300, 1, 3), (300, 2, 1)])
     def test_strip_blocks_add_their_slices_in_order(self, shape):
