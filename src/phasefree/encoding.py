@@ -47,10 +47,11 @@ strips of one height, set by the block size, over the rows some slice
 lives on: each strip takes all the slices that meet it as (slices, rows,
 columns) blocks of a bounded size, reduced over the slices in n order, and
 the lower triangle is its mirror.  Every bit of the result is that of the
-full window.  For an entanglement report B then becomes P(K, L) E(K, L),
-formed in place a few rows at a time in the same two buffers, so the grid
+full window.  For an entanglement report each strip then turns its rows of
+B, from its first column on, into P(K, L) E(K, L) in place, in the same two
+buffers, before the mirror carries them below the diagonal.  So the grid
 holds A (and B) and two buffers of one block, and no other array larger
-than a byte mask of a row chunk.
+than a byte mask of a strip's rows.
 
 The approximant fidelities are array passes, not loops over outcomes.  For
 the coherent encoding the phases cancel, so the overlap with |alpha'> for
@@ -119,11 +120,12 @@ _NEGLIGIBLE_LOG = -66.0 * math.log(2.0)
 # finite, so its exp is 0 and t ln t is -0.0, with no NaN.
 _LOG_SENTINEL = -1e300
 
-# Most cells of one (slices, rows, columns) block of the outcome-grid sum,
-# and of one row chunk of the P E pass that follows it in the same two
-# buffers (see _block_cells, which caps a block at its window's size^2
-# cells), and of one (rows, band) chunk of the coherent fidelity pass (see
-# _coherent_overlaps).
+# Most cells of one (slices, rows, columns) block of the outcome-grid sum
+# (see _block_cells, which caps a block at its window's size^2 cells), and
+# of one (rows, band) chunk of the coherent fidelity pass (see
+# _coherent_overlaps).  A strip's P E chunk, its rows on every column from
+# its first, reuses the two block buffers on the same window bound as a
+# strip's rows of one slice (see _GRID_BUDGET_BYTES).
 _STRIP_BLOCK_CELLS = 1 << 16
 
 # Photon-number bands cut a Poisson law where each tail holds at most
@@ -138,7 +140,8 @@ _BAND_LOG_CUT = 80.0
 # Every window walk checks each top against it, which ends a walk that does
 # not reach its tail.  It must keep a window below _STRIP_BLOCK_CELLS / 3
 # rows, as it does below 11 600: _row_strips relies on that for a strip's
-# rows of one slice to fit a block.
+# rows of one slice to fit a block, and _pair_window_grid for a strip's P E
+# chunk, (k1 - k0) rows by at most the window's columns, to fit one.
 _GRID_BUDGET_BYTES = 1 << 30
 
 # (window x window) float64 arrays the pair fidelity holds at once: the
@@ -489,13 +492,17 @@ def _pair_window_grid(
 
     With the Schmidt weights t_n / A of outcome (K, L), A E = A log2 A -
     sum_n t_n log2 t_n, so P E comes from A and the accumulator
-    B = sum_n t_n ln t_n as max(log2 A - B / (A ln 2), 0) A, written over B
-    in row chunks of the two block buffers once the strips are summed;
-    beside A, B and those buffers the pass allocates only the A > 0 mask of
-    a chunk, one byte a cell.  Row and column 0,
-    where min(K, L) = 0 leaves a single Schmidt term, are pinned at 0."""
+    B = sum_n t_n ln t_n as max(log2 A - B / (A ln 2), 0) A, cell by cell.
+    Each strip writes it over B on its rows [k0, k1) from column k0 on,
+    after its slices and before its mirror, in the two block buffers
+    ((k1 - k0) size <= block); beside A, B and those buffers it allocates
+    only the A > 0 mask of that chunk, one byte a cell.  As A and B are
+    symmetric, the mirror gives the lower triangle the same bits, and rows
+    that no strip covers hold A = B = +0.0, already their P E.  Row and
+    column 0, where min(K, L) = 0 leaves a single Schmidt term, are pinned
+    at 0 in the first strip, whose mirror carries row 0 into column 0."""
     grids = 2 if with_entropy else 1
-    # two buffers of a block, for the strip blocks and then the P E pass
+    # two buffers of a block, for a strip's slice blocks and then its P E
     lp, law = _pair_window(eta, mean_b, epsilon_tail, grids, 2)
     size = lp.size
     a_grid = np.zeros((size, size))
@@ -527,15 +534,11 @@ def _pair_window_grid(
                 # the logs are finite, so a term that underflows adds -0.0 to B
                 _add_slices(np.multiply(logs, terms, out=logs), b_grid[k0:k1, k0:l1])
             _add_slices(terms, a_grid[k0:k1, k0:l1])
-        for grid in (a_grid, b_grid)[:grids]:
-            grid[k1:, k0:k1] = grid[k0:k1, k1:].T
-
-    if with_entropy:
-        # P E into B, block // size rows at a time; a cell with A = 0 has
-        # B = +-0, so it comes out 0
-        rows = block // size
-        for r0 in range(0, size, rows):
-            a, b = a_grid[r0 : r0 + rows], b_grid[r0 : r0 + rows]
+        if with_entropy:
+            # P E into B on the strip's rows from column k0, (k1 - k0) size
+            # <= block cells; the columns left of k0 came by earlier mirrors.
+            # A cell with A = 0 has B = +-0, so it comes out 0
+            a, b = a_grid[k0:k1, k0:], b_grid[k0:k1, k0:]
             safe = log_scratch[: a.size].reshape(a.shape)
             np.copyto(safe, 1.0)
             np.copyto(safe, a, where=a > 0.0)
@@ -543,9 +546,12 @@ def _pair_window_grid(
             np.divide(b, np.multiply(safe, LN2, out=safe), out=b)
             np.maximum(np.subtract(entropies, b, out=entropies), 0.0, out=entropies)
             np.multiply(entropies, a, out=b)
-        # min(K, L) == 0 admits a single Schmidt term; pin the float noise
-        b_grid[0, :] = 0.0
-        b_grid[:, 0] = 0.0
+            if k0 == 0:
+                # min(K, L) == 0 admits a single Schmidt term; pin the float
+                # noise, and the mirror carries row 0 into column 0
+                b[0, :] = b[:, 0] = 0.0
+        for grid in (a_grid, b_grid)[:grids]:
+            grid[k1:, k0:k1] = grid[k0:k1, k1:].T
     return a_grid, b_grid, law, size - 1
 
 

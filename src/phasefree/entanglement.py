@@ -20,13 +20,10 @@ are q_n = t_n / P, so
     P * E = P log2 P - sum_n t_n log2 t_n.
 
 encoding._pair_window_grid returns P and that P * E as two grids over the
-window: it adds the slices n in order, all of a row strip of the upper
-triangle at once (the encoding module says which cells a strip skips and
-why that changes no bit), then forms P * E in place in its own block
-buffers, so no float array beside the two grids and those buffers is
-allocated.  E_avg is the sum of the second grid; a report keeps neither
-grid, only its numbers.  That E_avg equals the P-weighted sum of the
-encode/entropy composition is pinned by tests.
+window; its docstring says how it sums them and forms P * E, and what
+memory that takes.  E_avg is the sum of the second grid; a report keeps
+neither grid, only its numbers.  That E_avg equals the P-weighted sum of
+the encode/entropy composition is pinned by tests.
 
 Outcomes outside the window are not enumerated; residual_bound caps what
 they could add to E_avg.  With n geometric and (K, L) = (n + X, n + Y),
@@ -66,12 +63,12 @@ class EntanglementReport:
     of the geometric law of mean m, the largest of any law on n >= 0 with
     that mean, formed with that mass by encoding._outside_law.  It is
     exactly 0 at eta = 0.  It covers truncation only.
-    E_avg is the sum of the P E grid that
-    encoding._pair_window_grid forms in its block buffers; its absolute
-    rounding error was measured at up to 2.2e-13 against a 34-digit truth
-    (2.198e-13 low at (0.9315, 9.252)), because the three terms of
-    log_poisson_table cancel (ROADMAP Finding 2); the tests allow
-    r = 3e-13 of it.  E_avg is capped at E_exact.
+    E_avg is the sum of the P E grid of encoding._pair_window_grid (its
+    docstring says how that grid is formed); its absolute rounding error
+    was measured at up to 2.2e-13 against a 34-digit truth (2.198e-13 low
+    at (0.9315, 9.252)), because the three terms of log_poisson_table
+    cancel (ROADMAP Finding 2); the tests allow r = 3e-13 of it.  E_avg is
+    capped at E_exact.
     fraction_lost's absolute error is at most
     (r + residual_bound) / E_exact + 2 delta, with delta the relative
     error of E_exact (see tmss_entanglement).  At |beta| = 2 against the
@@ -139,7 +136,9 @@ def _report_and_grid(eta: float, beta, epsilon_tail: float) -> tuple[Entanglemen
     # the CSV's residual column, which both reference sweeps pin
     residual = max(0.0, 1.0 - float(a_grid.sum()))
     # with |beta|^2 underflowed every outcome is an (n, n) outcome with a
-    # single Schmidt term; at eta = 0 the cap below takes E_exact = 0
+    # single Schmidt term, so E_avg is 0; the grid's P E sum there is
+    # rounding noise, not 0 (2.1e-17 at eta = 0.9, 3.2e-16 at 0.99), so the
+    # guard stays.  At eta = 0 the cap below takes E_exact = 0
     e_avg = 0.0 if mean_b == 0.0 else float(pe_grid.sum())
 
     e_exact = tmss_entanglement(eta)

@@ -727,6 +727,25 @@ class _GridCountingNumpy:
         return np.zeros(shape, *args, **kwargs)
 
 
+class _CellCountingNumpy:
+    """numpy as encoding sees it, counting the cells given to the function
+    of one name."""
+
+    def __init__(self, counted):
+        self.counted, self.cells = counted, 0
+
+    def __getattr__(self, name):
+        function = getattr(np, name)
+        if name != self.counted:
+            return function
+
+        def counting(x, *args, **kwargs):
+            self.cells += np.size(x)
+            return function(x, *args, **kwargs)
+
+        return counting
+
+
 def _entropy_weighted(a_grid, b_grid):
     """P E = max(log2 A - B / (A ln 2), 0) A per outcome, with A = 1 in
     the logs where A = 0, and 0 on row and column 0."""
@@ -838,21 +857,8 @@ class TestOutcomeGridKernel:
         """At (0.1, 12) the slices n > 0 are below 2^-66 of t_0 on most of
         their live blocks, so the cut at least halves the cells summed."""
 
-        class CountingNumpy:
-            """numpy as encoding sees it, counting the cells given to exp."""
-
-            def __init__(self):
-                self.cells = 0
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def exp(self, x, *args, **kwargs):
-                self.cells += np.size(x)
-                return np.exp(x, *args, **kwargs)
-
         def cells():
-            counting = CountingNumpy()
+            counting = _CellCountingNumpy("exp")
             monkeypatch.setattr(encoding, "np", counting)
             _pair_window_grid(0.1, 144.0, DEFAULT_EPSILON_TAIL, False)
             return counting.cells
@@ -860,6 +866,20 @@ class TestOutcomeGridKernel:
         cut = cells()
         monkeypatch.setattr(encoding, "_NEGLIGIBLE_LOG", -math.inf)
         assert 2 * cut <= cells()
+
+    @pytest.mark.parametrize("eta,beta,first_row", [(0.5, 12.0, 0), (0.05, 28.0, 8)])
+    def test_p_e_is_formed_on_the_strips_upper_triangle(self, monkeypatch, eta, beta, first_row):
+        """P E is formed strip by strip, on each strip's rows [k0, k1) from
+        column k0 on: log2 takes sum (k1 - k0)(size - k0) cells, about half
+        the window, as the lower triangle is mirrored and rows no strip
+        covers keep A = B = +0.0.  At (0.5, 12) row 0 lies in the first
+        strip; at (0.05, 28) the strips start at row 8."""
+        record = _KernelRecord(monkeypatch)
+        counting = _CellCountingNumpy("log2")
+        monkeypatch.setattr(encoding, "np", counting)
+        _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, True)
+        assert record.strips[0][0] == first_row
+        assert counting.cells == sum((k1 - k0) * (record.size - k0) for k0, k1 in record.strips)
 
     @pytest.mark.parametrize(
         "cut,hi,size,strips",
@@ -932,7 +952,8 @@ class TestOutcomeGridKernel:
         """The traced peak of the grid is at least the window arrays it keeps
         (A and B; A alone without B) and at most those plus the two block
         buffers it budgets (_block_cells each: the logs, and v then the
-        terms), numpy's broadcasting buffers (np.getbufsize() cells per
+        terms, of a strip's slice blocks, then with B the strip's P E
+        chunk), numpy's broadcasting buffers (np.getbufsize() cells per
         operand) and O(window) vectors.  At (0.5, 40), window 1922, one
         window-sized scratch array would already break the bound."""
         _pair_window_grid(eta, beta * beta, DEFAULT_EPSILON_TAIL, with_entropy)  # grow the log-factorial cache

@@ -274,9 +274,10 @@ class TestAverageEntanglement:
     def test_memory_is_what_it_budgets(self, eta, beta):
         """At windows of 310 and 345 the peak is at least the 2 window arrays
         the report is built from (A and B) and at most those plus the 2
-        blocks the grid budget counts (the grid's two block buffers, then the
-        two row chunks of the entropy reduction), numpy's broadcasting
-        buffers (np.getbufsize() cells per operand) and O(window) vectors."""
+        blocks the grid budget counts (the grid's two block buffers, which
+        hold a strip's slice blocks and then its P E chunk), numpy's
+        broadcasting buffers (np.getbufsize() cells per operand) and
+        O(window) vectors."""
         size = average_entanglement(eta, beta).window  # grow the log-factorial cache
         tracemalloc.start()
         try:
