@@ -23,7 +23,9 @@ encoding._pair_window_grid returns P and that P * E as two grids over the
 window; its docstring says how it sums them and forms P * E, and what
 memory that takes.  E_avg is the sum of the second grid; a report keeps
 neither grid, only its numbers.  That E_avg equals the P-weighted sum of
-the encode/entropy composition is pinned by tests.
+the encode/entropy composition is pinned by tests.  At eta = 0, or where
+|beta|^2 underflows to 0, every outcome has a single Schmidt term, so
+E_avg is 0 and no P E grid is built.
 
 Outcomes outside the window are not enumerated; residual_bound caps what
 they could add to E_avg.  With n geometric and (K, L) = (n + X, n + Y),
@@ -68,7 +70,8 @@ class EntanglementReport:
     was measured at up to 2.2e-13 against a 34-digit truth (2.198e-13 low
     at (0.9315, 9.252)), because the three terms of log_poisson_table
     cancel (ROADMAP Finding 2); the tests allow r = 3e-13 of it.  E_avg is
-    capped at E_exact.
+    capped at E_exact, and is exactly 0 at eta = 0 and where |beta|^2
+    underflows to 0, as every outcome there has one Schmidt term.
     fraction_lost's absolute error is at most
     (r + residual_bound) / E_exact + 2 delta, with delta the relative
     error of E_exact (see tmss_entanglement).  At |beta| = 2 against the
@@ -103,10 +106,8 @@ def tmss_entanglement(eta: float) -> float:
     r = math.atanh(eta)
     ch2 = math.cosh(r) ** 2
     sh2 = math.sinh(r) ** 2
-    if sh2 == 0.0:
-        # eta = 0, or below about 1e-162 where sinh^2 r underflows: 0 log2 0 = 0
-        return ch2 * math.log2(ch2)
-    return ch2 * math.log2(ch2) - sh2 * math.log2(sh2)
+    # sinh^2 r is 0 at eta = 0 and where it underflows, below about 1e-162: 0 log2 0 = 0
+    return ch2 * math.log2(ch2) - (sh2 * math.log2(sh2) if sh2 else 0.0)
 
 
 def entropy_of_entanglement(state: EncodedPairState) -> float:
@@ -132,18 +133,16 @@ def _report_and_grid(eta: float, beta, epsilon_tail: float) -> tuple[Entanglemen
     epsilon_tail = _require_tail(epsilon_tail)
     mean_b = abs(beta) ** 2
 
-    a_grid, pe_grid, law, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=True)
+    # at eta = 0 or with |beta|^2 underflowed each outcome has one Schmidt
+    # term, so E_avg is 0; the kernel's P E sum there is rounding noise, not
+    # 0 (3.2e-16 at eta = 0.99), so P E is built only where it can be nonzero
+    entangled = eta > 0.0 and mean_b > 0.0
+    a_grid, pe_grid, law, k_max = _pair_window_grid(eta, mean_b, epsilon_tail, with_entropy=entangled)
     # the CSV's residual column, which both reference sweeps pin
     residual = max(0.0, 1.0 - float(a_grid.sum()))
-    # with |beta|^2 underflowed every outcome is an (n, n) outcome with a
-    # single Schmidt term, so E_avg is 0; the grid's P E sum there is
-    # rounding noise, not 0 (2.1e-17 at eta = 0.9, 3.2e-16 at 0.99), so the
-    # guard stays.  At eta = 0 the cap below takes E_exact = 0
-    e_avg = 0.0 if mean_b == 0.0 else float(pe_grid.sum())
-
     e_exact = tmss_entanglement(eta)
     # a local protocol cannot raise entanglement: only float noise can lift E_avg past E_exact
-    e_avg = min(e_avg, e_exact)
+    e_avg = min(float(pe_grid.sum()), e_exact) if entangled else 0.0
     fraction_lost = (e_exact - e_avg) / e_exact if e_exact > 0.0 else 0.0
     return EntanglementReport(
         eta=eta,

@@ -464,8 +464,18 @@ class TestOutcomeTable:
         lambda beta: coherent_outcome_distribution(1.0, beta),
         lambda beta: pair_outcome_distribution(0.5, beta),
         lambda beta: mean_pair_approx_fidelity(0.5, beta),
+        lambda beta: mean_coherent_approx_fidelity(1.0, beta),
+        lambda beta: average_entanglement(0.5, beta),
     ],
-    ids=["encode_coherent", "encode_pair", "coherent_outcome_distribution", "pair_outcome_distribution", "mean_pair_approx_fidelity"],
+    ids=[
+        "encode_coherent",
+        "encode_pair",
+        "coherent_outcome_distribution",
+        "pair_outcome_distribution",
+        "mean_pair_approx_fidelity",
+        "mean_coherent_approx_fidelity",
+        "average_entanglement",
+    ],
 )
 def test_rejects_unrepresentable_beta(call, beta):
     """A non-finite beta, or one whose |beta|^2 overflows, is rejected

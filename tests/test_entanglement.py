@@ -117,6 +117,32 @@ class TestAverageEntanglement:
         assert report.E_avg == 0.0
         assert report.fraction_lost == 1.0
 
+    @pytest.mark.parametrize(
+        "eta,beta,entangled", [(0.5, 1e-200, False), (0.0, 2.0, False), (0.5, 2.0, True)]
+    )
+    def test_builds_p_e_only_where_an_outcome_can_be_entangled(self, monkeypatch, eta, beta, entangled):
+        """At eta = 0 or with |beta|^2 underflowed every outcome has one
+        Schmidt term, so the report asks the kernel for A alone."""
+        calls = []
+
+        def spy(*args, with_entropy):
+            calls.append(with_entropy)
+            return encoding._pair_window_grid(*args, with_entropy=with_entropy)
+
+        monkeypatch.setattr(entanglement, "_pair_window_grid", spy)
+        report = average_entanglement(eta, beta)
+        assert calls == [entangled]
+        assert (report.E_avg > 0.0) is entangled
+
+    def test_unentangled_report_is_budgeted_for_a_alone(self, monkeypatch):
+        """At eta = 0 the window of 37 fits a budget of A and its two block
+        buffers, which a P E grid would overrun."""
+        size = 37
+        monkeypatch.setattr(encoding, "_GRID_BUDGET_BYTES", 8 * (size * size + 2 * encoding._block_cells(size)))
+        report = average_entanglement(0.0, 2.0)
+        assert report.window == size
+        assert report.E_avg == 0.0
+
     @pytest.mark.parametrize("eta", [1e-9, 1e-160])
     def test_rounding_cannot_lift_e_avg_above_e_exact(self, eta):
         """At a tiny eta the rounding of the per-outcome entropies, about
@@ -270,14 +296,18 @@ class TestAverageEntanglement:
         with pytest.raises(ValueError):
             average_entanglement(0.5, 2.0, epsilon_tail=0.0)
 
-    @pytest.mark.parametrize("eta,beta", [(0.5, 14.0), (0.9, 12.0)])
-    def test_memory_is_what_it_budgets(self, eta, beta):
+    @pytest.mark.parametrize(
+        "eta,beta,grids", [(0.5, 14.0, 2), (0.9, 12.0, 2), (0.99, 1e-200, 1), (0.0, 20.0, 1)]
+    )
+    def test_memory_is_what_it_budgets(self, eta, beta, grids):
         """At windows of 310 and 345 the peak is at least the 2 window arrays
         the report is built from (A and B) and at most those plus the 2
         blocks the grid budget counts (the grid's two block buffers, which
         hold a strip's slice blocks and then its P E chunk), numpy's
         broadcasting buffers (np.getbufsize() cells per operand) and
-        O(window) vectors."""
+        O(window) vectors.  At windows of 1847 and 561, with |beta|^2
+        underflowed and at eta = 0, no outcome is entangled and the report
+        is built from A alone."""
         size = average_entanglement(eta, beta).window  # grow the log-factorial cache
         tracemalloc.start()
         try:
@@ -285,7 +315,7 @@ class TestAverageEntanglement:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        windows = 2 * 8 * size * size
+        windows = grids * 8 * size * size
         budgeted = windows + 2 * 8 * encoding._block_cells(size)
         assert windows <= peak <= budgeted + 4 * 8 * np.getbufsize() + 64 * 8 * size
 
