@@ -50,8 +50,8 @@ the lower triangle is its mirror.  Every bit of the result is that of the
 full window.  For an entanglement report each strip then turns its rows of
 B, from its first column on, into P(K, L) E(K, L) in place, in the same two
 buffers, before the mirror carries them below the diagonal.  So the grid
-holds A (and B) and two buffers of one block, and no other array larger
-than a byte mask of a strip's rows.
+holds A (and B) and two buffers of one block, and allocates nothing else
+of a strip's size.
 
 The approximant fidelities are array passes, not loops over outcomes.  For
 the coherent encoding the phases cancel, so the overlap with |alpha'> for
@@ -495,8 +495,9 @@ def _pair_window_grid(
     B = sum_n t_n ln t_n as max(log2 A - B / (A ln 2), 0) A, cell by cell.
     Each strip writes it over B on its rows [k0, k1) from column k0 on,
     after its slices and before its mirror, in the two block buffers
-    ((k1 - k0) size <= block); beside A, B and those buffers it allocates
-    only the A > 0 mask of that chunk, one byte a cell.  As A and B are
+    ((k1 - k0) size <= block), and it allocates nothing else of a strip's
+    size.  A cell with A = 0 takes its logs at the floor of numerics, so
+    its P E is +0 with no mask.  As A and B are
     symmetric, the mirror gives the lower triangle the same bits, and rows
     that no strip covers hold A = B = +0.0, already their P E.  Row and
     column 0, where min(K, L) = 0 leaves a single Schmidt term, are pinned
@@ -537,11 +538,10 @@ def _pair_window_grid(
         if with_entropy:
             # P E into B on the strip's rows from column k0, (k1 - k0) size
             # <= block cells; the columns left of k0 came by earlier mirrors.
-            # A cell with A = 0 has B = +-0, so it comes out 0
+            # A cell with A = 0 has B = +-0, so at the log floor (see
+            # numerics) it comes out +0
             a, b = a_grid[k0:k1, k0:], b_grid[k0:k1, k0:]
-            safe = log_scratch[: a.size].reshape(a.shape)
-            np.copyto(safe, 1.0)
-            np.copyto(safe, a, where=a > 0.0)
+            safe = np.maximum(a, math.ulp(0.0), out=log_scratch[: a.size].reshape(a.shape))
             entropies = np.log2(safe, out=term_scratch[: a.size].reshape(a.shape))
             np.divide(b, np.multiply(safe, LN2, out=safe), out=b)
             np.maximum(np.subtract(entropies, b, out=entropies), 0.0, out=entropies)

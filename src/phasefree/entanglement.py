@@ -106,8 +106,9 @@ def tmss_entanglement(eta: float) -> float:
     r = math.atanh(eta)
     ch2 = math.cosh(r) ** 2
     sh2 = math.sinh(r) ** 2
-    # sinh^2 r is 0 at eta = 0 and where it underflows, below about 1e-162: 0 log2 0 = 0
-    return ch2 * math.log2(ch2) - (sh2 * math.log2(sh2) if sh2 else 0.0)
+    # sinh^2 r is 0 at eta = 0 and where it underflows, below about 1e-162;
+    # its log at the floor 2^-1074 (see numerics) makes 0 log2 0 = -0.0
+    return ch2 * math.log2(ch2) - sh2 * math.log2(max(sh2, math.ulp(0.0)))
 
 
 def entropy_of_entanglement(state: EncodedPairState) -> float:
@@ -164,15 +165,17 @@ def entanglement_sweep(
 ) -> list[EntanglementReport]:
     """One report per (eta, beta) grid point, eta-major order.  Every eta,
     beta and the tail are checked before the first point is computed.
-    Points are independent; max_workers, None (serial) or an int >= 1,
-    computes them concurrently when above 1, on at most one thread per CPU
-    and per point, with output order (and content) unchanged."""
+    Points are independent; max_workers, None (serial) or an int >= 1 that
+    is not a bool, computes them concurrently when above 1, on at most one
+    thread per CPU and per point, with output order (and content)
+    unchanged."""
     etas = [_require_eta(eta) for eta in etas]
     betas = [_require_ancilla(beta) for beta in betas]
     epsilon_tail = _require_tail(epsilon_tail)
     if not etas or not betas:
         raise ValueError("eta and beta grids must be non-empty")
-    if max_workers is not None and not (isinstance(max_workers, numbers.Integral) and max_workers >= 1):
+    # a bool is not a count: False fails >= 1, and True must not pass as 1
+    if max_workers is not None and not (isinstance(max_workers, numbers.Integral) and max_workers >= 1 and max_workers is not True):
         raise ValueError(f"max_workers must be a positive number of worker threads, got {max_workers!r}")
     points = [(eta, beta) for eta in etas for beta in betas]
     # A pool starts a thread per submitted point while none is idle, so it

@@ -13,7 +13,11 @@ explicit sentinel ``LOG_ZERO``; ``log_sum_exp`` skips such terms, and it and
 ``shannon_entropy_bits`` reject a NaN instead of letting it propagate.  A
 power taken on the log scale, n ln x, reads 0 ln 0 = 0 at n = 0: ``_times``
 forms every such product, so a zero mean, amplitude or eta needs no path of
-its own.
+its own.  An entropy term x log x takes its log at max(x, 2^-1074), with
+``math.ulp(0.0)`` the least positive float: no positive x moves, and at
+x = 0 the log is finite (-1074 bits), so the term is +-0, which a sum and
+a difference drop.  ``shannon_entropy_bits``, ``tmss_entanglement`` and
+the P(K, L) E(K, L) pass of the outcome grid meet 0 log 0 = 0 this way.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ _EXACT_FACTORIAL_MAX = 20
 
 def _require_outcome(value, name: str) -> int:
     """value as a nonnegative int that converts to a finite float."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer count, not the bool {value!r}")
     value = operator.index(value)
     if value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value}")
@@ -173,7 +179,8 @@ def log_sum_exp(terms: Sequence[float] | np.ndarray) -> float:
 
 
 def shannon_entropy_bits(probabilities: Sequence[float] | np.ndarray) -> float:
-    """-sum p log2 p over a normalized distribution, with 0 log 0 = 0.
+    """-sum p log2 p over a normalized distribution, with 0 log 0 = 0: a
+    zero weight takes its log at 2^-1074, so its term is -0.0.
 
     The caller is responsible for normalization; a total off by more than
     1e-9 is rejected rather than silently rescaled.
@@ -188,6 +195,6 @@ def shannon_entropy_bits(probabilities: Sequence[float] | np.ndarray) -> float:
         raise ValueError(
             f"shannon_entropy_bits requires probabilities summing to 1, got {total!r}"
         )
-    nz = p[p > 0.0]
-    # 0.0 - sum rather than -sum, so that a pure state gives 0.0, not -0.0
-    return 0.0 - math.fsum((nz * (np.log(nz) / LN2)).tolist())
+    # a zero weight adds -0.0 at the log floor; 0.0 - sum rather than -sum,
+    # so that a pure state gives 0.0, not -0.0
+    return 0.0 - math.fsum((p * (np.log(np.maximum(p, math.ulp(0.0))) / LN2)).tolist())

@@ -825,6 +825,22 @@ class TestOutcomeGridKernel:
         a_only, b_none, _, _ = _pair_window_grid(eta, beta * beta, epsilon_tail, False)
         assert b_none is None and a_only.tobytes() == ref_a.tobytes()
 
+    def test_grid_points_hold_zero_and_subnormal_probabilities(self):
+        """The P E pass takes its logs at max(A, 2^-1074), which lifts A = 0
+        to the floor and keeps a subnormal A as it is; the bit test above
+        covers both cases only while a grid point holds such cells.  Of the
+        full windows, floor-cut holds 102 cells with A = 0 and 80 subnormal
+        ones, cut-below-normal-t0 82 and 177."""
+        zero, subnormal = set(), set()
+        for point in _GRID_POINTS:
+            eta, beta, epsilon_tail = point.values
+            a_grid, _, _, _ = _pair_window_grid(eta, beta * beta, epsilon_tail, False)
+            if np.any(a_grid == 0.0):
+                zero.add(point.id)
+            if np.any((a_grid > 0.0) & (a_grid < np.finfo(float).tiny)):
+                subnormal.add(point.id)
+        assert {"floor-cut", "cut-below-normal-t0"} <= zero & subnormal
+
     @pytest.mark.parametrize(
         "size,cells",
         [(1, 1), (2, 4), (39, 1521), (181, 32761), (255, 65025), (256, 65536), (7042, 65536)],

@@ -65,6 +65,13 @@ class TestTmssEntanglement:
         with pytest.raises(ValueError):
             tmss_entanglement(eta)
 
+    @pytest.mark.parametrize("eta", [0.0, 1e-170])
+    def test_no_squeezing_or_an_underflowed_sinh_gives_plus_zero(self, eta):
+        """sinh^2 r is 0 at eta = 0 and underflows at 1e-170; its log taken
+        at 2^-1074 makes its term -0.0, and 0.0 - (-0.0) is +0.0."""
+        value = tmss_entanglement(eta)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     @pytest.mark.parametrize("eta", [5e-324, 1e-300, 1e-162, 1e-160])
     def test_tiny_eta_is_finite(self, eta):
         """Below about 1e-162 sinh^2 r underflows to 0, and 0 log2 0 is 0."""

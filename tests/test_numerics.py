@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasefree import numerics
-from phasefree.encoding import coherent_outcome_distribution, encode_coherent, encode_pair, pair_outcome_distribution
+from phasefree.encoding import (
+    coherent_approx_param,
+    coherent_outcome_distribution,
+    encode_coherent,
+    encode_pair,
+    pair_approx_param,
+    pair_outcome_distribution,
+)
 from phasefree.entanglement import average_entanglement, entanglement_sweep, tmss_entanglement
 from phasefree.numerics import (
     LOG_ZERO,
@@ -34,6 +41,32 @@ def _ulp_bound(value: float, abs_floor: float = 1e-12, ulps: float = 8.0) -> flo
     """Absolute tolerance: abs_floor where binary64 can honor it, a few ulp
     of the value's magnitude where it cannot."""
     return max(abs_floor, ulps * np.spacing(abs(value)))
+
+
+class TestABoolIsNotACount:
+    @pytest.mark.parametrize(
+        "call,error,name",
+        [
+            pytest.param(lambda: encode_coherent(1.0, 1.0, True), TypeError, "M", id="encode_coherent-M"),
+            pytest.param(lambda: encode_pair(0.5, 1.0, True, 2), TypeError, "K", id="encode_pair-K"),
+            pytest.param(lambda: encode_pair(0.5, 1.0, 2, True), TypeError, "L", id="encode_pair-L"),
+            pytest.param(lambda: coherent_approx_param(1.0, 1.0, True), TypeError, "M", id="coherent_approx_param-M"),
+            pytest.param(lambda: pair_approx_param(0.5, 1.0, True, 2), TypeError, "K", id="pair_approx_param-K"),
+            pytest.param(lambda: pair_approx_param(0.5, 1.0, 2, True), TypeError, "L", id="pair_approx_param-L"),
+            pytest.param(lambda: log_factorial(True), TypeError, "n", id="log_factorial-True"),
+            pytest.param(lambda: log_factorial(False), TypeError, "n", id="log_factorial-False"),
+            pytest.param(lambda: log_poisson_weight(1.0, True), TypeError, "k", id="log_poisson_weight-k"),
+            pytest.param(
+                lambda: entanglement_sweep([0.1], [1.0], max_workers=True), ValueError, "max_workers", id="entanglement_sweep-max_workers"
+            ),
+        ],
+    )
+    def test_a_bool_is_refused_by_name(self, call, error, name):
+        """operator.index once took True as 1 and False as 0, so
+        encode_pair(0.5, 1.0, True, 2) built the K = 1 state and
+        log_factorial(True) returned 0.0; numpy bools already fail there."""
+        with pytest.raises(error, match=rf"^{name} must .*(True|False)$"):
+            call()
 
 
 class TestLogFactorial:
@@ -282,6 +315,16 @@ class TestShannonEntropyBits:
 
     def test_zero_entries_contribute_nothing(self):
         assert shannon_entropy_bits([0.5, 0.0, 0.5, 0.0]) == pytest.approx(1.0, abs=1e-15)
+
+    def test_zero_weights_keep_every_bit(self):
+        """A zero weight takes its log at 2^-1074, where its term is -0.0:
+        a pure state with zeros is +0.0, a fair coin with a zero is exactly
+        1, and the least positive weight adds its own exact term,
+        1074 * 2^-1074, beside a weight of 1."""
+        pure = shannon_entropy_bits([0.0, 1.0, 0.0])
+        assert pure == 0.0 and math.copysign(1.0, pure) == 1.0
+        assert shannon_entropy_bits([0.5, 0.0, 0.5]) == 1.0
+        assert shannon_entropy_bits([5e-324, 1.0]) == float.fromhex("0x0.0000000000432p-1022") == 1074 * 5e-324
 
     def test_rejects_negative_entry(self):
         with pytest.raises(ValueError):
