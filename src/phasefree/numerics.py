@@ -2,9 +2,11 @@
 
 The _require_* rules here are the one place where the library checks a
 count, a Poisson mean, an amplitude, eta or the tail budget; eta, the tail
-and the mean share one range rule.  A number past the float range, such
-as the int 10**400, fails its rule as +-inf does, with a ValueError that
-names the quantity, never an OverflowError.
+and the mean share one range rule.  The dense oracle checks its counts, eta
+and amplitudes with these rules too, and takes nothing else from the
+package, so that its arithmetic stays independent.  A number past the
+float range, such as the int 10**400, fails its rule as +-inf does, with
+a ValueError that names the quantity, never an OverflowError.
 
 Photon-number amplitudes involve factorials of numbers well past 100, so
 every quantity that could overflow or underflow is kept on the natural-log

@@ -3,8 +3,13 @@
 Everything here is deliberately naive: amplitudes come from direct
 factorial formulas (no shared log-space kernels), measurements are literal
 projector sums over a dense multimode array, and entanglement comes from a
-singular value decomposition.  Small photon cutoffs only; the point is an
-independent cross-check of the closed-form encoding path, not performance.
+singular value decomposition.  Only the inputs are shared with the library:
+each count, eta and amplitude is checked by its ``numerics._require_*``
+rule, while every amplitude, projection and SVD stays this module's own
+arithmetic.  Small photon cutoffs only, 0 to 120 photons per mode, and a
+pair state at most 80, as its array and |amplitude|^2 may take 2^30 bytes;
+the point is an independent cross-check of the closed-form encoding path,
+not performance.
 
 Mode layout for the pair construction: (ancilla A, ancilla B, squeezed
 half A, squeezed half B).  The first total-number measurement acts on
@@ -13,17 +18,23 @@ modes (0, 2) and yields K; the second acts on (1, 3) and yields L.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-# Above this cutoff the direct factorial in the amplitude formulas would
-# overflow binary64; the oracle is meant for far smaller instances anyway.
+from .numerics import _require_amplitude, _require_eta, _require_outcome
+
+# The oracle's scope: small dense instances.  The direct factorial
+# sqrt(n!) stays finite up to n = 170, so this cap guards no float range.
 _MAX_CUTOFF = 120
+
+# A pair state peaks at 24 bytes a cell, its complex array and the float
+# |amplitude|^2 that _finish sums; one may take at most 2^30 bytes, the
+# budget of encoding's grids, which allows cutoffs up to 80.
+_PAIR_BYTES_PER_CELL = 24
+_PAIR_BUDGET_BYTES = 1 << 30
 
 _SINGULAR_VALUE_FLOOR = 1e-13
 
@@ -44,9 +55,7 @@ class DenseJointState:
 
 
 def _check_cutoff(cutoff: int) -> int:
-    cutoff = operator.index(cutoff)
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = _require_outcome(cutoff, "cutoff")
     if cutoff > _MAX_CUTOFF:
         raise ValueError(f"dense oracle supports cutoffs up to {_MAX_CUTOFF}, got {cutoff}")
     return cutoff
@@ -61,8 +70,7 @@ def _coherent_vector(amplitude: complex, phi: float, cutoff: int) -> np.ndarray:
 
 
 def _tmss_vector(eta: float, phi: float, cutoff: int) -> np.ndarray:
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta!r}")
+    eta = _require_eta(eta)
     n = np.arange(cutoff + 1)
     return math.sqrt(1.0 - eta * eta) * eta**n * np.exp(2j * phi * n)
 
@@ -78,8 +86,8 @@ def build_joint_coherent(alpha, beta, phi: float, cutoff: int) -> DenseJointStat
     dense two-mode array truncated at cutoff photons per mode."""
     cutoff = _check_cutoff(cutoff)
     joint = np.outer(
-        _coherent_vector(alpha, phi, cutoff),
-        _coherent_vector(beta, phi, cutoff),
+        _coherent_vector(_require_amplitude(alpha, "alpha"), phi, cutoff),
+        _coherent_vector(_require_amplitude(beta, "beta"), phi, cutoff),
     )
     return _finish(joint, (cutoff, cutoff))
 
@@ -88,18 +96,16 @@ def build_joint_pair(eta: float, beta, phi: float, cutoff: int) -> DenseJointSta
     """Two coherent ancillas |beta> and a two-mode squeezed pair, all
     phase-locked to phi, as a dense four-mode array."""
     cutoff = _check_cutoff(cutoff)
-    ancilla = _coherent_vector(beta, phi, cutoff)
+    nbytes = _PAIR_BYTES_PER_CELL * (cutoff + 1) ** 4
+    if nbytes > _PAIR_BUDGET_BYTES:
+        raise ValueError(f"a pair state at cutoff {cutoff} needs {nbytes} bytes, over the budget of {_PAIR_BUDGET_BYTES} bytes")
+    ancilla = _coherent_vector(_require_amplitude(beta, "beta"), phi, cutoff)
     squeezed = _tmss_vector(eta, phi, cutoff)
     joint = np.zeros((cutoff + 1,) * 4, dtype=complex)
     pair_block = np.outer(ancilla, ancilla)
     for n in range(cutoff + 1):
         joint[:, :, n, n] = pair_block * squeezed[n]
     return _finish(joint, (cutoff,) * 4)
-
-
-@functools.lru_cache(maxsize=8)
-def _occupation_grids(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    return tuple(np.indices(shape))
 
 
 def project_total_number(
@@ -111,18 +117,14 @@ def project_total_number(
     outcome.  Returns (probability, renormalized state); an impossible
     outcome returns (0.0, None)."""
     modes = tuple(mode_group)
-    if not modes:
-        raise ValueError("mode_group must be non-empty")
-    ndim = state.amplitudes.ndim
-    if any(not 0 <= m < ndim for m in modes):
-        raise ValueError(f"mode indices must lie in [0, {ndim}), got {modes}")
-    outcome = operator.index(outcome)
-    if outcome < 0:
-        raise ValueError(f"outcome must be >= 0, got {outcome}")
+    shape = state.amplitudes.shape
+    if not modes or len(set(modes)) < len(modes) or any(not 0 <= m < len(shape) for m in modes):
+        raise ValueError(f"mode_group must name distinct modes in [0, {len(shape)}), got {modes}")
+    outcome = _require_outcome(outcome, "outcome")
 
-    grids = _occupation_grids(state.amplitudes.shape)
-    total = sum(grids[m] for m in modes)
-    mask = total == outcome
+    # one arange per mode, broadcast: the occupation sum spans only the group's axes
+    grids = np.indices(shape, sparse=True)
+    mask = np.broadcast_to(sum(grids[m] for m in modes) == outcome, shape)
     probability = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
     if probability == 0.0:
         return 0.0, None
@@ -151,8 +153,8 @@ def schmidt_entropy_dense(state: DenseJointState, cut: tuple[int, ...] | list[in
     from singular values of the reshaped amplitude matrix."""
     side_a = tuple(cut)
     ndim = state.amplitudes.ndim
-    if not side_a or any(not 0 <= m < ndim for m in side_a):
-        raise ValueError(f"cut must name a non-empty subset of modes 0..{ndim - 1}")
+    if not side_a or len(set(side_a)) < len(side_a) or any(not 0 <= m < ndim for m in side_a):
+        raise ValueError(f"cut must name a non-empty subset of modes 0..{ndim - 1}, got {side_a}")
     side_b = tuple(m for m in range(ndim) if m not in side_a)
     if not side_b:
         raise ValueError("cut must leave at least one mode on the other side")
@@ -173,7 +175,7 @@ def coherent_logical_amplitudes(state: DenseJointState, total: int) -> np.ndarra
     supported on occupations summing to total: entry n is <n, total-n|state>."""
     if state.amplitudes.ndim != 2:
         raise ValueError("expected a two-mode state")
-    total = operator.index(total)
+    total = _require_outcome(total, "total")
     cutoff = state.per_mode_cutoffs[0]
     out = np.zeros(total + 1, dtype=complex)
     for n in range(total + 1):
@@ -187,8 +189,7 @@ def pair_schmidt_amplitudes(state: DenseJointState, k: int, l: int) -> np.ndarra
     occupations (k-n, l-n, n, n)."""
     if state.amplitudes.ndim != 4:
         raise ValueError("expected a four-mode state")
-    k = operator.index(k)
-    l = operator.index(l)
+    k, l = _require_outcome(k, "k"), _require_outcome(l, "l")
     cutoff = state.per_mode_cutoffs[0]
     top = min(k, l)
     out = np.zeros(top + 1, dtype=complex)

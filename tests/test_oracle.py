@@ -4,6 +4,7 @@ agreement with the closed-form encoding."""
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracle_checks import (
     pair_dense_outcomes,
     pair_equivalence_deviations,
 )
+from phasefree import oracle
 from phasefree.oracle import (
     PAIR_GROUP_K,
     PAIR_GROUP_L,
@@ -66,14 +68,68 @@ class TestBuildJointCoherent:
         )
 
 
+class _Allocated(Exception):
+    """Raised by the np.zeros stand-in in place of allocating."""
+
+
 class TestCutoffLimits:
     @pytest.mark.parametrize("build", [build_joint_coherent, build_joint_pair], ids=["coherent", "pair"])
     @pytest.mark.parametrize(
-        "cutoff,message", [(-1, "cutoff must be >= 0, got -1"), (121, "cutoffs up to 120, got 121")]
+        "cutoff,message", [(-1, "cutoff must be a nonnegative integer, got -1"), (121, "cutoffs up to 120, got 121")]
     )
     def test_rejects_a_cutoff_out_of_range(self, build, cutoff, message):
         with pytest.raises(ValueError, match=message):
             build(0.5, 1.0, 0.0, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [81, 120])
+    def test_a_pair_past_the_byte_budget_is_refused_before_allocating(self, monkeypatch, cutoff):
+        """At 24 bytes a cell, cutoff 81 needs 1 085 092 224 bytes, past
+        2^30; the refusal names the bytes and comes before np.zeros."""
+        shapes = self._stub_zeros(monkeypatch)
+        with pytest.raises(ValueError, match=f"needs {24 * (cutoff + 1) ** 4} bytes"):
+            build_joint_pair(0.5, 1.0, 0.0, cutoff)
+        assert shapes == []
+
+    def test_a_pair_within_the_byte_budget_reaches_its_allocation(self, monkeypatch):
+        """Cutoff 80 needs 1 033 121 304 bytes, within 2^30."""
+        shapes = self._stub_zeros(monkeypatch)
+        with pytest.raises(_Allocated):
+            build_joint_pair(0.5, 1.0, 0.0, 80)
+        assert shapes == [(81,) * 4]
+
+    @staticmethod
+    def _stub_zeros(monkeypatch) -> list:
+        """np.zeros as seen by the oracle, replaced by a stand-in that
+        records each shape and raises _Allocated, so nothing is allocated."""
+        shapes = []
+
+        def zeros(shape, *args, **kwargs):
+            shapes.append(shape)
+            raise _Allocated
+
+        monkeypatch.setattr(oracle.np, "zeros", zeros)
+        return shapes
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: build_joint_coherent(math.nan, 1.0, 0.0, 5), ValueError, "alpha must be finite"),
+        (lambda: build_joint_pair(0.5, math.inf, 0.0, 3), ValueError, "beta must be finite"),
+        (lambda: build_joint_coherent(1e200, 1.0, 0.0, 5), ValueError, "alpha must be finite with a finite"),
+        (lambda: build_joint_pair(0.5, 1.0, 0.0, True), TypeError, "cutoff must be an integer count"),
+        (lambda: project_total_number(build_joint_pair(0.5, 1.0, 0.0, 3), PAIR_GROUP_K, True), TypeError, "outcome must be an integer count"),
+        (lambda: pair_schmidt_amplitudes(build_joint_pair(0.5, 1.0, 0.0, 3), -1, 2), ValueError, "k must be a nonnegative integer, got -1"),
+        (lambda: coherent_logical_amplitudes(build_joint_coherent(1.0, 1.0, 0.0, 3), -2), ValueError, "total must be a nonnegative integer, got -2"),
+    ],
+    ids=["nan-alpha", "inf-beta", "huge-alpha", "bool-cutoff", "bool-outcome", "negative-k", "negative-total"],
+)
+def test_every_input_takes_the_library_rule(call, error, message):
+    """Each argument is checked by the numerics rule for its quantity, which
+    names it: NaN and infinite amplitudes, an |alpha|^2 past the float
+    range, bool counts and negative indices are refused."""
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestBuildJointPair:
@@ -166,6 +222,29 @@ class TestProjectTotalNumber:
         with pytest.raises(ValueError):
             project_total_number(state, (0,), -1)
 
+    def test_rejects_a_repeated_mode(self):
+        """(0, 0) would count mode 0 twice and project on 2 n_0."""
+        with pytest.raises(ValueError, match=r"distinct modes in \[0, 4\), got \(0, 0\)"):
+            project_total_number(build_joint_pair(0.5, 1.0, 0.0, 3), (0, 0), 2)
+
+    def test_one_projection_holds_no_index_grid(self):
+        """One projection of a cutoff-20 pair state peaks below 24 bytes a
+        cell, the projected copy and a small mask, and keeps nothing once
+        its result is dropped: no index grid per mode is built or cached."""
+        state = build_joint_pair(0.5, 1.0, 0.0, 20)
+        cells = state.amplitudes.size
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = project_total_number(state, PAIR_GROUP_K, 3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            del result
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * cells
+        assert left < cells
+
 
 class TestPairOutcomes:
     def test_k_major_with_the_state_after_both_projections(self):
@@ -211,6 +290,11 @@ class TestSchmidtEntropyDense:
             schmidt_entropy_dense(state, ())
         with pytest.raises(ValueError, match="at least one mode on the other side"):
             schmidt_entropy_dense(state, (0, 1))
+
+    def test_rejects_a_repeated_mode(self):
+        state = build_joint_pair(0.5, 1.0, 0.0, 3)
+        with pytest.raises(ValueError, match=r"subset of modes 0\.\.3, got \(0, 0\)"):
+            schmidt_entropy_dense(state, (0, 0))
 
 
 class TestOracleEquivalence:

@@ -1,7 +1,8 @@
 """Package surface: the public names exported from phasefree, the
-README's library example and CLI block, the runtime dependencies, and the
+README's library example and CLI block, the runtime dependencies, the
 BLAS-free kernels that let the CLI load numpy with one OpenBLAS thread,
-and the code-line count every test run ends with."""
+the oracle's independence from the kernels it checks, and the code-line
+count every test run ends with."""
 
 import ast
 import os
@@ -167,6 +168,50 @@ def test_blas_detector_flags_each_form(source):
 
 def test_blas_detector_passes_numpy_loops():
     assert _blas_calls("np.einsum('kn,ln->kl', g, g)\nnp.outer(a, b)\na * b\nnp.sum(a, axis=0)") == []
+
+
+def _package_imports(source: str) -> list[str]:
+    """`module.name` of each name that source imports from the package,
+    relative imports written with their leading dots."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.partition(".")[0] == "phasefree":
+                found += [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.partition(".")[0] == "phasefree"]
+    return found
+
+
+# The one kind of name oracle.py may import from the package: an input rule.
+_ORACLE_MAY_IMPORT = (".numerics._require_", "phasefree.numerics._require_")
+
+
+def test_the_oracle_shares_only_the_input_rules():
+    """oracle.py cross-checks the closed-form path, so it must not compute
+    with that path's kernels: from the package it imports only the
+    _require_* rules of numerics."""
+    imports = _package_imports((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    assert [name for name in imports if not name.startswith(_ORACLE_MAY_IMPORT)] == []
+
+
+@pytest.mark.parametrize(
+    "source,allowed",
+    [
+        ("from .numerics import _require_eta, _require_outcome", True),
+        ("from phasefree.numerics import _require_amplitude", True),
+        ("import numpy as np\nfrom math import sqrt", True),
+        ("from .numerics import log_factorial", False),
+        ("from .encoding import encode_pair", False),
+        ("from . import numerics", False),
+        ("from .numerics import *", False),
+        ("import phasefree.numerics", False),
+        ("from phasefree import entanglement", False),
+    ],
+)
+def test_oracle_import_check_flags_each_form(source, allowed):
+    assert all(name.startswith(_ORACLE_MAY_IMPORT) for name in _package_imports(source)) is allowed
 
 
 def test_code_line_count_skips_docstrings_comments_and_blank_lines():
