@@ -1,12 +1,15 @@
 """Log-domain scalar kernels and every input rule of the library.
 
 The _require_* rules here are the one place where the library checks a
-count, a Poisson mean, an amplitude, eta or the tail budget; eta, the tail
-and the mean share one range rule.  The dense oracle checks its counts, eta
-and amplitudes with these rules too, and takes nothing else from the
-package, so that its arithmetic stays independent.  A number past the
-float range, such as the int 10**400, fails its rule as +-inf does, with
-a ValueError that names the quantity, never an OverflowError.
+count, a Poisson mean, an amplitude, a phase, eta or the tail budget; eta,
+the tail and ``_require_finite``, the finite half of the mean's rule, share
+one range rule.  The dense oracle checks its counts, eta, amplitudes and
+its phase with these rules too, and takes nothing else from the package,
+so that its arithmetic stays independent.  A number past the float range,
+such as the int 10**400, fails its rule as +-inf does, with a ValueError
+that names the quantity, never an OverflowError.  Any value that is not
+a count, a bool or a float such as 3.0 among them, fails with one
+TypeError that names the quantity.
 
 Photon-number amplitudes involve factorials of numbers well past 100, so
 every quantity that could overflow or underflow is kept on the natural-log
@@ -42,8 +45,8 @@ _EXACT_FACTORIAL_MAX = 20
 
 def _require_outcome(value, name: str) -> int:
     """value as a nonnegative int that converts to a finite float."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer count, not the bool {value!r}")
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer count, not {value!r}")
     value = operator.index(value)
     if value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value}")
@@ -64,9 +67,14 @@ def _require_range(value, name: str, low: float, high: float, rule: str) -> floa
     return value
 
 
+def _require_finite(value, name: str) -> float:
+    """value as a finite float, such as a phase."""
+    return _require_range(value, name, -sys.float_info.max, math.inf, "be finite")
+
+
 def _require_mean(value, name: str) -> float:
     """value as a finite float mean >= 0."""
-    value = _require_range(value, name, -sys.float_info.max, math.inf, "be finite")
+    value = _require_finite(value, name)
     if value < 0.0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value

@@ -1,15 +1,20 @@
 """Independent brute-force verification path on dense truncated tensors.
 
-Everything here is deliberately naive: amplitudes come from direct
-factorial formulas (no shared log-space kernels), measurements are literal
-projector sums over a dense multimode array, and entanglement comes from a
-singular value decomposition.  Only the inputs are shared with the library:
-each count, eta and amplitude is checked by its ``numerics._require_*``
-rule, while every amplitude, projection and SVD stays this module's own
-arithmetic.  Small photon cutoffs only, 0 to 120 photons per mode, and a
-pair state at most 80, as its array and |amplitude|^2 may take 2^30 bytes;
-the point is an independent cross-check of the closed-form encoding path,
-not performance.
+Everything here is deliberately naive: each ket is a running product
+from its vacuum amplitude (no shared log-space kernels), measurements are
+literal projector sums over a dense multimode array, and entanglement comes
+from a singular value decomposition.  A coherent ket is
+a_0 = e^(-|alpha|^2/2), a_n = a_(n-1) alpha e^(i phi) / sqrt(n), and a
+squeezed one s_0 = sqrt(1 - eta^2), s_n = s_(n-1) eta u^2 with
+u = cos phi + i sin phi: every partial product is an amplitude, so none
+overflows, and the phase enters only through u.  A state is its amplitude
+array and its truncation loss; its cutoffs are its array's shape less one.
+Only the inputs are shared with the library: each count, eta, amplitude
+and phase is checked by its ``numerics._require_*`` rule, while every
+amplitude, projection and SVD stays this module's own arithmetic.  Small
+photon cutoffs only, 0 to 120 photons per mode, and a pair state at most
+80, as its array and |amplitude|^2 may take 2^30 bytes; the point is an
+independent cross-check of the closed-form encoding path, not performance.
 
 Mode layout for the pair construction: (ancilla A, ancilla B, squeezed
 half A, squeezed half B).  The first total-number measurement acts on
@@ -24,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _require_amplitude, _require_eta, _require_outcome
+from .numerics import _require_amplitude, _require_eta, _require_finite, _require_outcome
 
-# The oracle's scope: small dense instances.  The direct factorial
-# sqrt(n!) stays finite up to n = 170, so this cap guards no float range.
+# The oracle's scope: small dense instances; this cap guards no float range.
 _MAX_CUTOFF = 120
 
 # A pair state peaks at 24 bytes a cell, its complex array and the float
@@ -44,13 +48,13 @@ PAIR_GROUP_L = (1, 3)
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity, like the encoded states
 class DenseJointState:
-    """Dense multimode amplitude array with declared truncation loss.
+    """Dense multimode amplitude array with declared truncation loss; mode
+    i holds 0 to amplitudes.shape[i] - 1 photons.
 
     Invariant: total squared magnitude == 1 - truncation_loss to 1e-10.
     """
 
     amplitudes: np.ndarray
-    per_mode_cutoffs: tuple[int, ...]
     truncation_loss: float
 
 
@@ -62,40 +66,38 @@ def _check_cutoff(cutoff: int) -> int:
 
 
 def _coherent_vector(amplitude: complex, phi: float, cutoff: int) -> np.ndarray:
-    out = np.empty(cutoff + 1, dtype=complex)
-    rotated = complex(amplitude) * complex(math.cos(phi), math.sin(phi))
-    for n in range(cutoff + 1):
-        out[n] = rotated**n / math.sqrt(math.factorial(n))
-    return math.exp(-abs(amplitude) ** 2 / 2.0) * out
+    """a_0 = e^(-|amplitude|^2/2), a_n = a_(n-1) amplitude e^(i phi) / sqrt(n)."""
+    step = complex(amplitude) * complex(math.cos(phi), math.sin(phi))
+    return np.cumprod(np.append(math.exp(-abs(amplitude) ** 2 / 2.0), step / np.sqrt(np.arange(1.0, cutoff + 1))))
 
 
 def _tmss_vector(eta: float, phi: float, cutoff: int) -> np.ndarray:
+    """s_0 = sqrt(1 - eta^2), s_n = s_(n-1) eta u^2 with u = cos phi + i sin phi."""
     eta = _require_eta(eta)
-    n = np.arange(cutoff + 1)
-    return math.sqrt(1.0 - eta * eta) * eta**n * np.exp(2j * phi * n)
+    return np.cumprod(np.append(math.sqrt(1.0 - eta * eta), np.full(cutoff, eta * complex(math.cos(phi), math.sin(phi)) ** 2)))
 
 
-def _finish(amplitudes: np.ndarray, cutoffs: tuple[int, ...]) -> DenseJointState:
+def _finish(amplitudes: np.ndarray) -> DenseJointState:
     amplitudes.setflags(write=False)
     loss = max(0.0, 1.0 - float(np.sum(np.abs(amplitudes) ** 2)))
-    return DenseJointState(amplitudes, cutoffs, loss)
+    return DenseJointState(amplitudes, loss)
 
 
 def build_joint_coherent(alpha, beta, phi: float, cutoff: int) -> DenseJointState:
     """Signal |alpha> and ancilla |beta>, both phase-locked to phi, as a
     dense two-mode array truncated at cutoff photons per mode."""
-    cutoff = _check_cutoff(cutoff)
+    cutoff, phi = _check_cutoff(cutoff), _require_finite(phi, "phi")
     joint = np.outer(
         _coherent_vector(_require_amplitude(alpha, "alpha"), phi, cutoff),
         _coherent_vector(_require_amplitude(beta, "beta"), phi, cutoff),
     )
-    return _finish(joint, (cutoff, cutoff))
+    return _finish(joint)
 
 
 def build_joint_pair(eta: float, beta, phi: float, cutoff: int) -> DenseJointState:
     """Two coherent ancillas |beta> and a two-mode squeezed pair, all
     phase-locked to phi, as a dense four-mode array."""
-    cutoff = _check_cutoff(cutoff)
+    cutoff, phi = _check_cutoff(cutoff), _require_finite(phi, "phi")
     nbytes = _PAIR_BYTES_PER_CELL * (cutoff + 1) ** 4
     if nbytes > _PAIR_BUDGET_BYTES:
         raise ValueError(f"a pair state at cutoff {cutoff} needs {nbytes} bytes, over the budget of {_PAIR_BUDGET_BYTES} bytes")
@@ -105,7 +107,7 @@ def build_joint_pair(eta: float, beta, phi: float, cutoff: int) -> DenseJointSta
     pair_block = np.outer(ancilla, ancilla)
     for n in range(cutoff + 1):
         joint[:, :, n, n] = pair_block * squeezed[n]
-    return _finish(joint, (cutoff,) * 4)
+    return _finish(joint)
 
 
 def project_total_number(
@@ -130,14 +132,19 @@ def project_total_number(
         return 0.0, None
     projected = np.where(mask, state.amplitudes, 0.0) / math.sqrt(probability)
     projected.setflags(write=False)
-    return probability, DenseJointState(projected, state.per_mode_cutoffs, 0.0)
+    return probability, DenseJointState(projected, 0.0)
 
 
 def pair_outcomes(joint: DenseJointState, top: int) -> Iterator[tuple[int, int, float, DenseJointState]]:
     """The protocol's two measurements on a four-mode pair state: K on
     PAIR_GROUP_K, then L on PAIR_GROUP_L.  Yields (K, L, P(K, L), state
     after both) for K, L <= top, K-major, skipping outcomes that a
-    projection leaves empty."""
+    projection leaves empty; no total past what a group's modes hold is
+    walked."""
+    shape = joint.amplitudes.shape
+    if len(shape) != 4:
+        raise ValueError("expected a four-mode state")
+    top = min(_require_outcome(top, "top"), max(shape[a] + shape[b] - 2 for a, b in (PAIR_GROUP_K, PAIR_GROUP_L)))
     for k in range(top + 1):
         p_k, after_k = project_total_number(joint, PAIR_GROUP_K, k)
         if after_k is None:
@@ -176,10 +183,10 @@ def coherent_logical_amplitudes(state: DenseJointState, total: int) -> np.ndarra
     if state.amplitudes.ndim != 2:
         raise ValueError("expected a two-mode state")
     total = _require_outcome(total, "total")
-    cutoff = state.per_mode_cutoffs[0]
+    rows, columns = state.amplitudes.shape
     out = np.zeros(total + 1, dtype=complex)
     for n in range(total + 1):
-        if n <= cutoff and 0 <= total - n <= state.per_mode_cutoffs[1]:
+        if n < rows and total - n < columns:
             out[n] = state.amplitudes[n, total - n]
     return out
 
@@ -190,10 +197,9 @@ def pair_schmidt_amplitudes(state: DenseJointState, k: int, l: int) -> np.ndarra
     if state.amplitudes.ndim != 4:
         raise ValueError("expected a four-mode state")
     k, l = _require_outcome(k, "k"), _require_outcome(l, "l")
-    cutoff = state.per_mode_cutoffs[0]
     top = min(k, l)
     out = np.zeros(top + 1, dtype=complex)
     for n in range(top + 1):
-        if n <= cutoff and k - n <= cutoff and l - n <= cutoff:
+        if all(np.less((k - n, l - n, n, n), state.amplitudes.shape)):
             out[n] = state.amplitudes[k - n, l - n, n, n]
     return out

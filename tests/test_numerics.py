@@ -5,6 +5,7 @@ so the oracle derivation stays visible next to the frozen literal.
 """
 
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,6 +34,7 @@ from phasefree.numerics import (
     log_sum_exp,
     shannon_entropy_bits,
 )
+from phasefree.oracle import build_joint_coherent, build_joint_pair, project_total_number
 
 mp.mp.dps = 50
 
@@ -66,6 +68,29 @@ class TestABoolIsNotACount:
         encode_pair(0.5, 1.0, True, 2) built the K = 1 state and
         log_factorial(True) returned 0.0; numpy bools already fail there."""
         with pytest.raises(error, match=rf"^{name} must .*(True|False)$"):
+            call()
+
+
+class TestAFloatIsNotACount:
+    @pytest.mark.parametrize(
+        "call,name,value",
+        [
+            pytest.param(lambda: encode_pair(0.5, 1.0, 3.0, 2), "K", "3.0", id="encode_pair-K"),
+            pytest.param(lambda: log_factorial(2.5), "n", "2.5", id="log_factorial-n"),
+            pytest.param(lambda: log_poisson_weight(1.0, 3.0), "k", "3.0", id="log_poisson_weight-k"),
+            pytest.param(lambda: build_joint_pair(0.5, 1.0, 0.0, 3.0), "cutoff", "3.0", id="oracle-cutoff"),
+            pytest.param(
+                lambda: project_total_number(build_joint_coherent(1.0, 1.0, 0.0, 3), (0, 1), np.float64(2.0)),
+                "outcome",
+                "np.float64(2.0)",
+                id="projection-outcome",
+            ),
+        ],
+    )
+    def test_a_float_is_refused_by_name(self, call, name, value):
+        """A float, even a whole one, once raised "'float' object cannot be
+        interpreted as an integer", which names no quantity."""
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer count, not {re.escape(value)}$"):
             call()
 
 

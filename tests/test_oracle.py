@@ -40,15 +40,17 @@ class TestBuildJointCoherent:
         assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-14)
         assert state.truncation_loss == 0.0
 
-    def test_outer_product_of_validated_kets(self):
+    @pytest.mark.parametrize("alpha,cutoff", [(1.0, 12), (9.0, 120)], ids=["small", "at-the-cap"])
+    def test_outer_product_of_validated_kets(self, alpha, cutoff):
         """Against kets built from the Poisson weights instead of the
-        oracle's direct factorials: a_n = sqrt(Pois(|alpha|^2, n)) e^(i n arg alpha)."""
-        alpha, beta = 1.0, 0.6 - 0.8j
-        state = build_joint_coherent(alpha, beta, 0.0, 12)
+        oracle's running products: a_n = sqrt(Pois(|alpha|^2, n)) e^(i n arg alpha),
+        also at the largest cutoff, where each product has 120 factors."""
+        beta = 0.6 - 0.8j
+        state = build_joint_coherent(alpha, beta, 0.0, cutoff)
 
         def ket(a):
             return np.array(
-                [math.sqrt(math.exp(log_poisson_weight(abs(a) ** 2, n))) * cmath.exp(1j * n * cmath.phase(a)) for n in range(13)]
+                [math.sqrt(math.exp(log_poisson_weight(abs(a) ** 2, n))) * cmath.exp(1j * n * cmath.phase(a)) for n in range(cutoff + 1)]
             )
 
         expected = np.outer(ket(alpha), ket(beta))
@@ -66,6 +68,14 @@ class TestBuildJointCoherent:
         np.testing.assert_allclose(
             spun.amplitudes, base.amplitudes * np.exp(1j * 0.9 * (n + m)), atol=1e-13
         )
+
+    @pytest.mark.parametrize("alpha,cutoff", [(1e100, 5), (1e20, 120)])
+    def test_an_amplitude_whose_powers_overflow_gives_zeros(self, alpha, cutoff):
+        """|alpha|^2 is finite, so alpha passes its rule, but alpha^n
+        overflows; each running product is an amplitude, here 0."""
+        state = build_joint_coherent(alpha, 1.0, 0.0, cutoff)
+        np.testing.assert_array_equal(state.amplitudes, np.zeros((cutoff + 1, cutoff + 1)))
+        assert state.truncation_loss == 1.0
 
 
 class _Allocated(Exception):
@@ -121,13 +131,15 @@ class TestCutoffLimits:
         (lambda: project_total_number(build_joint_pair(0.5, 1.0, 0.0, 3), PAIR_GROUP_K, True), TypeError, "outcome must be an integer count"),
         (lambda: pair_schmidt_amplitudes(build_joint_pair(0.5, 1.0, 0.0, 3), -1, 2), ValueError, "k must be a nonnegative integer, got -1"),
         (lambda: coherent_logical_amplitudes(build_joint_coherent(1.0, 1.0, 0.0, 3), -2), ValueError, "total must be a nonnegative integer, got -2"),
+        (lambda: build_joint_coherent(1.0, 1.0, math.nan, 3), ValueError, "^phi must be finite, got nan$"),
+        (lambda: build_joint_pair(0.5, 1.0, -math.inf, 3), ValueError, "^phi must be finite, got -inf$"),
     ],
-    ids=["nan-alpha", "inf-beta", "huge-alpha", "bool-cutoff", "bool-outcome", "negative-k", "negative-total"],
+    ids=["nan-alpha", "inf-beta", "huge-alpha", "bool-cutoff", "bool-outcome", "negative-k", "negative-total", "nan-phi", "inf-phi"],
 )
 def test_every_input_takes_the_library_rule(call, error, message):
     """Each argument is checked by the numerics rule for its quantity, which
-    names it: NaN and infinite amplitudes, an |alpha|^2 past the float
-    range, bool counts and negative indices are refused."""
+    names it: NaN and infinite amplitudes and phases, an |alpha|^2 past the
+    float range, bool counts and negative indices are refused."""
     with pytest.raises(error, match=message):
         call()
 
@@ -180,6 +192,14 @@ class TestBuildJointPair:
         n0, n1, n2, n3 = np.indices(base.amplitudes.shape)
         phases = np.exp(1j * 1.1 * (n0 + n1 + n2 + n3))
         np.testing.assert_allclose(spun.amplitudes, base.amplitudes * phases, atol=1e-13)
+
+    def test_a_huge_finite_phase_builds(self):
+        """The phase enters only as u = cos phi + i sin phi, so no 2 phi n
+        overflows: at phi = 1e308 every amplitude is finite, with the
+        magnitudes of phi = 0."""
+        spun = build_joint_pair(0.5, 1.0, 1e308, 3).amplitudes
+        assert np.all(np.isfinite(spun))
+        np.testing.assert_allclose(np.abs(spun), np.abs(build_joint_pair(0.5, 1.0, 0.0, 3).amplitudes), rtol=0, atol=1e-15)
 
     def test_states_compare_by_identity(self):
         """Two joint states built alike compare unequal without raising on
@@ -256,6 +276,31 @@ class TestPairOutcomes:
         assert walk[3, 2][0] == p_k * p_l
         np.testing.assert_array_equal(walk[3, 2][1].amplitudes, after_l.amplitudes)
 
+    @pytest.mark.parametrize("top,error,message", [(True, TypeError, "an integer count, not True"), (-1, ValueError, "a nonnegative integer, got -1")])
+    def test_top_is_a_count(self, top, error, message):
+        with pytest.raises(error, match=f"^top must be {message}$"):
+            next(pair_outcomes(build_joint_pair(0.5, 1.0, 0.0, 3), top))
+
+    def test_the_walk_stops_at_the_largest_total_a_group_holds(self, monkeypatch):
+        """Two modes at cutoff 3 hold at most 6 photons, so a top of 10**18
+        walks what a top of 6 walks, with as many projections."""
+        joint = build_joint_pair(0.5, 1.0, 0.0, 3)
+        expected = [(k, l, prob) for k, l, prob, _ in pair_outcomes(joint, 6)]
+        project, outcomes = oracle.project_total_number, []
+
+        def counted(state, mode_group, outcome):
+            outcomes.append(outcome)
+            assert len(outcomes) <= 7 * 8, "the walk went past the largest total"
+            return project(state, mode_group, outcome)
+
+        monkeypatch.setattr(oracle, "project_total_number", counted)
+        assert [(k, l, prob) for k, l, prob, _ in pair_outcomes(joint, 10**18)] == expected
+        assert max(outcomes) == 6
+
+    def test_refuses_a_two_mode_state(self):
+        with pytest.raises(ValueError, match="^expected a four-mode state$"):
+            next(pair_outcomes(build_joint_coherent(1.0, 1.0, 0.0, 3), 2))
+
     def test_vacuum_ancillas_leave_only_equal_outcomes(self):
         """With |beta> = |0>, K = L = n: every K != L projects to nothing
         and is skipped, and P(n, n) is the geometric (1 - eta^2) eta^(2n)."""
@@ -274,7 +319,7 @@ class TestSchmidtEntropyDense:
     def test_bell_like_state(self):
         amps = np.zeros((2, 2), dtype=complex)
         amps[0, 0] = amps[1, 1] = 1 / math.sqrt(2)
-        state = DenseJointState(amps, (1, 1), 0.0)
+        state = DenseJointState(amps, 0.0)
         assert schmidt_entropy_dense(state, (0,)) == pytest.approx(1.0, abs=1e-12)
 
     def test_doubly_projected_pair(self):
@@ -354,6 +399,15 @@ class TestLogicalExtraction:
         total = float(np.sum(np.abs(after_l.amplitudes) ** 2))
         recovered = float(np.sum(np.abs(vector) ** 2))
         assert recovered == pytest.approx(total, abs=1e-12)
+
+    def test_a_state_is_read_by_its_shape(self):
+        """A hand-built 2 x 3 state holds n <= 1 in mode 0 and n <= 2 in
+        mode 1; entry n of total t is amplitudes[n, t - n] inside that
+        shape and 0 outside it."""
+        state = DenseJointState(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]) / math.sqrt(91.0), 0.0)
+        expected = [[1], [2, 4], [3, 5, 0], [0, 6, 0, 0], [0, 0, 0, 0, 0]]
+        for total, entries in enumerate(expected):
+            np.testing.assert_array_equal(coherent_logical_amplitudes(state, total), np.array(entries) / math.sqrt(91.0))
 
     def test_extraction_refuses_a_state_of_the_other_kind(self):
         """The coherent extraction reads a two-mode state and the pair one a

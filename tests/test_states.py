@@ -1,5 +1,5 @@
 """Truncated number-basis kets of the two input states, as the dense oracle
-builds them from direct factorial formulas."""
+builds them: each a running product from its vacuum amplitude."""
 
 import math
 
